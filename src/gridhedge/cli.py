@@ -142,6 +142,8 @@ def _cmd_simulate(args) -> int:
     print(f"case          = {label}")
     print(f"paths         = {result.n_paths}")
     print(f"overall_savings_pct = {result.overall_savings:.4f}")
+    print(f"overall_savings_ci_lo_pct = {result.overall_savings_lo:.4f}")
+    print(f"overall_savings_ci_hi_pct = {result.overall_savings_hi:.4f}")
     print(f"results       = {results_path}")
     return 0
 

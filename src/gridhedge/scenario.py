@@ -16,6 +16,7 @@ from .errors import InsufficientPaths
 from .grid import GridEnsemble
 from .lattice import calibrate_step_model, LatticeStepModel
 from .gbm import simulate_paths
+from .stats import resampled_means
 
 CASE_GE = "ge"
 CASE_LT = "lt"
@@ -57,6 +58,11 @@ def parse_case(text: str):
     return parts
 
 
+def _savings_ratio(tes, ces):
+    """Elementwise 100*(1 - tes/ces), 0 where ces (numerically) vanishes."""
+    return np.where(np.abs(ces) > 1e-12, 100.0 * (1.0 - tes / np.where(ces == 0, 1.0, ces)), 0.0)
+
+
 def battery_savings(tes_b, ces_b):
     """Pointwise 100*(1 - b/b_hat) plus the unweighted time average.
 
@@ -67,7 +73,7 @@ def battery_savings(tes_b, ces_b):
     ces = np.asarray(ces_b, dtype=float)
     if tes.shape != ces.shape:
         raise ValueError("series must be aligned")
-    series = np.where(np.abs(ces) > 1e-12, 100.0 * (1.0 - tes / np.where(ces == 0, 1.0, ces)), 0.0)
+    series = _savings_ratio(tes, ces)
     return series, float(series.mean())
 
 
@@ -112,6 +118,8 @@ class CaseResult:
     pg_std: np.ndarray
     case_counts: "dict[str, int]"
     overall_savings: float
+    overall_savings_lo: float  # 95% percentile-bootstrap interval
+    overall_savings_hi: float
     config: ScenarioConfig = field(repr=False)
 
 
@@ -260,45 +268,34 @@ def _collect_paths(config: ScenarioConfig):
 
 
 def _bootstrap_time_metrics(samples, ratio_pairs, n_resamples, seed):
-    """Percentile CIs of means (and of ratio-of-means pairs) sharing indices.
+    """95% percentile CIs from one joint resample of whole paths.
 
-    samples: dict name -> (m,) array.  ratio_pairs: name -> (num, den) pair
-    of sample names; the resampled statistic is 100*(1 - mean_num/mean_den),
-    0 where the denominator vanishes.
+    samples: dict name -> (m, n_times) array, one row per path.  Every metric
+    at every time is averaged over the same resampled paths.  ratio_pairs:
+    name -> (num, den) pair of sample names; the resampled statistic is
+    100*(1 - mean_num/mean_den), 0 where the denominator vanishes.
+
+    Returns (series, overall): series maps every sample and ratio name to a
+    MetricSeries over time; overall maps each ratio name to the (point, lo,
+    hi) of its time average.
     """
     names = list(samples)
-    m = len(next(iter(samples.values())))
+    n_times = samples[names[0]].shape[1]
     rng = np.random.Generator(np.random.Philox(key=seed))
-    sums = {name: [] for name in names}
-    chunk = max(1, int(2e7 // m))
-    done = 0
-    while done < n_resamples:
-        take = min(chunk, n_resamples - done)
-        idx = rng.integers(0, m, size=(take, m))
-        for name in names:
-            sums[name].append(samples[name][idx].mean(axis=1))
-        done += take
-    means = {name: np.concatenate(parts) for name, parts in sums.items()}
-    out = {}
-    for name in names:
-        lo, hi = np.quantile(means[name], [0.025, 0.975])
-        out[name] = (float(samples[name].mean()), float(lo), float(hi))
+    resampled = resampled_means(np.hstack([samples[name] for name in names]), n_resamples, rng)
+    points = {name: samples[name].mean(axis=0) for name in names}
+    draws = {name: resampled[:, i * n_times : (i + 1) * n_times] for i, name in enumerate(names)}
+    series = {}
+    overall = {}
     for name, (num, den) in ratio_pairs.items():
-        den_means = means[den]
-        ratios = np.where(
-            np.abs(den_means) > 1e-12,
-            100.0 * (1.0 - means[num] / np.where(den_means == 0, 1.0, den_means)),
-            0.0,
-        )
-        lo, hi = np.quantile(ratios, [0.025, 0.975])
-        den_full = samples[den].mean()
-        point = (
-            100.0 * (1.0 - samples[num].mean() / den_full)
-            if abs(den_full) > 1e-12
-            else 0.0
-        )
-        out[name] = (float(point), float(lo), float(hi))
-    return out
+        points[name], point_overall = battery_savings(points[num], points[den])
+        draws[name] = _savings_ratio(draws[num], draws[den])
+        lo, hi = np.quantile(draws[name].mean(axis=1), [0.025, 0.975])
+        overall[name] = (point_overall, float(lo), float(hi))
+    for name, point in points.items():
+        lo, hi = np.quantile(draws[name], [0.025, 0.975], axis=0)
+        series[name] = MetricSeries(mean=point, lo=lo, hi=hi)
+    return series, overall
 
 
 def run_case_study(config: ScenarioConfig) -> CaseResult:
@@ -310,7 +307,6 @@ def run_case_study(config: ScenarioConfig) -> CaseResult:
     weights are kept and battery makes up the terminal portfolio.
     """
     grid = config.grid
-    n_resamples = config.n_resamples
     paths, counts = _collect_paths(config)
     m = paths.shape[0]
     n_times = config.rebalance_steps + 1
@@ -338,41 +334,15 @@ def run_case_study(config: ScenarioConfig) -> CaseResult:
         if steps > 0:
             prev_a = a
 
-    metric_names = ("b_tes", "b_ces", "v_tes", "v_ces")
-    series = {name: {"mean": [], "lo": [], "hi": []} for name in metric_names}
-    series["savings_pct"] = {"mean": [], "lo": [], "hi": []}
-    for n in range(n_times):
-        samples = {
-            "b_tes": b_tes[n],
-            "b_ces": b_ces[n],
-            "v_tes": v_tes[n],
-            "v_ces": v_ces[n],
-        }
-        stats = _bootstrap_time_metrics(
-            samples,
-            {"savings_pct": ("b_tes", "b_ces")},
-            n_resamples,
-            derive_seed(config.seed, "bootstrap", n),
-        )
-        for name, (mean, lo, hi) in stats.items():
-            series[name]["mean"].append(mean)
-            series[name]["lo"].append(lo)
-            series[name]["hi"].append(hi)
-
-    metrics = {
-        name: MetricSeries(
-            mean=np.array(vals["mean"]), lo=np.array(vals["lo"]), hi=np.array(vals["hi"])
-        )
-        for name, vals in series.items()
-    }
-    savings_series, overall = battery_savings(
-        metrics["b_tes"].mean, metrics["b_ces"].mean
+    # transposed views: each time's samples stay contiguous, so the point
+    # means are summed in the same order as a 1-D mean
+    metrics, overall = _bootstrap_time_metrics(
+        {"b_tes": b_tes.T, "b_ces": b_ces.T, "v_tes": v_tes.T, "v_ces": v_ces.T},
+        {"savings_pct": ("b_tes", "b_ces")},
+        config.n_resamples,
+        derive_seed(config.seed, "bootstrap"),
     )
-    # the bootstrap point estimate uses the same ratio convention; keep the
-    # canonical series from battery_savings as the reported means
-    metrics["savings_pct"] = MetricSeries(
-        mean=savings_series, lo=metrics["savings_pct"].lo, hi=metrics["savings_pct"].hi
-    )
+    savings, savings_lo, savings_hi = overall["savings_pct"]
     return CaseResult(
         times=times,
         case=config.case_filter,
@@ -381,7 +351,9 @@ def run_case_study(config: ScenarioConfig) -> CaseResult:
         pg_mean=paths.mean(axis=0),
         pg_std=paths.std(axis=0),
         case_counts=counts,
-        overall_savings=overall,
+        overall_savings=savings,
+        overall_savings_lo=savings_lo,
+        overall_savings_hi=savings_hi,
         config=config,
     )
 

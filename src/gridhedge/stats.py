@@ -74,6 +74,59 @@ def ks_test(a, b, alpha: float = 0.05) -> KsResult:
     )
 
 
+# Elements per block of drawn indices and their counts.  Bounds the
+# bootstrap's working memory (about 24 bytes per element) whatever the
+# number of resamples; the results do not depend on it.
+RESAMPLE_BLOCK_ELEMENTS = 1 << 21
+
+
+def _exact_parts(x, m: int):
+    """Split each column of x into two addends whose count sums are exact.
+
+    Each addend is an integer multiple of a per-column power-of-two quantum,
+    with at most ``53 - bit_length(m)`` significant bits, so a product with
+    nonnegative integer counts that sum to m never rounds, in any summation
+    order.  Only bits below 2**-(2 * bits) of the column's largest magnitude
+    are dropped.  Returns the (m, 2k) array [high parts, low parts].
+    """
+    bits = 53 - int(m).bit_length()
+    _, exponent = np.frexp(np.max(np.abs(x), axis=0))
+    parts = []
+    rest = x
+    for level in (1, 2):
+        quantum = np.ldexp(1.0, np.maximum(exponent - level * bits, -1074))
+        part = np.round(rest / quantum) * quantum
+        parts.append(part)
+        rest = rest - part
+    return np.hstack(parts)
+
+
+def resampled_means(x, n_resamples: int, rng: np.random.Generator) -> np.ndarray:
+    """Column means of n_resamples bootstrap resamples of the rows of x.
+
+    x is (m, k); the result is (n_resamples, k).  Resample r draws its m row
+    indices as row r of ``rng.integers(0, m, size=(n_resamples, m))``, turns
+    them into per-row counts with one ``bincount`` per block, and takes the
+    means as a BLAS product of the counts with the columns.  The product is
+    exact (see ``_exact_parts``), so the means are bit-identical whatever the
+    block size, BLAS kernel or thread count, and a constant column gives the
+    same mean in every resample.
+    """
+    x = np.asarray(x, dtype=float)
+    m, k = x.shape
+    parts = _exact_parts(x, m)
+    means = np.empty((n_resamples, k))
+    block = max(1, RESAMPLE_BLOCK_ELEMENTS // m)
+    for start in range(0, n_resamples, block):
+        take = min(block, n_resamples - start)
+        idx = rng.integers(0, m, size=(take, m))
+        idx += np.arange(0, take * m, m)[:, None]
+        counts = np.bincount(idx.ravel(), minlength=take * m).reshape(take, m)
+        sums = counts.astype(float) @ parts
+        means[start : start + take] = (sums[:, :k] + sums[:, k:]) / m
+    return means
+
+
 def bootstrap_ci(
     sample, n_resamples: int = 10_000, level: float = 0.95, seed: int = 0
 ) -> BootstrapCi:
@@ -82,7 +135,7 @@ def bootstrap_ci(
     Quantiles of any level are read from the same resampled-mean array, so
     widening the level can never narrow the interval.
     """
-    x = np.asarray(sample, dtype=float)
+    x = np.asarray(sample, dtype=float).ravel()
     if x.size == 0:
         raise EmptySample("sample must be nonempty")
     if n_resamples < 100:
@@ -90,14 +143,7 @@ def bootstrap_ci(
     if not 0.0 < level < 1.0:
         raise InvalidAlpha(f"level must be in (0, 1), got {level}")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    means = np.empty(n_resamples)
-    chunk = max(1, min(n_resamples, int(2e7 // max(x.size, 1)) or 1))
-    done = 0
-    while done < n_resamples:
-        take = min(chunk, n_resamples - done)
-        idx = rng.integers(0, x.size, size=(take, x.size))
-        means[done : done + take] = x[idx].mean(axis=1)
-        done += take
+    means = resampled_means(x[:, None], n_resamples, rng)[:, 0]
     tail = (1.0 - level) / 2.0
     lo, hi = np.quantile(means, [tail, 1.0 - tail])
     return BootstrapCi(

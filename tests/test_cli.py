@@ -133,6 +133,10 @@ class TestSimulate:
         assert proc.returncode == 0, proc.stderr
         assert (out / "results.csv").exists()
         assert (out / "manifest.txt").exists()
+        lines = proc.stdout.splitlines()
+        assert lines[2].startswith("overall_savings_pct = ")
+        assert lines[3].startswith("overall_savings_ci_lo_pct = ")
+        assert lines[4].startswith("overall_savings_ci_hi_pct = ")
 
     def test_seed_reproducibility(self, demo_config, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

@@ -115,6 +115,14 @@ class TestRunCaseStudy:
         ratio = widths[0] / widths[1]
         assert 1.8 < ratio < 5.5  # ~sqrt(10) with bootstrap noise
 
+    def test_overall_savings_ci_brackets_point(self, demo_grid):
+        result = gh.run_case_study(make_config(demo_grid, n_paths=500, n_resamples=400))
+        _, overall = gh.battery_savings(
+            result.metrics["b_tes"].mean, result.metrics["b_ces"].mean
+        )
+        assert result.overall_savings == overall
+        assert result.overall_savings_lo < result.overall_savings < result.overall_savings_hi
+
     def test_counts_cover_all_cases(self, demo_grid):
         result = gh.run_case_study(make_config(demo_grid, n_paths=500, n_resamples=150))
         assert sum(result.case_counts.values()) >= 500

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import ks_2samp
 
 import gridhedge as gh
+from gridhedge import stats
 from gridhedge.errors import EmptySample, InvalidAlpha
 from gridhedge.scenario import derive_seed
 
@@ -139,3 +140,32 @@ class TestBootstrap:
             gh.bootstrap_ci([], n_resamples=300, seed=5)
         with pytest.raises(ValueError):
             gh.bootstrap_ci(sample, n_resamples=50, seed=5)
+
+
+def philox(seed):
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
+class TestResampledMeans:
+    def test_matches_gathered_means(self):
+        x = 20.0 + 3.0 * philox(21).standard_normal((1_000, 5))
+        got = stats.resampled_means(x, 300, philox(4))
+        idx = philox(4).integers(0, x.shape[0], size=(300, x.shape[0]))
+        want = np.stack([x[idx, j].mean(axis=1) for j in range(x.shape[1])], axis=1)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+    def test_constant_columns_are_exact(self):
+        x = np.column_stack([np.full(10_000, 0.1), np.full(10_000, 25 / 3)])
+        means = stats.resampled_means(x, 400, philox(8))
+        for j in range(x.shape[1]):
+            lo, hi = np.quantile(means[:, j], [0.025, 0.975])
+            assert lo == hi
+            assert np.unique(means[:, j]).size == 1
+
+    def test_independent_of_block_size(self, monkeypatch):
+        x = philox(13).exponential(size=(257, 3)) * np.array([1.0, 1e-3, 1e4])
+        results = []
+        for rows in (1, 7, 150):
+            monkeypatch.setattr(stats, "RESAMPLE_BLOCK_ELEMENTS", rows * x.shape[0])
+            results.append(stats.resampled_means(x, 150, philox(6)).tobytes())
+        assert results[0] == results[1] == results[2]
