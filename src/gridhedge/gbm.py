@@ -9,7 +9,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import chi2 as _chi2
+from scipy.special import chdtrc
 from typing import NamedTuple
 
 from .errors import (
@@ -247,4 +247,4 @@ def chi_square_gof(
     expected = x.size / n_bins
     statistic = float(np.sum((observed - expected) ** 2) / expected)
     dof = n_bins - 1 - n_estimated
-    return GofResult(statistic, dof, float(_chi2.sf(statistic, dof)))
+    return GofResult(statistic, dof, float(chdtrc(dof, statistic)))

@@ -415,35 +415,87 @@ def replicate_internal(leaves, p_b):
 # Recombining engine
 # ---------------------------------------------------------------------------
 
-def _axis_states(root_pg, model, level):
-    """Per-asset state ladders at a level, indexed by up-count."""
-    j = np.arange(level + 1)
-    return [
-        root_pg[i] * np.exp(model.log_steps[i] * (2 * j - level))
-        for i in range(model.n_assets)
-    ]
+# One block of root states is valued at a time; its terminal headroom holds
+# at most this many floats (16 MiB), whatever the path count.
+LATTICE_BLOCK_ELEMENTS = 2**21
 
 
-def _terminal_grid(root_pg, model, n_steps, d_c):
-    n = model.n_assets
-    axes = _axis_states(root_pg, model, n_steps)
-    total = np.zeros((n_steps + 1,) * n)
-    for i, axis in enumerate(axes):
-        shape = [1] * n
-        shape[i] = n_steps + 1
-        total = total + axis.reshape(shape)
-    return np.maximum(float(np.sum(d_c)) - total, 0.0)
+def _branch_slices(model, branch):
+    """Per-asset slice of a grid one step longer that branch's move lands on."""
+    return tuple(slice(1, None) if up else slice(0, -1) for up in model.up_mask[branch])
 
 
-def _collapse(values, model):
-    out = None
-    for k in range(model.n_branches):
-        sl = tuple(
-            slice(1, None) if up else slice(0, -1) for up in model.up_mask[k]
-        )
-        term = model.branch_probs[k] * values[sl]
-        out = term if out is None else out + term
-    return out
+class RecombiningLattice:
+    """Root and first-level values of the netted shortfall for many roots.
+
+    Probabilities are state independent and u*d = 1, so a state is fixed by
+    its per-asset up-counts, and the chance of reaching each up-count vector
+    in l steps is the l-fold convolution W_l of the one-step law, the same
+    for every root.  With s steps left, child k (one step taken, up-counts
+    up_k) is worth sum_j W_{s-1}[j] * H[j + up_k], where H is the terminal
+    headroom max(D - sum_i pg_i * u_i^(2 j_i - s), 0).  One matrix product
+    per block of roots replaces s rounds of backward induction.
+
+    A lattice of up to ``max_steps`` steps whose terminal grid exceeds the
+    node budget is refused at construction, before anything is allocated.
+    """
+
+    def __init__(self, model: LatticeStepModel, d_c, max_steps: int):
+        nodes = (max_steps + 1) ** model.n_assets
+        if nodes > DEFAULT_NODE_BUDGET:
+            raise TreeTooLarge(
+                f"{max_steps + 1}^{model.n_assets} = {nodes} terminal states "
+                f"exceed the node budget {DEFAULT_NODE_BUDGET}"
+            )
+        self.model = model
+        self.total_demand = float(np.sum(d_c))
+        self.max_steps = max_steps
+
+    def _child_weights(self, steps):
+        """((steps+1)^n, 2^n) matrix; column k is W_{steps-1} shifted by up_k.
+
+        W is rebuilt from W_0 on each call: keeping every level would hold
+        about steps/(n+1) terminal grids, while one rebuild costs as much as
+        backward induction from a single root.
+        """
+        model = self.model
+        reach = np.ones((1,) * model.n_assets)
+        for level in range(1, steps):
+            nxt = np.zeros((level + 1,) * model.n_assets)
+            for k in range(model.n_branches):
+                nxt[_branch_slices(model, k)] += model.branch_probs[k] * reach
+            reach = nxt
+        stacked = np.zeros((steps + 1,) * model.n_assets + (model.n_branches,))
+        for k in range(model.n_branches):
+            stacked[_branch_slices(model, k) + (k,)] = reach
+        return stacked.reshape(-1, model.n_branches)
+
+    def _headroom(self, pg, ladders):
+        # broadcasting one asset at a time needs no full-size zero grid and
+        # still sums each state's terms in asset order
+        rows = pg.shape[0]
+        total = pg[:, 0, None] * ladders[0]
+        for i in range(1, self.model.n_assets):
+            axis = (pg[:, i, None] * ladders[i]).reshape((rows,) + (1,) * i + (-1,))
+            total = total[..., None] + axis
+        np.subtract(self.total_demand, total, out=total)
+        np.maximum(total, 0.0, out=total)
+        return total.reshape(rows, -1)
+
+    def first_level(self, pg, steps: int):
+        """Root values (m,) and child values (m, 2^n) for root states pg (m, n)."""
+        if not 1 <= steps <= self.max_steps:
+            raise ValueError(f"steps must lie in [1, {self.max_steps}], got {steps}")
+        model = self.model
+        weights = self._child_weights(steps)
+        j = np.arange(steps + 1)
+        ladders = [np.exp(model.log_steps[i] * (2 * j - steps)) for i in range(model.n_assets)]
+        m = pg.shape[0]
+        rows = max(1, LATTICE_BLOCK_ELEMENTS // weights.shape[0])
+        child_values = np.empty((m, model.n_branches))
+        for lo in range(0, m, rows):
+            child_values[lo : lo + rows] = self._headroom(pg[lo : lo + rows], ladders) @ weights
+        return child_values @ model.branch_probs, child_values
 
 
 @dataclass(frozen=True)
@@ -458,7 +510,7 @@ class LatticeState:
 
 
 def recombining_value(root_pg, model: LatticeStepModel, n_steps: int, d_c):
-    """Root value and first-level states via up-count indexing.
+    """Root value and first-level states from the recombining lattice.
 
     Equivalent to forward_propagate + backpropagate because probabilities
     are state independent and u*d = 1 makes states depend only on per-asset
@@ -468,21 +520,14 @@ def recombining_value(root_pg, model: LatticeStepModel, n_steps: int, d_c):
     if n_steps == 0:
         value = tes_terminal_payoff(root_pg, d_c)
         return value, [LatticeState(pg=root_pg, value=value)]
-    values = _terminal_grid(root_pg, model, n_steps, d_c)
-    first = None
-    for level in range(n_steps, 0, -1):
-        if level == 1:
-            first = values
-        values = _collapse(values, model)
-    root_value = float(values.reshape(-1)[0])
+    lattice = RecombiningLattice(model, d_c, n_steps)
+    root_value, child_values = lattice.first_level(root_pg[None, :], n_steps)
     factors = model.branch_matrix
-    nodes = []
-    for k in range(model.n_branches):
-        idx = tuple(int(up) for up in model.up_mask[k])
-        nodes.append(
-            LatticeState(pg=root_pg * factors[k], value=float(first[idx]))
-        )
-    return root_value, nodes
+    nodes = [
+        LatticeState(pg=root_pg * factors[k], value=float(child_values[0, k]))
+        for k in range(model.n_branches)
+    ]
+    return float(root_value[0]), nodes
 
 
 def dynamic_allocation(

@@ -7,14 +7,15 @@ rebalance time, and battery requirements, portfolio values, and the battery
 savings of pooling are aggregated with percentile-bootstrap intervals.
 """
 import csv
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ces import _normal_cdf
-from .errors import InsufficientPaths
+from .errors import InsufficientPaths, RankDeficientWarning
 from .grid import GridEnsemble
-from .lattice import calibrate_step_model, LatticeStepModel
+from .lattice import calibrate_step_model, LatticeStepModel, RecombiningLattice
 from .gbm import simulate_paths
 from .stats import resampled_means
 
@@ -145,69 +146,40 @@ def _batch_ces(pg, demands, sigmas, tau, p_b):
 
 
 class _BatchLattice:
-    """Pooled lattice valuation/allocation vectorized across paths.
+    """Pooled lattice allocation vectorized across paths.
 
-    The unit design matrix has rows [movement factors, p_b]; scaling its
-    generation columns by each path's root state gives that path's design
-    matrix, so one pseudoinverse serves every path.
+    Values come from one RecombiningLattice.  The unit design matrix has
+    rows [movement factors, p_b]; scaling its generation columns by each
+    path's (positive) root state gives that path's design matrix with the
+    same rank, so one rank check and one pseudoinverse serve every path.
     """
 
-    def __init__(self, model: LatticeStepModel, demands, p_b):
+    def __init__(self, model: LatticeStepModel, demands, p_b, max_steps):
+        self.lattice = RecombiningLattice(model, demands, max_steps)
         self.model = model
-        self.demands = np.asarray(demands, dtype=float)
-        self.total_demand = float(self.demands.sum())
         self.p_b = p_b
         factors = model.branch_matrix
         design_unit = np.column_stack([factors, np.full(model.n_branches, p_b)])
+        rank = np.linalg.matrix_rank(design_unit)
+        if rank < model.n_assets + 1:
+            warnings.warn(
+                f"replication design matrix rank {rank} < {model.n_assets + 1}; "
+                "returning minimum-norm solutions",
+                RankDeficientWarning,
+                stacklevel=2,
+            )
         self.pinv_unit = np.linalg.pinv(design_unit)
         self.design_unit = design_unit
-
-    def _terminal(self, pg, steps):
-        model = self.model
-        n = model.n_assets
-        j = np.arange(steps + 1)
-        total = np.zeros((pg.shape[0],) + (steps + 1,) * n)
-        for i in range(n):
-            ladder = np.exp(model.log_steps[i] * (2 * j - steps))
-            shape = [1] * (n + 1)
-            shape[0] = pg.shape[0]
-            shape[i + 1] = steps + 1
-            total = total + (pg[:, i, None] * ladder).reshape(shape)
-        return np.maximum(self.total_demand - total, 0.0)
-
-    def _collapse(self, values):
-        model = self.model
-        out = None
-        for k in range(model.n_branches):
-            sl = (slice(None),) + tuple(
-                slice(1, None) if up else slice(0, -1) for up in model.up_mask[k]
-            )
-            term = model.branch_probs[k] * values[sl]
-            out = term if out is None else out + term
-        return out
 
     def allocate(self, pg, steps, prev_a):
         """Returns (value, a, b, residual) arrays for root states pg (m, n)."""
         model = self.model
         m = pg.shape[0]
         if steps == 0:
-            value = np.maximum(self.total_demand - pg.sum(axis=1), 0.0)
+            value = np.maximum(self.lattice.total_demand - pg.sum(axis=1), 0.0)
             b = (value - np.sum(prev_a * pg, axis=1)) / self.p_b
             return value, prev_a.copy(), b, np.zeros(m)
-        values = self._terminal(pg, steps)
-        first = values if steps == 1 else None
-        for level in range(steps, 0, -1):
-            if level == 1 and first is None:
-                first = values
-            values = self._collapse(values)
-        root_value = values.reshape(m)
-        child_values = np.stack(
-            [
-                first[(slice(None),) + tuple(int(up) for up in model.up_mask[k])]
-                for k in range(model.n_branches)
-            ],
-            axis=1,
-        )
+        root_value, child_values = self.lattice.first_level(pg, steps)
         scaled = child_values @ self.pinv_unit.T          # (m, n+1)
         a = scaled[:, : model.n_assets] / pg
         b = scaled[:, model.n_assets]
@@ -307,13 +279,18 @@ def run_case_study(config: ScenarioConfig) -> CaseResult:
     weights are kept and battery makes up the terminal portfolio.
     """
     grid = config.grid
-    paths, counts = _collect_paths(config)
-    m = paths.shape[0]
     n_times = config.rebalance_steps + 1
     dt = config.horizon_hours / config.rebalance_steps
     times = dt * np.arange(n_times)
     sigmas = grid.sigmas
     p_b = grid.battery_unit_kw
+    # dt is constant, so one model and one engine serve every rebalance
+    # time; an infeasible or oversized lattice fails before any path is
+    # simulated
+    model = calibrate_step_model(grid, dt)
+    engine = _BatchLattice(model, grid.demands, p_b, config.rebalance_steps)
+    paths, counts = _collect_paths(config)
+    m = paths.shape[0]
 
     b_tes = np.zeros((n_times, m))
     b_ces = np.zeros((n_times, m))
@@ -325,10 +302,6 @@ def run_case_study(config: ScenarioConfig) -> CaseResult:
         tau = config.horizon_hours - times[n]
         steps = config.rebalance_steps - n
         b_ces[n], v_ces[n] = _batch_ces(pg, grid.demands, sigmas, tau, p_b)
-        # re-calibrated each time for generality; dt is constant so the
-        # model is too, which makes the recalibration a cheap no-op
-        model = calibrate_step_model(grid, dt)
-        engine = _BatchLattice(model, grid.demands, p_b)
         value, a, b, _ = engine.allocate(pg, steps, prev_a)
         v_tes[n], b_tes[n] = value, b
         if steps > 0:

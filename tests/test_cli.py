@@ -120,6 +120,19 @@ class TestAllocate:
         assert float(values["a_1"]) == pytest.approx(alloc.a[0], abs=1e-5)
         assert float(values["replication_residual_kw"]) > 0
 
+    def test_oversized_lattice_exit_4(self, tmp_path):
+        config = tmp_path / "deep.cfg"
+        config.write_text(
+            DEMO_CFG.replace("0.006, 0.005", "0.006, 0.005, 0.004")
+            .replace("0.03, 0.04", "0.03, 0.04, 0.05")
+            .replace("correlation     = 0.6", "correlation     = 0.3")
+            .replace("20, 25", "20, 25, 15")
+            .replace("rebalance_steps = 5", "rebalance_steps = 250")
+        )
+        proc = run_cli("allocate", str(config), "--mode", "tes")
+        assert proc.returncode == 4
+        assert "exceed the node budget" in proc.stderr
+
     def test_time_out_of_range_exit_4(self, demo_config):
         proc = run_cli("allocate", str(demo_config), "--mode", "tes", "--time", "5")
         assert proc.returncode == 4
@@ -186,3 +199,14 @@ def test_version_flag():
     proc = run_cli("--version")
     assert proc.returncode == 0
     assert "gridhedge" in proc.stdout
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats costs about a second of start-up for every command
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, gridhedge.cli; assert 'scipy.stats' not in sys.modules"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

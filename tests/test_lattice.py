@@ -6,6 +6,7 @@ normal-equations least squares, the closed-form per-grid valuation, and
 transformed-measure Monte Carlo.
 """
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -335,6 +336,19 @@ class TestEngines:
         assert value_t == pytest.approx(value_r, abs=1e-9)
         assert np.allclose(alloc_t.a, alloc_r.a, atol=1e-9)
         assert alloc_t.b == pytest.approx(alloc_r.b, abs=1e-9)
+
+    def test_recombining_grid_budget_checked_before_allocation(self):
+        grid = make_grid([0.03, 0.04, 0.05], 0.3, demands=np.array([20.0, 25.0, 15.0]))
+        model = gh.calibrate_step_model(grid, 5.0 / 250)
+        root = np.array([20.0, 25.0, 15.0])
+        tracemalloc.start()
+        try:
+            with pytest.raises(TreeTooLarge, match="251\\^3"):
+                gh.recombining_value(root, model, 250, grid.demands)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000  # one 251^3 grid would be 126 MB
 
     def test_single_asset_replication_exact_everywhere(self):
         grid = make_grid([0.03], demands=np.array([20.0]))

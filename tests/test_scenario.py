@@ -1,10 +1,19 @@
 """Case-study driver: classification, savings, aggregation, CSV output."""
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import gridhedge as gh
-from gridhedge.errors import InsufficientPaths
-from gridhedge.scenario import derive_seed, format_case, parse_case
+from gridhedge import lattice
+from gridhedge.errors import (
+    InfeasibleCalibration,
+    InsufficientPaths,
+    RankDeficientWarning,
+    TreeTooLarge,
+)
+from gridhedge.scenario import _batch_ces, _BatchLattice, derive_seed, format_case, parse_case
 
 
 def make_config(demo_grid, **overrides):
@@ -160,3 +169,114 @@ class TestResultsCsv:
         # 6 times x (5 metrics + 2 grids x 2 pg rows)
         assert len(lines) == 1 + 6 * (5 + 4)
         assert any('"ge,lt"' in line and "savings_pct" in line for line in lines)
+
+
+def make_fleet(sigmas, rho=0.0, demands=None):
+    n = len(sigmas)
+    demands = np.full(n, 20.0) if demands is None else np.asarray(demands, dtype=float)
+    corr = gh.CorrelationMatrix.identity(1) if n == 1 else gh.CorrelationMatrix.pairwise(rho, n)
+    return gh.GridEnsemble(
+        params=tuple(gh.GbmParams(0.0, s) for s in sigmas),
+        corr=corr,
+        demands=demands,
+        battery_unit_kw=1.0,
+    )
+
+
+def float_vector(lo, hi, size):
+    return st.lists(st.floats(lo, hi), min_size=size, max_size=size)
+
+
+class TestBatchEngines:
+    """The vectorized per-time engines against their scalar references."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_batch_ces_matches_per_grid_allocation(self, data):
+        n = data.draw(st.integers(1, 3))
+        demands = np.array(data.draw(float_vector(5.0, 50.0, n)))
+        sigmas = np.array(data.draw(float_vector(0.01, 0.1, n)))
+        pg = demands * np.array(data.draw(float_vector(0.5, 2.0, n)))
+        tau = data.draw(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)))
+        p_b = data.draw(st.floats(0.5, 2.0))
+        b, v = _batch_ces(pg[None, :], demands, sigmas, tau, p_b)
+        specs = [gh.MicrogridSpec(demand=d, gbm=gh.GbmParams(0.0, s)) for d, s in zip(demands, sigmas)]
+        want_b = sum(gh.ces_allocation(p, spec, 0.0, tau, p_b).b_hat for p, spec in zip(pg, specs))
+        want_v = sum(gh.ces_portfolio_value(p, spec, 0.0, tau) for p, spec in zip(pg, specs))
+        tol = 1e-12 * demands.sum()
+        assert abs(b[0] - want_b) * p_b <= tol
+        assert abs(v[0] - want_v) <= tol
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_batch_lattice_matches_tree(self, data):
+        n = data.draw(st.integers(1, 3))
+        steps = data.draw(st.integers(1, 4))
+        demands = np.array(data.draw(float_vector(10.0, 40.0, n)))
+        sigmas = data.draw(float_vector(0.01, 0.08, n))
+        grid = make_fleet(sigmas, data.draw(st.floats(-0.2, 0.6)), demands)
+        try:
+            model = gh.calibrate_step_model(grid, data.draw(st.floats(0.1, 1.0)))
+        except InfeasibleCalibration:
+            assume(False)
+        pg = demands * np.array(data.draw(float_vector(0.7, 1.4, 2 * n))).reshape(2, n)
+        p_b = data.draw(st.floats(0.5, 2.0))
+        value, a, b, residual = _BatchLattice(model, demands, p_b, steps).allocate(
+            pg, steps, np.zeros((2, n))
+        )
+        tol = 1e-12 * demands.sum()  # every compared quantity is in kW
+        for row in range(2):
+            want_value, want = gh.dynamic_allocation(
+                pg[row], demands, model, steps, None, p_b, engine="tree"
+            )
+            assert abs(value[row] - want_value) <= tol
+            assert np.all(np.abs(a[row] - want.a) * pg[row] <= tol)
+            assert abs(b[row] - want.b) * p_b <= tol
+            assert abs(residual[row] - want.residual) <= tol
+
+    def test_block_size_does_not_change_results(self, demo_grid, monkeypatch):
+        model = gh.calibrate_step_model(demo_grid, 0.5)
+        rng = np.random.default_rng(5)
+        pg = demo_grid.demands * rng.uniform(0.7, 1.4, size=(37, 2))
+        prev_a = rng.uniform(-1.0, 0.0, size=(37, 2))
+        engine = _BatchLattice(model, demo_grid.demands, 1.0, 10)
+        runs = []
+        for block in (1, 2**40):
+            monkeypatch.setattr(lattice, "LATTICE_BLOCK_ELEMENTS", block)
+            runs.append([engine.allocate(pg, steps, prev_a) for steps in (1, 4, 10)])
+        # a 1-row block may go through a matrix-vector BLAS kernel, which can
+        # round the last bit differently from the matrix-matrix one
+        scale = demo_grid.demands.sum()
+        for one_row, all_rows in zip(*runs):
+            for got, want in zip(one_row, all_rows):
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * scale)
+
+    def test_rank_deficient_design_warns(self):
+        # sigma so small that u == d in floating point: every child state
+        # equals the root, so the design has rank 1
+        grid = make_fleet([1e-17, 1e-17])
+        model = gh.calibrate_step_model(grid, 1.0)
+        assert np.all(model.up == model.down)
+        with pytest.warns(RankDeficientWarning, match="rank 1 < 3"):
+            _BatchLattice(model, grid.demands, 1.0, 3)
+
+    def test_oversized_lattice_refused_before_any_allocation(self):
+        # 251^3 terminal states exceed the node budget; neither paths nor
+        # the grid may be allocated before the refusal
+        grid = make_fleet([0.03, 0.04, 0.05], 0.3, [20.0, 25.0, 15.0])
+        config = gh.ScenarioConfig(
+            grid=grid,
+            initial_kw=np.array([20.0, 25.0, 15.0]),
+            horizon_hours=5.0,
+            rebalance_steps=250,
+            n_paths=1_000,
+            seed=1,
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(TreeTooLarge, match="node budget"):
+                gh.run_case_study(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
