@@ -52,17 +52,26 @@ class LengthMismatch(GridHedgeError):
 class InfeasibleCalibration(GridHedgeError):
     """Lattice calibration produced a branch probability outside [0, 1].
 
-    Carries the offending branch index; shrinking the time step restores
-    feasibility because branch probabilities approach 2**-n_assets.
+    Carries the offending branch index.  As dt -> 0 branch probabilities
+    approach (1 + sum_{i<j} s_i s_j rho_ij) / 2**n_assets.  When that limit
+    is negative it is passed as ``limit`` and no finer time step helps;
+    otherwise shrinking the time step restores feasibility.
     """
 
-    def __init__(self, branch, probability, dt):
+    def __init__(self, branch, probability, dt, limit=None):
         self.branch = branch
         self.probability = probability
         self.dt = dt
+        self.limit = limit
+        if limit is None:
+            advice = f"retry with a time step smaller than dt={dt:g} h"
+        else:
+            advice = (
+                f"it tends to {limit:.6g} as dt -> 0: these correlations admit no "
+                "moment-matched lattice at any fine time step, so refining dt cannot help"
+            )
         super().__init__(
-            f"branch {branch} probability {probability:.6g} outside [0, 1]; "
-            f"retry with a time step smaller than dt={dt:g} h"
+            f"branch {branch} probability {probability:.6g} outside [0, 1]; {advice}"
         )
 
 

@@ -9,7 +9,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import chdtrc
 from typing import NamedTuple
 
 from .errors import (
@@ -233,6 +232,8 @@ def chi_square_gof(
     degrees of freedom are n_bins - 1 - n_estimated, defaulting to the two
     parameters fitted by ``estimate_gbm_mle``.
     """
+    from scipy.special import chdtrc  # loaded here so other commands skip scipy
+
     x = np.asarray(log_returns, dtype=float)
     if x.size == 0:
         raise EmptySample("no log-returns supplied")

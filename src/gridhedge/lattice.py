@@ -193,6 +193,16 @@ def calibrate_step_model(grid: GridEnsemble, dt: float) -> LatticeStepModel:
         probs = _walsh_probs(sigmas, rho, dt, h)
     bad = (probs < -1e-15) | (probs > 1 + 1e-15)
     if np.any(bad):
+        # As dt -> 0, branch k tends to (1 + sum_{i<j} s_i s_j rho_ij) / 2^n;
+        # when that limit is negative no finer time step can restore feasibility.
+        signs = np.where(mask, 1.0, -1.0)
+        pairs = (np.einsum("ki,ij,kj->k", signs, rho, signs) - grid.n_microgrids) / 2.0
+        limits = (1.0 + pairs) / (1 << grid.n_microgrids)
+        if np.min(limits) < 0:
+            k = int(np.argmin(limits))
+            raise InfeasibleCalibration(
+                branch=k, probability=float(probs[k]), dt=dt, limit=float(limits[k])
+            )
         k = int(np.argmax(bad))
         raise InfeasibleCalibration(branch=k, probability=float(probs[k]), dt=dt)
     return LatticeStepModel(

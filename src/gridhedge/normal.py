@@ -1,20 +1,26 @@
 """Standard normal CDF shared by the allocation formulas.
 
-Built on the complementary error function, which keeps the absolute error
-below 1e-12 over the whole real line (erfc is accurate to ~1 ulp even deep
-in the tails, where ``1 - Phi(x)`` would cancel catastrophically).
+Built on the C library's complementary error function, which keeps the
+absolute error below 1e-12 over the whole real line (erfc is accurate to
+~1 ulp even deep in the tails, where ``1 - Phi(x)`` would cancel
+catastrophically).  Both functions use the standard library only, so
+importing this module does not load scipy.
 """
+import math
+from statistics import NormalDist
+
 import numpy as np
-from scipy import special
 
 _SQRT2 = np.sqrt(2.0)
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+_inv_cdf = np.frompyfunc(NormalDist().inv_cdf, 1, 1)
 
 
 def normal_cdf(x):
     """Phi(x) for scalars or arrays via 0.5 * erfc(-x / sqrt(2))."""
-    return 0.5 * special.erfc(-np.asarray(x, dtype=float) / _SQRT2)
+    return 0.5 * np.asarray(_erfc(-np.asarray(x, dtype=float) / _SQRT2), dtype=float)
 
 
 def normal_ppf(q):
-    """Inverse of ``normal_cdf`` (used for equal-probability binning)."""
-    return special.ndtri(q)
+    """Inverse of ``normal_cdf`` for 0 < q < 1 (equal-probability binning)."""
+    return np.asarray(_inv_cdf(np.asarray(q, dtype=float)), dtype=float)

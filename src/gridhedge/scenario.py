@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ces import _normal_cdf
+from . import ces as _ces  # Phi is read as _ces._normal_cdf at call time (validator seam)
 from .errors import InsufficientPaths, RankDeficientWarning
 from .grid import GridEnsemble
 from .lattice import calibrate_step_model, LatticeStepModel, RecombiningLattice
@@ -138,8 +138,8 @@ def _batch_ces(pg, demands, sigmas, tau, p_b):
     log_ratio = np.log(demands / pg)
     half_var = sigmas**2 * tau / 2.0
     scale = sigmas * np.sqrt(tau)
-    phi_plus = _normal_cdf((log_ratio + half_var) / scale)
-    phi_minus = _normal_cdf((log_ratio - half_var) / scale)
+    phi_plus = _ces._normal_cdf((log_ratio + half_var) / scale)
+    phi_minus = _ces._normal_cdf((log_ratio - half_var) / scale)
     b = np.sum(demands * phi_plus, axis=1) / p_b
     v = np.sum(demands * phi_plus - pg * phi_minus, axis=1)
     return b, v

@@ -1,16 +1,17 @@
 """Self-contained validation checks behind the ``validate`` CLI command.
 
 The oracle suite re-derives the closed-form allocator from an independent
-normal CDF (the C library's erfc, not scipy's), checks lattice/closed-form
-agreement, calibration residuals, and the deterministic initial-savings
-figure.  The stats suite checks the KS threshold, its rejection-rate
-calibration, the chi-square survival anchor, and bootstrap interval width.
+normal CDF (scipy's erfc, not the C library's erfc behind the library Phi),
+checks lattice/closed-form agreement, calibration residuals, and the
+deterministic initial-savings figure.  The stats suite checks the KS
+threshold, its rejection-rate calibration, the chi-square survival anchor,
+and bootstrap interval width.  scipy is imported inside the checks that use
+it, so importing this module (as the CLI does) does not load scipy.
 """
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc
 
 from . import ces
 from .gbm import CorrelationMatrix, GbmParams, simulate_paths
@@ -28,8 +29,10 @@ class CheckResult:
 
 
 def _independent_cdf(x: float) -> float:
-    # deliberately math.erfc, a different implementation from the library Phi
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+    # deliberately scipy's erfc, a different implementation from the library Phi
+    from scipy.special import erfc
+
+    return 0.5 * float(erfc(-x / math.sqrt(2.0)))
 
 
 def _put_value(p, d, sigma, tau) -> float:
@@ -198,6 +201,8 @@ def check_ks_calibration(n_trials: int = 500, seed: int = 501) -> CheckResult:
 
 
 def check_chi_square_anchor() -> CheckResult:
+    from scipy.special import chdtrc
+
     p = float(chdtrc(13, 18.86))
     return CheckResult(
         "chi_square_survival_anchor",

@@ -110,6 +110,17 @@ class TestCalibration:
         model = gh.calibrate_step_model(make_grid([0.1, 0.01], 0.98), 0.01)
         assert np.all(model.branch_probs >= 0)
 
+    def test_infeasible_as_dt_vanishes_says_so(self):
+        # three equal anti-correlations: branch 0 tends to
+        # (1 + 3 * -0.45) / 8 = -0.04375 as dt -> 0
+        grid = make_grid([0.03, 0.03, 0.03], -0.45)
+        for dt in (1.0, 1e-6):
+            with pytest.raises(InfeasibleCalibration, match="no moment-matched lattice") as info:
+                gh.calibrate_step_model(grid, dt)
+            assert "smaller" not in str(info.value)
+            assert info.value.branch == 0
+            assert info.value.limit == pytest.approx(-0.04375, abs=1e-15)
+
     def test_zero_volatility_rejected(self):
         from gridhedge.errors import DegenerateVolatility
 

@@ -24,3 +24,13 @@ def test_symmetry_and_bounds():
 def test_ppf_round_trip():
     qs = np.linspace(0.01, 0.99, 25)
     assert np.allclose(normal_cdf(normal_ppf(qs)), qs, atol=1e-12)
+
+
+def test_ppf_matches_mpmath_below_1e14_relative():
+    tails = np.logspace(-10, np.log10(0.5), 60)
+    qs = np.concatenate([np.arange(1, 16) / 16, tails, 1.0 - tails])
+    got = normal_ppf(qs)
+    for q, value in zip(qs, got):
+        q = mpmath.mpf(float(q))
+        want = float(mpmath.sqrt(2) * mpmath.erfinv(2 * q - 1))
+        assert abs(value - want) <= 1e-14 * abs(want)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import gridhedge as gh
-from gridhedge import lattice
+from gridhedge import ces, lattice
 from gridhedge.errors import (
     InfeasibleCalibration,
     InsufficientPaths,
@@ -250,6 +250,18 @@ class TestBatchEngines:
         for one_row, all_rows in zip(*runs):
             for got, want in zip(one_row, all_rows):
                 np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * scale)
+
+    def test_batch_ces_reads_the_validator_phi_seam(self, monkeypatch):
+        # validate --inject-phi-fault rebinds ces._normal_cdf; the batched
+        # path that simulate runs must see the perturbed CDF too
+        pg = np.array([[18.0, 27.0], [22.0, 24.0]])
+        args = (pg, np.array([20.0, 25.0]), np.array([0.03, 0.04]), 2.0, 1.0)
+        b0, v0 = _batch_ces(*args)
+        original = ces._normal_cdf
+        monkeypatch.setattr(ces, "_normal_cdf", lambda x: original(x) + 5e-7)
+        b1, v1 = _batch_ces(*args)
+        np.testing.assert_allclose(b1 - b0, 5e-7 * 45.0, rtol=1e-6)
+        assert np.all(v1 != v0)
 
     def test_rank_deficient_design_warns(self):
         # sigma so small that u == d in floating point: every child state
