@@ -3,7 +3,9 @@
 Each microgrid is hedged on its own: the operator holds a (negative) ReGU
 weight and battery units so that the portfolio replicates the terminal
 shortfall max(D - P(T_f), 0) almost surely.  The portfolio value is the
-zero-rate lognormal put value with strike D and spot P.
+zero-rate lognormal put value with strike D and spot P.  The formulas are
+written once, in the elementwise kernel ``_policy``; the scalar functions
+here and the batched case-study engine (``scenario._batch_ces``) call it.
 """
 from dataclasses import dataclass
 
@@ -56,11 +58,27 @@ def _check_time(t, t_f):
         raise TimeOutOfRange(f"t={t} outside [0, {t_f}]")
 
 
-def _d_args(p_g, demand, sigma, tau):
-    log_ratio = np.log(demand / p_g)
-    half_var = sigma**2 * tau / 2.0
-    scale = sigma * np.sqrt(tau)
-    return (log_ratio + half_var) / scale, (log_ratio - half_var) / scale
+def _policy(p_g, demand, sigma, tau, p_b):
+    """The closed-form policy, elementwise: returns (a, b, value).
+
+    a = -Phi(d-), b = (D/p_b)*Phi(d+) and value = a*P + b*p_b, with
+    d+- = (ln(D/P) +- sigma^2*tau/2) / (sigma*sqrt(tau)).  At tau == 0 the
+    formula is 0/0 and the terminal rule applies: full hedge (a=-1,
+    b=D/p_b) in deficit, empty otherwise.  Inputs broadcast (scalars, or an
+    (m, n) state array against per-grid demand and sigma) and are not
+    checked; Phi is read from ``_normal_cdf`` at call time.
+    """
+    if tau == 0:
+        deficit = np.asarray(p_g) < demand
+        a = np.where(deficit, -1.0, 0.0)
+        b = np.where(deficit, demand / p_b, 0.0)
+    else:
+        log_ratio = np.log(demand / p_g)
+        half_var = sigma**2 * tau / 2.0
+        scale = sigma * np.sqrt(tau)
+        a = -_normal_cdf((log_ratio - half_var) / scale)
+        b = (demand / p_b) * _normal_cdf((log_ratio + half_var) / scale)
+    return a, b, a * p_g + b * p_b
 
 
 def ces_allocation(p_g, spec: MicrogridSpec, t, t_f, p_b) -> CesAllocation:
@@ -76,17 +94,7 @@ def ces_allocation(p_g, spec: MicrogridSpec, t, t_f, p_b) -> CesAllocation:
     _check_time(t, t_f)
     if spec.gbm.sigma == 0:
         raise DegenerateVolatility("allocation requires sigma > 0")
-    if t == t_f:
-        deficit = np.asarray(p_g) < spec.demand
-        a = np.where(deficit, -1.0, 0.0)
-        b = np.where(deficit, spec.demand / p_b, 0.0)
-        value = a * p_g + b * p_b
-    else:
-        tau = t_f - t
-        d_plus, d_minus = _d_args(p_g, spec.demand, spec.gbm.sigma, tau)
-        a = -_normal_cdf(d_minus)
-        b = (spec.demand / p_b) * _normal_cdf(d_plus)
-        value = a * p_g + b * p_b
+    a, b, value = _policy(p_g, spec.demand, spec.gbm.sigma, t_f - t, p_b)
     if np.isscalar(p_g):
         return CesAllocation(float(a), float(b), float(value))
     return CesAllocation(a, b, value)
@@ -97,13 +105,9 @@ def ces_portfolio_value(p_g, spec: MicrogridSpec, t, t_f):
     if np.any(np.asarray(p_g) <= 0):
         raise NonPositiveGeneration(f"p_g must be > 0, got {p_g}")
     _check_time(t, t_f)
-    if t == t_f:
-        return terminal_payoff_ces(p_g, spec.demand)
-    if spec.gbm.sigma == 0:
+    if spec.gbm.sigma == 0 and t != t_f:
         raise DegenerateVolatility("valuation requires sigma > 0")
-    tau = t_f - t
-    d_plus, d_minus = _d_args(p_g, spec.demand, spec.gbm.sigma, tau)
-    value = spec.demand * _normal_cdf(d_plus) - p_g * _normal_cdf(d_minus)
+    value = _policy(p_g, spec.demand, spec.gbm.sigma, t_f - t, 1.0)[2]
     return float(value) if np.isscalar(p_g) else value
 
 

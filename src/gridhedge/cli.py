@@ -21,7 +21,7 @@ from .errors import (
     TimeOutOfRange,
 )
 from .gbm import chi_square_gof, gbm_mle_from_returns
-from .lattice import calibrate_step_model, dynamic_allocation
+from .lattice import DEFAULT_NODE_BUDGET, calibrate_step_model, dynamic_allocation
 from .scenario import format_case, parse_case, run_case_study, write_results_csv
 from .timeseries import load_power_csv, parse_clock, window_log_returns
 from .validate import run_suite
@@ -186,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="tes lattice engine (the explicit tree is the reference)",
     )
     alloc.add_argument(
-        "--max-nodes", type=int, default=10_000_000,
+        "--max-nodes", type=int, default=DEFAULT_NODE_BUDGET,
         help="leaf budget for the explicit tree engine",
     )
     alloc.set_defaults(func=_cmd_allocate)

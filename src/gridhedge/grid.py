@@ -21,10 +21,11 @@ class GridEnsemble:
         object.__setattr__(self, "params", tuple(self.params))
         if self.corr.n != len(self.params) or demands.shape != (len(self.params),):
             raise ValueError("params, correlation and demands sizes disagree")
-        if np.any(demands <= 0):
-            raise ValueError("demands must be strictly positive")
-        if self.battery_unit_kw <= 0:
-            raise ValueError("battery_unit_kw must be > 0")
+        if not np.all(np.isfinite(demands) & (demands > 0)):
+            raise ValueError(f"demand_kw must be finite and > 0, got {demands}")
+        p_b = self.battery_unit_kw
+        if not (np.isfinite(p_b) and p_b > 0):
+            raise ValueError(f"battery_unit_kw must be finite and > 0, got {p_b}")
 
     @property
     def n_microgrids(self) -> int:

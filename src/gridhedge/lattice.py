@@ -4,10 +4,13 @@ The remaining horizon is discretized into steps over which every microgrid's
 generation moves up or down by a calibrated factor (u*d = 1).  Branch
 probabilities are moment-matched to the driftless transformed-measure law of
 the log-generation increments: mean -sigma^2*dt/2, variance sigma^2*dt, and
-cross moments rho_ij*sigma_i*sigma_j*dt.  Forward propagation builds the
-tree of joint states, backpropagation folds the netted terminal shortfall
-back to the root, and the operator's ReGU/battery mix is read off a
-least-squares replication of the first-level portfolio values.
+cross moments rho_ij*sigma_i*sigma_j*dt.  One closed form solves these
+equations for any number of microgrids: the product-form probabilities with
+pairwise correlation corrections of Boyle, Evnine & Gibbs (1989).  Forward
+propagation builds the tree of joint states, backpropagation folds the
+netted terminal shortfall back to the root, and the operator's ReGU/battery
+mix is read off a least-squares replication of the first-level portfolio
+values.
 
 Two engines share the interface: an explicit tree of nodes (the reference),
 and an index-based recombining lattice exploiting u*d = 1 plus
@@ -98,82 +101,17 @@ def _walsh_probs(sigmas, rho, dt, h):
     return probs / (1 << n)
 
 
-def _newton_refine_pair(sigmas, rho12, dt, h0, probs0):
-    """Damped Newton on the printed moment equations for the two-asset case.
-
-    Unknowns (h1, h2, P1..P4); residuals are the two means, the two raw
-    second moments, the cross moment, and normalization.  Initialized from
-    the independent-asset closed form (rho = 0 product probabilities).
-    """
-    signs = np.where(branch_up_mask(2), 1.0, -1.0)
-    s2 = sigmas**2 * dt
-    target_cross = rho12 * sigmas[0] * sigmas[1] * dt
-
-    def residuals(x):
-        h1, h2 = x[0], x[1]
-        p = x[2:]
-        s1 = signs[:, 0] @ p
-        s2_ = signs[:, 1] @ p
-        total = p.sum()
-        cross = (signs[:, 0] * signs[:, 1]) @ p
-        return np.array(
-            [
-                h1 * s1 + s2[0] / 2.0,
-                h2 * s2_ + s2[1] / 2.0,
-                h1**2 * total - h1**2 * s1**2 - s2[0],
-                h2**2 * total - h2**2 * s2_**2 - s2[1],
-                h1 * h2 * cross - target_cross,
-                total - 1.0,
-            ]
-        )
-
-    def jacobian(x):
-        h1, h2 = x[0], x[1]
-        p = x[2:]
-        s1 = signs[:, 0] @ p
-        s2_ = signs[:, 1] @ p
-        total = p.sum()
-        cross = (signs[:, 0] * signs[:, 1]) @ p
-        jac = np.zeros((6, 6))
-        jac[0, 0] = s1
-        jac[0, 2:] = h1 * signs[:, 0]
-        jac[1, 1] = s2_
-        jac[1, 2:] = h2 * signs[:, 1]
-        jac[2, 0] = 2 * h1 * (total - s1**2)
-        jac[2, 2:] = h1**2 * (1.0 - 2.0 * s1 * signs[:, 0])
-        jac[3, 1] = 2 * h2 * (total - s2_**2)
-        jac[3, 2:] = h2**2 * (1.0 - 2.0 * s2_ * signs[:, 1])
-        jac[4, 0] = h2 * cross
-        jac[4, 1] = h1 * cross
-        jac[4, 2:] = h1 * h2 * signs[:, 0] * signs[:, 1]
-        jac[5, 2:] = 1.0
-        return jac
-
-    x = np.concatenate([h0, probs0])
-    for _ in range(100):
-        f = residuals(x)
-        if np.max(np.abs(f)) < 1e-12:
-            break
-        step = np.linalg.solve(jacobian(x), -f)
-        scale = 1.0
-        norm0 = np.linalg.norm(f)
-        while scale > 1e-6:
-            trial = x + scale * step
-            if np.linalg.norm(residuals(trial)) < norm0:
-                break
-            scale /= 2.0
-        x = x + scale * step
-    return x[:2], x[2:]
-
-
 def calibrate_step_model(grid: GridEnsemble, dt: float) -> LatticeStepModel:
     """Solve movement factors and branch probabilities for one time step.
 
-    One asset has a closed form.  Two assets are solved by damped Newton on
-    the printed moment equations, seeded from the rho=0 product form.  For
-    three or more assets the pairwise moment system is underdetermined; the
-    product form with pairwise corrections (higher-order interactions zero)
-    is the minimal completion and satisfies every stated equation.
+    One closed form serves every number of assets (Boyle, Evnine & Gibbs
+    1989): h_i = sqrt(s_i + (s_i/2)^2) with s_i = sigma_i^2*dt, and branch k
+    has probability (1 + sum_i e_ki*m_i + sum_{i<j} e_ki*e_kj*c_ij) / 2^n,
+    where e_ki = +-1 marks asset i's move, m_i = -s_i/(2 h_i) and
+    c_ij = rho_ij*sigma_i*sigma_j*dt/(h_i h_j).  This solves the printed
+    moment equations exactly; for three or more assets, where they leave
+    the probabilities underdetermined, it is the completion with every
+    higher-order interaction zero.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
@@ -182,15 +120,8 @@ def calibrate_step_model(grid: GridEnsemble, dt: float) -> LatticeStepModel:
         raise DegenerateVolatility("lattice calibration requires sigma > 0")
     h = _closed_form_h(sigmas, dt)
     rho = grid.corr.rho
-    up_prob = (1.0 - sigmas**2 * dt / (2.0 * h)) / 2.0
     mask = branch_up_mask(grid.n_microgrids)
-    product = np.prod(np.where(mask, up_prob, 1.0 - up_prob), axis=1)
-    if grid.n_microgrids == 2:
-        h, probs = _newton_refine_pair(sigmas, rho[0, 1], dt, h, product)
-    elif grid.n_microgrids == 1:
-        probs = product
-    else:
-        probs = _walsh_probs(sigmas, rho, dt, h)
+    probs = _walsh_probs(sigmas, rho, dt, h)
     bad = (probs < -1e-15) | (probs > 1 + 1e-15)
     if np.any(bad):
         # As dt -> 0, branch k tends to (1 + sum_{i<j} s_i s_j rho_ij) / 2^n;

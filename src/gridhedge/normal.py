@@ -12,13 +12,14 @@ from statistics import NormalDist
 import numpy as np
 
 _SQRT2 = np.sqrt(2.0)
-_erfc = np.frompyfunc(math.erfc, 1, 1)
 _inv_cdf = np.frompyfunc(NormalDist().inv_cdf, 1, 1)
 
 
 def normal_cdf(x):
     """Phi(x) for scalars or arrays via 0.5 * erfc(-x / sqrt(2))."""
-    return 0.5 * np.asarray(_erfc(-np.asarray(x, dtype=float) / _SQRT2), dtype=float)
+    z = -np.asarray(x, dtype=float) / _SQRT2
+    erfc = np.fromiter(map(math.erfc, z.ravel().tolist()), float, count=z.size)
+    return 0.5 * erfc.reshape(z.shape)
 
 
 def normal_ppf(q):

@@ -94,12 +94,13 @@ class ScenarioConfig:
         object.__setattr__(self, "initial_kw", np.asarray(self.initial_kw, dtype=float))
         if self.rebalance_steps < 1 or self.n_paths < 1:
             raise ValueError("rebalance_steps and n_paths must be >= 1")
-        if np.any(self.initial_kw <= 0):
-            raise ValueError("initial generation must be positive")
+        if not np.all(np.isfinite(self.initial_kw) & (self.initial_kw > 0)):
+            raise ValueError(f"initial_kw must be finite and > 0, got {self.initial_kw}")
         if self.initial_kw.shape != (self.grid.n_microgrids,):
             raise ValueError("initial_kw must supply one value per microgrid")
-        if self.horizon_hours <= 0:
-            raise ValueError("horizon_hours must be > 0")
+        horizon = self.horizon_hours
+        if not (np.isfinite(horizon) and horizon > 0):
+            raise ValueError(f"horizon_hours must be finite and > 0, got {horizon}")
 
 
 @dataclass(frozen=True)
@@ -130,19 +131,8 @@ class CaseResult:
 
 def _batch_ces(pg, demands, sigmas, tau, p_b):
     """Per-grid policy across paths; pg is (m, n).  Returns (b_sum, v_sum)."""
-    if tau == 0:
-        deficit = pg < demands
-        b = np.sum(np.where(deficit, demands, 0.0), axis=1) / p_b
-        v = np.sum(np.where(deficit, demands - pg, 0.0), axis=1)
-        return b, v
-    log_ratio = np.log(demands / pg)
-    half_var = sigmas**2 * tau / 2.0
-    scale = sigmas * np.sqrt(tau)
-    phi_plus = _ces._normal_cdf((log_ratio + half_var) / scale)
-    phi_minus = _ces._normal_cdf((log_ratio - half_var) / scale)
-    b = np.sum(demands * phi_plus, axis=1) / p_b
-    v = np.sum(demands * phi_plus - pg * phi_minus, axis=1)
-    return b, v
+    _, b, v = _ces._policy(pg, demands, sigmas, tau, p_b)
+    return b.sum(axis=1), v.sum(axis=1)
 
 
 class _BatchLattice:

@@ -191,6 +191,16 @@ class TestSimulate:
         assert "lt,lt" in proc.stderr
 
 
+    def test_non_finite_demand_exit_2(self, tmp_path):
+        config = tmp_path / "nan.cfg"
+        config.write_text(DEMO_CFG + "demand_kw = nan, 25\n")
+        out = tmp_path / "out"
+        proc = run_cli("simulate", str(config), "--out", str(out))
+        assert proc.returncode == 2
+        assert "demand_kw must be finite" in proc.stderr
+        assert not (out / "results.csv").exists()
+
+
 class TestValidate:
     def test_oracle_suite_passes(self):
         proc = run_cli("validate", "--suite", "oracle")

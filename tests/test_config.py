@@ -84,3 +84,20 @@ def test_manifest_contents(tmp_path):
     assert "config.mu = 0.0060000000000000001,0.005" in text
     assert "seed = 42" in text
     assert "output = results.csv" in text
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("demand_kw", "{}, 25"),
+        ("initial_kw", "{}, 25"),
+        ("battery_unit_kw", "{}"),
+        ("horizon_hours", "{}"),
+    ],
+)
+def test_non_finite_numbers_rejected(tmp_path, key, value, bad):
+    # a later line overrides the demo's value for the same key
+    text = DEMO + f"{key} = {value.format(bad)}\n"
+    with pytest.raises(ValueError, match=f"{key} must be finite"):
+        load_scenario_config(write(tmp_path, text))

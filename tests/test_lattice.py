@@ -88,7 +88,7 @@ class TestCalibration:
         assert np.allclose(model.up * model.down, 1.0, atol=1e-12)
         assert np.all(model.up > 1.0) and np.all(model.down < 1.0)
 
-    def test_two_asset_newton_residuals(self):
+    def test_two_asset_residuals(self):
         model = gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 1.0)
         res = residual_oracle(model, [0.03, 0.04], 0.6, 1.0)
         assert np.max(np.abs(res)) < 1e-10
@@ -102,6 +102,21 @@ class TestCalibration:
                     assert np.max(np.abs(res)) < 1e-10
                     assert np.all(model.branch_probs >= 0)
                     assert np.all(model.branch_probs <= 1)
+
+    @pytest.mark.parametrize("dt", [0.01, 0.1, 1.0])
+    def test_moment_residuals_at_rounding_level(self, dt):
+        # the validator's sweep plus a smaller sigma and finer steps; with
+        # rho = 0 and sigma*sqrt(dt) <= 1e-3 an iterative solve that stops at
+        # an absolute 1e-12 leaves residuals of order 1e-13
+        for s1 in (0.005, 0.01, 0.05, 0.1):
+            grid = make_grid([s1])
+            model = gh.calibrate_step_model(grid, dt)
+            assert np.max(np.abs(gh.moment_residuals(model, grid))) < 1e-15
+            for s2 in (0.01, 0.1):
+                for rho in (-0.9, -0.3, 0.0, 0.3, 0.9):
+                    grid = make_grid([s1, s2], rho)
+                    model = gh.calibrate_step_model(grid, dt)
+                    assert np.max(np.abs(gh.moment_residuals(model, grid))) < 1e-15
 
     def test_infeasible_raises_with_suggestion(self):
         with pytest.raises(InfeasibleCalibration, match="smaller"):
