@@ -39,7 +39,6 @@ from .lattice import (
     dynamic_allocation,
     forward_propagate,
     moment_residuals,
-    recombining_value,
     replicate_internal,
     tes_terminal_payoff,
     tes_value_mc,
@@ -99,7 +98,6 @@ __all__ = [
     "ks_two_sample",
     "load_power_csv",
     "moment_residuals",
-    "recombining_value",
     "replicate_internal",
     "run_case_study",
     "simulate_paths",

@@ -28,8 +28,8 @@ class MicrogridSpec:
     label: str = ""
 
     def __post_init__(self):
-        if self.demand <= 0:
-            raise ValueError(f"demand must be > 0, got {self.demand}")
+        if not (np.isfinite(self.demand) and self.demand > 0):
+            raise ValueError(f"demand must be finite and > 0, got {self.demand}")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from .errors import (
     TimeOutOfRange,
 )
 from .gbm import chi_square_gof, gbm_mle_from_returns
-from .lattice import DEFAULT_NODE_BUDGET, calibrate_step_model, dynamic_allocation
+from .lattice import calibrate_step_model, dynamic_allocation
 from .scenario import format_case, parse_case, run_case_study, write_results_csv
 from .timeseries import load_power_csv, parse_clock, window_log_returns
 from .validate import run_suite
@@ -98,14 +98,7 @@ def _cmd_allocate(args) -> int:
         remaining = config.rebalance_steps - int(round(steps_done))
         model = calibrate_step_model(grid, dt)
         value, alloc = dynamic_allocation(
-            pg,
-            grid.demands,
-            model,
-            remaining,
-            None,
-            grid.battery_unit_kw,
-            engine=args.engine,
-            max_nodes=args.max_nodes,
+            pg, grid.demands, model, remaining, None, grid.battery_unit_kw
         )
         for i, a in enumerate(alloc.a, start=1):
             print(f"a_{i} = {a:.6f}")
@@ -181,14 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     alloc.add_argument("config", help="scenario config file")
     alloc.add_argument("--mode", choices=("ces", "tes"), required=True)
     alloc.add_argument("--time", type=float, default=0.0, help="evaluation time, hours")
-    alloc.add_argument(
-        "--engine", choices=("recombining", "tree"), default="recombining",
-        help="tes lattice engine (the explicit tree is the reference)",
-    )
-    alloc.add_argument(
-        "--max-nodes", type=int, default=DEFAULT_NODE_BUDGET,
-        help="leaf budget for the explicit tree engine",
-    )
     alloc.set_defaults(func=_cmd_allocate)
 
     sim = sub.add_parser("simulate", help="run a rebalancing case study")

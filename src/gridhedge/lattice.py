@@ -6,15 +6,18 @@ probabilities are moment-matched to the driftless transformed-measure law of
 the log-generation increments: mean -sigma^2*dt/2, variance sigma^2*dt, and
 cross moments rho_ij*sigma_i*sigma_j*dt.  One closed form solves these
 equations for any number of microgrids: the product-form probabilities with
-pairwise correlation corrections of Boyle, Evnine & Gibbs (1989).  Forward
-propagation builds the tree of joint states, backpropagation folds the
-netted terminal shortfall back to the root, and the operator's ReGU/battery
-mix is read off a least-squares replication of the first-level portfolio
-values.
+pairwise correlation corrections of Boyle, Evnine & Gibbs (1989).  The
+netted terminal shortfall is valued back to the root, and the operator's
+ReGU/battery mix is read off a least-squares replication of the first-level
+portfolio values.
 
-Two engines share the interface: an explicit tree of nodes (the reference),
-and an index-based recombining lattice exploiting u*d = 1 plus
-state-independent probabilities, which makes hundreds of steps cheap.
+One allocator does this for every caller: ``RecombiningLattice.allocate``,
+which exploits u*d = 1 and state-independent probabilities to value many
+roots at once and makes hundreds of steps cheap.  The case study calls it
+on all paths, ``dynamic_allocation`` on one root.  The explicit tree of
+nodes (``forward_propagate``, ``backpropagate``, ``compute_resources``)
+builds, values and replicates every joint state one by one; it is kept as
+the reference the allocator is tested against.
 """
 import itertools
 import warnings
@@ -367,7 +370,7 @@ def _branch_slices(model, branch):
 
 
 class RecombiningLattice:
-    """Root and first-level values of the netted shortfall for many roots.
+    """Pooled allocation of many root states on one recombining lattice.
 
     Probabilities are state independent and u*d = 1, so a state is fixed by
     its per-asset up-counts, and the chance of reaching each up-count vector
@@ -377,20 +380,38 @@ class RecombiningLattice:
     headroom max(D - sum_i pg_i * u_i^(2 j_i - s), 0).  One matrix product
     per block of roots replaces s rounds of backward induction.
 
+    The replication design of a root has rows [pg * factors_k, p_b]: the
+    unit design [factors_k, p_b] with its generation columns scaled by the
+    (positive) root state.  The scaling keeps the rank, so one rank check
+    and one pseudoinverse of the unit design serve every root.
+
     A lattice of up to ``max_steps`` steps whose terminal grid exceeds the
     node budget is refused at construction, before anything is allocated.
     """
 
-    def __init__(self, model: LatticeStepModel, d_c, max_steps: int):
+    def __init__(self, model: LatticeStepModel, d_c, max_steps: int, p_b: float):
         nodes = (max_steps + 1) ** model.n_assets
         if nodes > DEFAULT_NODE_BUDGET:
             raise TreeTooLarge(
                 f"{max_steps + 1}^{model.n_assets} = {nodes} terminal states "
                 f"exceed the node budget {DEFAULT_NODE_BUDGET}"
             )
+        if p_b <= 0:
+            raise ValueError(f"p_b must be > 0, got {p_b}")
         self.model = model
         self.total_demand = float(np.sum(d_c))
         self.max_steps = max_steps
+        self.p_b = p_b
+        self.design_unit = np.column_stack([model.branch_matrix, np.full(model.n_branches, p_b)])
+        rank = np.linalg.matrix_rank(self.design_unit)
+        if rank < model.n_assets + 1:
+            warnings.warn(
+                f"replication design matrix rank {rank} < {model.n_assets + 1}; "
+                "returning minimum-norm solutions",
+                RankDeficientWarning,
+                stacklevel=2,
+            )
+        self.pinv_unit = np.linalg.pinv(self.design_unit)
 
     def _child_weights(self, steps):
         """((steps+1)^n, 2^n) matrix; column k is W_{steps-1} shifted by up_k.
@@ -438,37 +459,25 @@ class RecombiningLattice:
             child_values[lo : lo + rows] = self._headroom(pg[lo : lo + rows], ladders) @ weights
         return child_values @ model.branch_probs, child_values
 
+    def allocate(self, pg, steps: int, prev_a):
+        """(value, a, b, residual) arrays for root states pg (m, n).
 
-@dataclass(frozen=True)
-class LatticeState:
-    """Lightweight (state, value) pair matching the tree-node interface."""
-
-    pg: np.ndarray
-    value: float
-
-    # children of the recombining first level; unused, kept for duck typing
-    children = ()
-
-
-def recombining_value(root_pg, model: LatticeStepModel, n_steps: int, d_c):
-    """Root value and first-level states from the recombining lattice.
-
-    Equivalent to forward_propagate + backpropagate because probabilities
-    are state independent and u*d = 1 makes states depend only on per-asset
-    up-counts.  Cost is polynomial in n_steps instead of exponential.
-    """
-    root_pg = np.asarray(root_pg, dtype=float)
-    if n_steps == 0:
-        value = tes_terminal_payoff(root_pg, d_c)
-        return value, [LatticeState(pg=root_pg, value=value)]
-    lattice = RecombiningLattice(model, d_c, n_steps)
-    root_value, child_values = lattice.first_level(root_pg[None, :], n_steps)
-    factors = model.branch_matrix
-    nodes = [
-        LatticeState(pg=root_pg * factors[k], value=float(child_values[0, k]))
-        for k in range(model.n_branches)
-    ]
-    return float(root_value[0]), nodes
+        The ReGU weights a and battery units b are the minimum-norm
+        least-squares replication of the first-level values; residual is its
+        2-norm (kW).  With no step left the portfolio must hold the terminal
+        shortfall itself: the previous weights prev_a (m, n) are kept and
+        battery makes up the rest.
+        """
+        n = self.model.n_assets
+        if steps == 0:
+            value = np.maximum(self.total_demand - pg.sum(axis=1), 0.0)
+            b = (value - np.sum(prev_a * pg, axis=1)) / self.p_b
+            return value, prev_a.copy(), b, np.zeros(pg.shape[0])
+        root_value, child_values = self.first_level(pg, steps)
+        scaled = child_values @ self.pinv_unit.T          # (m, n+1)
+        fit = scaled @ self.design_unit.T                 # root factors cancel
+        residual = np.linalg.norm(fit - child_values, axis=1)
+        return root_value, scaled[:, :n] / pg, scaled[:, n], residual
 
 
 def dynamic_allocation(
@@ -479,26 +488,26 @@ def dynamic_allocation(
     prev_a,
     p_b,
     engine: str = "recombining",
-    max_nodes: int = DEFAULT_NODE_BUDGET,
 ):
-    """End-to-end allocation step: propagate, value, and extract resources.
+    """End-to-end allocation step for one root: value and extract resources.
 
-    Returns (portfolio value at the evaluation time, Allocation).
+    The recombining engine is RecombiningLattice.allocate with one root; the
+    explicit tree (engine="tree") is its reference.  Returns (portfolio
+    value at the evaluation time, Allocation).
     """
     pg_now = np.asarray(pg_now, dtype=float)
-    if prev_a is None:
-        prev_a = np.zeros(len(pg_now))
+    if np.any(pg_now <= 0):
+        raise ValueError("root generation must be strictly positive")
+    prev_a = np.zeros(len(pg_now)) if prev_a is None else np.asarray(prev_a, dtype=float)
     if engine == "tree":
-        leaves = forward_propagate(pg_now, model, remaining_steps, max_nodes=max_nodes)
+        leaves = forward_propagate(pg_now, model, remaining_steps)
         value, first_level = backpropagate(leaves, d_c)
-    elif engine == "recombining":
-        value, first_level = recombining_value(pg_now, model, remaining_steps, d_c)
-        if remaining_steps == 0:
-            first_level = first_level[:1]
-    else:
+        return value, compute_resources(value, first_level, prev_a, p_b)
+    if engine != "recombining":
         raise ValueError(f"unknown engine {engine!r}")
-    allocation = compute_resources(value, first_level, prev_a, p_b)
-    return value, allocation
+    lattice = RecombiningLattice(model, d_c, remaining_steps, p_b)
+    value, a, b, residual = lattice.allocate(pg_now[None, :], remaining_steps, prev_a[None, :])
+    return float(value[0]), Allocation(a=a[0], b=float(b[0]), residual=float(residual[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,17 @@ rebalance time, and battery requirements, portfolio values, and the battery
 savings of pooling are aggregated with percentile-bootstrap intervals.
 """
 import csv
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import ces as _ces  # Phi is read as _ces._normal_cdf at call time (validator seam)
-from .errors import InsufficientPaths, RankDeficientWarning
+from .errors import InsufficientPaths
 from .grid import GridEnsemble
-from .lattice import calibrate_step_model, LatticeStepModel, RecombiningLattice
+from .lattice import calibrate_step_model, RecombiningLattice
+# perfbench/traced.py times the pooled lattice by wrapping the method
+# through this name; it is the same class, so the wrap reaches every caller
+from .lattice import RecombiningLattice as _BatchLattice  # noqa: F401
 from .gbm import simulate_paths
 from .stats import resampled_means
 
@@ -92,8 +94,9 @@ class ScenarioConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "initial_kw", np.asarray(self.initial_kw, dtype=float))
-        if self.rebalance_steps < 1 or self.n_paths < 1:
-            raise ValueError("rebalance_steps and n_paths must be >= 1")
+        for name in ("rebalance_steps", "n_paths", "n_resamples", "max_simulated_paths"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not np.all(np.isfinite(self.initial_kw) & (self.initial_kw > 0)):
             raise ValueError(f"initial_kw must be finite and > 0, got {self.initial_kw}")
         if self.initial_kw.shape != (self.grid.n_microgrids,):
@@ -126,56 +129,13 @@ class CaseResult:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized per-time engines
+# Vectorized per-grid policy
 # ---------------------------------------------------------------------------
 
 def _batch_ces(pg, demands, sigmas, tau, p_b):
     """Per-grid policy across paths; pg is (m, n).  Returns (b_sum, v_sum)."""
     _, b, v = _ces._policy(pg, demands, sigmas, tau, p_b)
     return b.sum(axis=1), v.sum(axis=1)
-
-
-class _BatchLattice:
-    """Pooled lattice allocation vectorized across paths.
-
-    Values come from one RecombiningLattice.  The unit design matrix has
-    rows [movement factors, p_b]; scaling its generation columns by each
-    path's (positive) root state gives that path's design matrix with the
-    same rank, so one rank check and one pseudoinverse serve every path.
-    """
-
-    def __init__(self, model: LatticeStepModel, demands, p_b, max_steps):
-        self.lattice = RecombiningLattice(model, demands, max_steps)
-        self.model = model
-        self.p_b = p_b
-        factors = model.branch_matrix
-        design_unit = np.column_stack([factors, np.full(model.n_branches, p_b)])
-        rank = np.linalg.matrix_rank(design_unit)
-        if rank < model.n_assets + 1:
-            warnings.warn(
-                f"replication design matrix rank {rank} < {model.n_assets + 1}; "
-                "returning minimum-norm solutions",
-                RankDeficientWarning,
-                stacklevel=2,
-            )
-        self.pinv_unit = np.linalg.pinv(design_unit)
-        self.design_unit = design_unit
-
-    def allocate(self, pg, steps, prev_a):
-        """Returns (value, a, b, residual) arrays for root states pg (m, n)."""
-        model = self.model
-        m = pg.shape[0]
-        if steps == 0:
-            value = np.maximum(self.lattice.total_demand - pg.sum(axis=1), 0.0)
-            b = (value - np.sum(prev_a * pg, axis=1)) / self.p_b
-            return value, prev_a.copy(), b, np.zeros(m)
-        root_value, child_values = self.lattice.first_level(pg, steps)
-        scaled = child_values @ self.pinv_unit.T          # (m, n+1)
-        a = scaled[:, : model.n_assets] / pg
-        b = scaled[:, model.n_assets]
-        fit = scaled @ self.design_unit.T                 # root factors cancel
-        residual = np.linalg.norm(fit - child_values, axis=1)
-        return root_value, a, b, residual
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +146,8 @@ def _collect_paths(config: ScenarioConfig):
     """Simulate physical blocks until the case bucket holds n_paths paths."""
     grid = config.grid
     block = max(config.n_paths, 20_000)
+    # a row's case code sets bit (n-1-i) iff grid i ends at or above demand
+    bits = 1 << np.arange(grid.n_microgrids - 1, -1, -1)
     collected = []
     n_collected = 0
     counts: "dict[str, int]" = {}
@@ -213,9 +175,10 @@ def _collect_paths(config: ScenarioConfig):
         values = ensemble.values
         terminal = values[:, -1, :]
         comparators = terminal >= grid.demands
-        for row in comparators:
-            label = format_case(tuple(CASE_GE if c else CASE_LT for c in row))
-            counts[label] = counts.get(label, 0) + 1
+        tally = np.bincount(comparators @ bits)
+        for code in np.flatnonzero(tally):
+            label = format_case(tuple(CASE_GE if code & bit else CASE_LT for bit in bits))
+            counts[label] = counts.get(label, 0) + int(tally[code])
         if config.case_filter is None:
             collected.append(values)
             n_collected += values.shape[0]
@@ -278,7 +241,7 @@ def run_case_study(config: ScenarioConfig) -> CaseResult:
     # time; an infeasible or oversized lattice fails before any path is
     # simulated
     model = calibrate_step_model(grid, dt)
-    engine = _BatchLattice(model, grid.demands, p_b, config.rebalance_steps)
+    engine = RecombiningLattice(model, grid.demands, config.rebalance_steps, p_b)
     paths, counts = _collect_paths(config)
     m = paths.shape[0]
 

@@ -152,6 +152,13 @@ class TestPortfolioValue:
             assert abs(residual) < 1e-6 * 20.0
 
 
+class TestMicrogridSpec:
+    @pytest.mark.parametrize("demand", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+    def test_rejects_non_finite_or_non_positive_demand(self, demand):
+        with pytest.raises(ValueError, match="demand must be finite and > 0"):
+            gh.MicrogridSpec(demand, gh.GbmParams(0.0, 0.03))
+
+
 class TestTerminalPayoff:
     def test_cases(self):
         assert gh.terminal_payoff_ces(25.0, 20.0) == 0.0

@@ -1,6 +1,8 @@
 """End-to-end CLI behavior through subprocess invocations."""
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,12 +25,21 @@ n_resamples     = 200
 max_simulated_paths = 40000
 """
 
+# child processes import the gridhedge under test, whether installed or not
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(gh.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+    ),
+}
+
 
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "gridhedge", *args],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
 
 
@@ -200,6 +211,15 @@ class TestSimulate:
         assert "demand_kw must be finite" in proc.stderr
         assert not (out / "results.csv").exists()
 
+    def test_zero_resamples_exit_2(self, tmp_path):
+        config = tmp_path / "zero.cfg"
+        config.write_text(DEMO_CFG + "n_resamples = 0\n")
+        out = tmp_path / "out"
+        proc = run_cli("simulate", str(config), "--out", str(out))
+        assert proc.returncode == 2
+        assert "n_resamples must be >= 1" in proc.stderr
+        assert not (out / "results.csv").exists()
+
 
 class TestValidate:
     def test_oracle_suite_passes(self):
@@ -225,6 +245,11 @@ def test_version_flag():
     assert "gridhedge" in proc.stdout
 
 
+def test_every_exported_name_resolves():
+    missing = [name for name in gh.__all__ if not hasattr(gh, name)]
+    assert not missing
+
+
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy"])
 def test_import_does_not_load_scipy_stats(module):
     # scipy.stats costs about a second of start-up for every command, and
@@ -234,5 +259,7 @@ def test_import_does_not_load_scipy_stats(module):
         f"loaded = [m for m in sys.modules if m == {module!r} or m.startswith({module!r} + '.')]; "
         "assert not loaded, loaded"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV
+    )
     assert proc.returncode == 0, proc.stderr

@@ -101,3 +101,10 @@ def test_non_finite_numbers_rejected(tmp_path, key, value, bad):
     text = DEMO + f"{key} = {value.format(bad)}\n"
     with pytest.raises(ValueError, match=f"{key} must be finite"):
         load_scenario_config(write(tmp_path, text))
+
+
+@pytest.mark.parametrize("key", ["n_resamples", "max_simulated_paths"])
+def test_counts_below_one_rejected(tmp_path, key):
+    # n_resamples = 0 used to reach np.quantile and die with an IndexError
+    with pytest.raises(ValueError, match=f"{key} must be >= 1, got 0"):
+        load_scenario_config(write(tmp_path, DEMO + f"{key} = 0\n"))

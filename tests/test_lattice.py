@@ -7,6 +7,7 @@ transformed-measure Monte Carlo.
 """
 import itertools
 import tracemalloc
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -21,7 +22,10 @@ from gridhedge.errors import (
     TimeOutOfRange,
     TreeTooLarge,
 )
-from gridhedge.lattice import LatticeState, tree_levels
+from gridhedge.lattice import tree_levels
+
+# the (state, value) pair compute_resources reads from a first-level node
+Node = namedtuple("Node", "pg value")
 
 
 def make_grid(sigmas, rho=0.0, demands=None, mus=None):
@@ -295,8 +299,8 @@ class TestBackpropagation:
 class TestComputeResources:
     def test_zero_values_give_zero_allocation(self):
         nodes = [
-            LatticeState(pg=np.array([20.6]), value=0.0),
-            LatticeState(pg=np.array([19.4]), value=0.0),
+            Node(pg=np.array([20.6]), value=0.0),
+            Node(pg=np.array([19.4]), value=0.0),
         ]
         alloc = gh.compute_resources(0.0, nodes, np.zeros(1), 1.0)
         assert alloc.a[0] == 0.0 and alloc.b == 0.0 and alloc.residual == 0.0
@@ -304,8 +308,8 @@ class TestComputeResources:
     def test_hand_solved_two_by_two(self):
         # exact solve: a = (0 - 0.588)/(20.606 - 19.412), b = -a * 20.606
         nodes = [
-            LatticeState(pg=np.array([20.606]), value=0.0),
-            LatticeState(pg=np.array([19.412]), value=0.588),
+            Node(pg=np.array([20.606]), value=0.0),
+            Node(pg=np.array([19.412]), value=0.588),
         ]
         alloc = gh.compute_resources(0.28, nodes, np.zeros(1), 1.0)
         a_want = (0.0 - 0.588) / (20.606 - 19.412)
@@ -321,7 +325,7 @@ class TestComputeResources:
         for _ in range(25):
             pgs = rng.uniform(5.0, 40.0, size=(4, 2))
             values = rng.uniform(0.0, 10.0, size=4)
-            nodes = [LatticeState(pg=pgs[j], value=values[j]) for j in range(4)]
+            nodes = [Node(pg=pgs[j], value=values[j]) for j in range(4)]
             alloc = gh.compute_resources(values.mean(), nodes, np.zeros(2), 2.0)
             design = np.column_stack([pgs, np.full(4, 2.0)])
             want = np.linalg.solve(design.T @ design, design.T @ values)
@@ -332,36 +336,49 @@ class TestComputeResources:
             )
 
     def test_single_node_keeps_previous_weights(self):
-        node = LatticeState(pg=np.array([18.0, 24.0]), value=3.0)
+        node = Node(pg=np.array([18.0, 24.0]), value=3.0)
         alloc = gh.compute_resources(3.0, [node], np.array([-0.4, -0.5]), 2.0)
         assert np.allclose(alloc.a, [-0.4, -0.5])
         assert alloc.b == pytest.approx((3.0 - (-0.4 * 18.0 - 0.5 * 24.0)) / 2.0)
         assert alloc.residual == 0.0
 
     def test_rank_deficient_warns(self):
-        nodes = [LatticeState(pg=np.array([20.0, 25.0]), value=1.0) for _ in range(4)]
+        nodes = [Node(pg=np.array([20.0, 25.0]), value=1.0) for _ in range(4)]
         with pytest.warns(RankDeficientWarning):
             gh.compute_resources(1.0, nodes, np.zeros(2), 1.0)
 
 
 class TestEngines:
-    @pytest.mark.parametrize("n_steps", [1, 2, 4, 6])
-    @pytest.mark.parametrize("sigmas,rho", [([0.03], 0.0), ([0.03, 0.04], 0.6)])
+    @pytest.mark.parametrize("n_steps", [0, 1, 2, 4, 6])
+    @pytest.mark.parametrize(
+        "sigmas,rho", [([0.03], 0.0), ([0.03, 0.04], 0.6), ([0.03, 0.04, 0.05], 0.3)]
+    )
     def test_reference_and_recombining_agree(self, n_steps, sigmas, rho):
         n = len(sigmas)
-        demands = np.array([20.0, 25.0][:n])
+        demands = np.array([20.0, 25.0, 15.0][:n])
         grid = make_grid(sigmas, rho, demands=demands)
         model = gh.calibrate_step_model(grid, 1.0)
-        root = np.array([20.0, 25.0][:n])
+        root = np.array([20.0, 25.0, 15.0][:n])
+        prev_a = np.array([-0.4, -0.5, -0.3][:n])
         value_t, alloc_t = gh.dynamic_allocation(
-            root, demands, model, n_steps, None, 1.0, engine="tree"
+            root, demands, model, n_steps, prev_a, 1.0, engine="tree"
         )
         value_r, alloc_r = gh.dynamic_allocation(
-            root, demands, model, n_steps, None, 1.0, engine="recombining"
+            root, demands, model, n_steps, prev_a, 1.0, engine="recombining"
         )
         assert value_t == pytest.approx(value_r, abs=1e-9)
         assert np.allclose(alloc_t.a, alloc_r.a, atol=1e-9)
         assert alloc_t.b == pytest.approx(alloc_r.b, abs=1e-9)
+        assert alloc_t.residual == pytest.approx(alloc_r.residual, abs=1e-9)
+
+    @pytest.mark.parametrize("engine", ["tree", "recombining"])
+    def test_non_positive_root_or_battery_unit_rejected(self, engine):
+        model = gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 1.0)
+        demands = np.array([20.0, 25.0])
+        with pytest.raises(ValueError, match="strictly positive"):
+            gh.dynamic_allocation(np.array([0.0, 25.0]), demands, model, 2, None, 1.0, engine=engine)
+        with pytest.raises(ValueError, match="p_b must be > 0"):
+            gh.dynamic_allocation(demands, demands, model, 2, None, 0.0, engine=engine)
 
     def test_recombining_grid_budget_checked_before_allocation(self):
         grid = make_grid([0.03, 0.04, 0.05], 0.3, demands=np.array([20.0, 25.0, 15.0]))
@@ -370,7 +387,7 @@ class TestEngines:
         tracemalloc.start()
         try:
             with pytest.raises(TreeTooLarge, match="251\\^3"):
-                gh.recombining_value(root, model, 250, grid.demands)
+                gh.dynamic_allocation(root, grid.demands, model, 250, None, 1.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -1,5 +1,6 @@
 """Case-study driver: classification, savings, aggregation, CSV output."""
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from gridhedge.errors import (
     RankDeficientWarning,
     TreeTooLarge,
 )
-from gridhedge.scenario import _batch_ces, _BatchLattice, derive_seed, format_case, parse_case
+from gridhedge import scenario
+from gridhedge.lattice import RecombiningLattice
+from gridhedge.scenario import _batch_ces, _collect_paths, derive_seed, format_case, parse_case
 
 
 def make_config(demo_grid, **overrides):
@@ -148,6 +151,25 @@ class TestRunCaseStudy:
         with pytest.raises(InsufficientPaths, match="lt,lt"):
             gh.run_case_study(config)
 
+    @pytest.mark.parametrize("n_grids", [2, 3])
+    def test_case_counts_match_classify_terminal(self, n_grids):
+        # an unfiltered run keeps every simulated path, so its counts must be
+        # the per-path labels of the scalar classifier
+        grid = make_fleet([0.03, 0.04, 0.05][:n_grids], 0.3, [20.0, 25.0, 15.0][:n_grids])
+        config = gh.ScenarioConfig(
+            grid=grid,
+            initial_kw=grid.demands,
+            horizon_hours=5.0,
+            rebalance_steps=5,
+            n_paths=3_000,
+            seed=9,
+        )
+        paths, counts = _collect_paths(config)
+        assert paths.shape[0] == 3_000
+        want = Counter(format_case(gh.classify_terminal(path, grid.demands)) for path in paths)
+        assert counts == dict(want)
+        assert len(counts) == 2**n_grids
+
     def test_unfiltered_run(self, demo_grid):
         result = gh.run_case_study(
             make_config(demo_grid, case_filter=None, n_paths=250, n_resamples=150)
@@ -221,7 +243,7 @@ class TestBatchEngines:
             assume(False)
         pg = demands * np.array(data.draw(float_vector(0.7, 1.4, 2 * n))).reshape(2, n)
         p_b = data.draw(st.floats(0.5, 2.0))
-        value, a, b, residual = _BatchLattice(model, demands, p_b, steps).allocate(
+        value, a, b, residual = RecombiningLattice(model, demands, steps, p_b).allocate(
             pg, steps, np.zeros((2, n))
         )
         tol = 1e-12 * demands.sum()  # every compared quantity is in kW
@@ -239,7 +261,7 @@ class TestBatchEngines:
         rng = np.random.default_rng(5)
         pg = demo_grid.demands * rng.uniform(0.7, 1.4, size=(37, 2))
         prev_a = rng.uniform(-1.0, 0.0, size=(37, 2))
-        engine = _BatchLattice(model, demo_grid.demands, 1.0, 10)
+        engine = RecombiningLattice(model, demo_grid.demands, 10, 1.0)
         runs = []
         for block in (1, 2**40):
             monkeypatch.setattr(lattice, "LATTICE_BLOCK_ELEMENTS", block)
@@ -263,6 +285,11 @@ class TestBatchEngines:
         np.testing.assert_allclose(b1 - b0, 5e-7 * 45.0, rtol=1e-6)
         assert np.all(v1 != v0)
 
+    def test_traced_benchmark_name_is_the_lattice(self):
+        # perfbench/traced.py wraps scenario._BatchLattice.allocate to time
+        # the pooled lattice; the alias must stay bound to the one class
+        assert scenario._BatchLattice is RecombiningLattice
+
     def test_rank_deficient_design_warns(self):
         # sigma so small that u == d in floating point: every child state
         # equals the root, so the design has rank 1
@@ -270,7 +297,7 @@ class TestBatchEngines:
         model = gh.calibrate_step_model(grid, 1.0)
         assert np.all(model.up == model.down)
         with pytest.warns(RankDeficientWarning, match="rank 1 < 3"):
-            _BatchLattice(model, grid.demands, 1.0, 3)
+            RecombiningLattice(model, grid.demands, 3, 1.0)
 
     def test_oversized_lattice_refused_before_any_allocation(self):
         # 251^3 terminal states exceed the node budget; neither paths nor
