@@ -87,11 +87,7 @@ def load_scenario_config(path) -> ScenarioConfig:
         demands=_floats(entries["demand_kw"]),
         battery_unit_kw=float(entries["battery_unit_kw"]),
     )
-    case_filter = None
-    if entries.get("case_filter"):
-        case_filter = parse_case(entries["case_filter"])
-        if len(case_filter) != grid.n_microgrids:
-            raise ValueError("case_filter length must match the number of microgrids")
+    case_filter = parse_case(entries["case_filter"]) if entries.get("case_filter") else None
     return ScenarioConfig(
         grid=grid,
         initial_kw=_floats(entries["initial_kw"]),

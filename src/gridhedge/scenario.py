@@ -104,6 +104,14 @@ class ScenarioConfig:
         horizon = self.horizon_hours
         if not (np.isfinite(horizon) and horizon > 0):
             raise ValueError(f"horizon_hours must be finite and > 0, got {horizon}")
+        case = self.case_filter
+        if case is not None and (
+            len(case) != self.grid.n_microgrids or not set(case) <= {CASE_GE, CASE_LT}
+        ):
+            raise ValueError(
+                f"case_filter needs one 'ge' or 'lt' entry per microgrid "
+                f"({self.grid.n_microgrids}), got {format_case(case)!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -74,10 +74,14 @@ def ks_test(a, b, alpha: float = 0.05) -> KsResult:
     )
 
 
-# Elements per block of drawn indices and their counts.  Bounds the
-# bootstrap's working memory (about 24 bytes per element) whatever the
-# number of resamples; the results do not depend on it.
+# Elements per block of resample counts.  One float64 block (at most 16 MiB) is
+# reused for every block, which bounds the bootstrap's working memory
+# whatever the number of resamples; the results do not depend on it.
 RESAMPLE_BLOCK_ELEMENTS = 1 << 21
+
+# Elements per draw of row indices: small enough that a draw and its counts
+# stay in cache; the results do not depend on it.
+_DRAW_ELEMENTS = 1 << 16
 
 
 def _exact_parts(x, m: int):
@@ -105,24 +109,31 @@ def resampled_means(x, n_resamples: int, rng: np.random.Generator) -> np.ndarray
     """Column means of n_resamples bootstrap resamples of the rows of x.
 
     x is (m, k); the result is (n_resamples, k).  Resample r draws its m row
-    indices as row r of ``rng.integers(0, m, size=(n_resamples, m))``, turns
-    them into per-row counts with one ``bincount`` per block, and takes the
-    means as a BLAS product of the counts with the columns.  The product is
-    exact (see ``_exact_parts``), so the means are bit-identical whatever the
-    block size, BLAS kernel or thread count, and a constant column gives the
-    same mean in every resample.
+    indices as row r of ``rng.integers(0, m, size=(n_resamples, m))``.  The
+    indices are drawn a few rows at a time, counted per row with one
+    ``bincount`` per draw and written into one reused float count block, and
+    the means are a BLAS product of each block with the columns.  Draws of
+    consecutive rows use up the stream exactly as one draw of all rows does,
+    and the product is exact (see ``_exact_parts``), so the means are
+    bit-identical whatever the block size, draw size, BLAS kernel or thread
+    count, and a constant column gives the same mean in every resample.
     """
     x = np.asarray(x, dtype=float)
     m, k = x.shape
     parts = _exact_parts(x, m)
     means = np.empty((n_resamples, k))
     block = max(1, RESAMPLE_BLOCK_ELEMENTS // m)
+    draw = max(1, _DRAW_ELEMENTS // m)
+    counts = np.empty((min(block, n_resamples), m))
+    offsets = np.arange(0, draw * m, m)[:, None]
     for start in range(0, n_resamples, block):
         take = min(block, n_resamples - start)
-        idx = rng.integers(0, m, size=(take, m))
-        idx += np.arange(0, take * m, m)[:, None]
-        counts = np.bincount(idx.ravel(), minlength=take * m).reshape(take, m)
-        sums = counts.astype(float) @ parts
+        for lo in range(0, take, draw):
+            rows = min(draw, take - lo)
+            idx = rng.integers(0, m, size=(rows, m))
+            idx += offsets[:rows]
+            counts[lo : lo + rows] = np.bincount(idx.ravel(), minlength=rows * m).reshape(rows, m)
+        sums = counts[:take] @ parts
         means[start : start + take] = (sums[:, :k] + sums[:, k:]) / m
     return means
 

@@ -220,6 +220,16 @@ class TestSimulate:
         assert "n_resamples must be >= 1" in proc.stderr
         assert not (out / "results.csv").exists()
 
+    @pytest.mark.parametrize("case", ["ge", "ge,lt,ge"])
+    def test_case_filter_length_mismatch_exit_2(self, demo_config, tmp_path, case):
+        out = tmp_path / "out"
+        proc = run_cli(
+            "simulate", str(demo_config), "--case-filter", case, "--out", str(out)
+        )
+        assert proc.returncode == 2
+        assert "one 'ge' or 'lt' entry per microgrid (2)" in proc.stderr
+        assert not (out / "results.csv").exists()
+
 
 class TestValidate:
     def test_oracle_suite_passes(self):

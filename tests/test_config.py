@@ -48,6 +48,12 @@ def test_case_filter_and_matrix_rows(tmp_path):
     assert config.grid.corr.rho[0, 1] == 0.6
 
 
+def test_case_filter_length_checked(tmp_path):
+    text = DEMO + "case_filter = ge, lt, ge\n"
+    with pytest.raises(ValueError, match="per microgrid"):
+        load_scenario_config(write(tmp_path, text))
+
+
 def test_missing_key_reported(tmp_path):
     broken = DEMO.replace("seed            = 42\n", "")
     with pytest.raises(ValueError, match="seed"):

@@ -151,6 +151,11 @@ class TestRunCaseStudy:
         with pytest.raises(InsufficientPaths, match="lt,lt"):
             gh.run_case_study(config)
 
+    @pytest.mark.parametrize("case", [("ge",), ("ge", "lt", "ge"), ("ge", "up"), ()])
+    def test_case_filter_needs_one_ge_or_lt_per_grid(self, demo_grid, case):
+        with pytest.raises(ValueError, match="one 'ge' or 'lt' entry per microgrid"):
+            make_config(demo_grid, case_filter=case)
+
     @pytest.mark.parametrize("n_grids", [2, 3])
     def test_case_counts_match_classify_terminal(self, n_grids):
         # an unfiltered run keeps every simulated path, so its counts must be
@@ -191,6 +196,64 @@ class TestResultsCsv:
         # 6 times x (5 metrics + 2 grids x 2 pg rows)
         assert len(lines) == 1 + 6 * (5 + 4)
         assert any('"ge,lt"' in line and "savings_pct" in line for line in lines)
+
+
+# mean, ci_lo and ci_hi of every metric at t = 0..5 for
+# make_config(demo_grid, n_paths=200, n_resamples=150).  The CI columns pin
+# the bootstrap stream: a kernel change that draws the resample indices in
+# another order moves them.
+SEED_CONTRACT = {
+    "b_tes": (
+        (23.108993411018183, 22.683759927367806, 22.164968408209738,
+         22.617879517258817, 22.935155663325105, 22.93419228551179),
+        (23.108993411018186, 21.657172922444413, 20.92562649434694,
+         21.426842907686083, 21.408608077093668, 21.417308809847032),
+        (23.108993411018186, 23.725712882037268, 23.67181550031475,
+         24.42754017487899, 24.95815158833193, 24.9490278159318),
+    ),
+    "b_ces": (
+        (23.213450844019636, 22.624805398841335, 21.92366054712925,
+         22.029648937702422, 22.199757290822195, 25.0),
+        (23.213450844019636, 21.75474608491374, 20.928731788015565,
+         21.112032809914066, 21.267862509123788, 25.0),
+        (23.213450844019636, 23.52808326992044, 23.25760433696117,
+         23.483295944554182, 23.4947259091324, 25.0),
+    ),
+    "v_tes": (
+        (1.3131209191363897, 1.2363899440850454, 1.1347144207024165,
+         1.0459760533977576, 0.8536904753330714, 0.49452141402272515),
+        (1.3131209191363893, 1.150348989349281, 1.0479727149749758,
+         0.9620629427886306, 0.7698616043101378, 0.4277660979381338),
+        (1.3131209191363893, 1.3200918797274146, 1.2586370041099177,
+         1.1677339090258332, 0.9491201409508955, 0.5839758176826649),
+    ),
+    "v_ces": (
+        (1.4269016880392655, 1.3654666219611005, 1.2866841529256359,
+         1.2455965747994868, 1.1533634627081804, 1.005150388437039),
+        (1.4269016880392655, 1.280142874157616, 1.1998325008388235,
+         1.1539998627807178, 1.066095610343964, 0.9129329579610387),
+        (1.4269016880392655, 1.449750005440658, 1.4140172764231824,
+         1.384189634707699, 1.247551342864295, 1.1102206089437452),
+    ),
+    "savings_pct": (
+        (0.44998666378103236, -0.2605747430185268, -1.1006732227118343,
+         -2.6701768204289156, -3.312641498143476, 8.26323085795283),
+        (0.44998666378101015, -0.9451602317215502, -2.2966646467504552,
+         -4.5996059078249925, -7.600846446759445, 0.2038887362728093),
+        (0.44998666378101015, 0.3830197466074856, 0.029751912964973735,
+         -1.2494823351794415, 0.5695016532671184, 14.330764760611878),
+    ),
+}
+
+
+class TestSeedContract:
+    def test_pinned_mean_and_ci_columns(self, demo_grid):
+        result = gh.run_case_study(make_config(demo_grid, n_paths=200, n_resamples=150))
+        assert list(result.metrics) == list(SEED_CONTRACT)
+        for name, columns in SEED_CONTRACT.items():
+            series = result.metrics[name]
+            for got, want in zip((series.mean, series.lo, series.hi), columns):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def make_fleet(sigmas, rho=0.0, demands=None):

@@ -1,4 +1,6 @@
 """KS two-sample test and percentile bootstrap."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -169,3 +171,22 @@ class TestResampledMeans:
             monkeypatch.setattr(stats, "RESAMPLE_BLOCK_ELEMENTS", rows * x.shape[0])
             results.append(stats.resampled_means(x, 150, philox(6)).tobytes())
         assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize("draw_rows", [1, 3, 150])
+    @pytest.mark.parametrize("block_rows", [1, 7, 150])
+    def test_independent_of_draw_size(self, monkeypatch, block_rows, draw_rows):
+        x = philox(13).exponential(size=(257, 3)) * np.array([1.0, 1e-3, 1e4])
+        want = stats.resampled_means(x, 150, philox(6)).tobytes()
+        monkeypatch.setattr(stats, "RESAMPLE_BLOCK_ELEMENTS", block_rows * x.shape[0])
+        monkeypatch.setattr(stats, "_DRAW_ELEMENTS", draw_rows * x.shape[0])
+        assert stats.resampled_means(x, 150, philox(6)).tobytes() == want
+
+    def test_working_memory_is_one_count_block(self):
+        x = philox(3).standard_normal((10_000, 24))
+        tracemalloc.start()
+        try:
+            stats.resampled_means(x, 1_000, philox(5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 28 * 2**20
