@@ -360,8 +360,9 @@ def replicate_internal(leaves, p_b):
 # ---------------------------------------------------------------------------
 
 # One block of root states is valued at a time; its terminal headroom holds
-# at most this many floats (16 MiB), whatever the path count.
-LATTICE_BLOCK_ELEMENTS = 2**21
+# at most this many floats (512 KiB, inside a 2 MiB L2 cache), whatever the
+# path count.  A terminal grid larger than this is valued one root at a time.
+LATTICE_BLOCK_ELEMENTS = 2**16
 
 
 def _branch_slices(model, branch):
@@ -378,7 +379,10 @@ class RecombiningLattice:
     for every root.  With s steps left, child k (one step taken, up-counts
     up_k) is worth sum_j W_{s-1}[j] * H[j + up_k], where H is the terminal
     headroom max(D - sum_i pg_i * u_i^(2 j_i - s), 0).  One matrix product
-    per block of roots replaces s rounds of backward induction.
+    per block of roots replaces s rounds of backward induction: the
+    (2^n, states) child weights times a (states, roots) headroom block.  The
+    roots are the innermost axis, and a block holds at most
+    ``LATTICE_BLOCK_ELEMENTS`` headroom values, whatever the root count.
 
     The replication design of a root has rows [pg * factors_k, p_b]: the
     unit design [factors_k, p_b] with its generation columns scaled by the
@@ -414,7 +418,7 @@ class RecombiningLattice:
         self.pinv_unit = np.linalg.pinv(self.design_unit)
 
     def _child_weights(self, steps):
-        """((steps+1)^n, 2^n) matrix; column k is W_{steps-1} shifted by up_k.
+        """(2^n, (steps+1)^n) matrix; row k is W_{steps-1} shifted by up_k.
 
         W is rebuilt from W_0 on each call: keeping every level would hold
         about steps/(n+1) terminal grids, while one rebuild costs as much as
@@ -427,22 +431,21 @@ class RecombiningLattice:
             for k in range(model.n_branches):
                 nxt[_branch_slices(model, k)] += model.branch_probs[k] * reach
             reach = nxt
-        stacked = np.zeros((steps + 1,) * model.n_assets + (model.n_branches,))
+        stacked = np.zeros((model.n_branches,) + (steps + 1,) * model.n_assets)
         for k in range(model.n_branches):
-            stacked[_branch_slices(model, k) + (k,)] = reach
-        return stacked.reshape(-1, model.n_branches)
+            stacked[(k,) + _branch_slices(model, k)] = reach
+        return stacked.reshape(model.n_branches, -1)
 
     def _headroom(self, pg, ladders):
-        # broadcasting one asset at a time needs no full-size zero grid and
-        # still sums each state's terms in asset order
-        rows = pg.shape[0]
-        total = pg[:, 0, None] * ladders[0]
+        # (states, roots) with the roots innermost; broadcasting one asset at a
+        # time needs no full-size zero grid and still sums each state's terms
+        # in asset order
+        total = ladders[0][:, None] * pg[:, 0]
         for i in range(1, self.model.n_assets):
-            axis = (pg[:, i, None] * ladders[i]).reshape((rows,) + (1,) * i + (-1,))
-            total = total[..., None] + axis
+            total = total[..., None, :] + ladders[i][:, None] * pg[:, i]
         np.subtract(self.total_demand, total, out=total)
         np.maximum(total, 0.0, out=total)
-        return total.reshape(rows, -1)
+        return total.reshape(-1, pg.shape[0])
 
     def first_level(self, pg, steps: int):
         """Root values (m,) and child values (m, 2^n) for root states pg (m, n)."""
@@ -453,10 +456,12 @@ class RecombiningLattice:
         j = np.arange(steps + 1)
         ladders = [np.exp(model.log_steps[i] * (2 * j - steps)) for i in range(model.n_assets)]
         m = pg.shape[0]
-        rows = max(1, LATTICE_BLOCK_ELEMENTS // weights.shape[0])
+        rows = max(1, LATTICE_BLOCK_ELEMENTS // weights.shape[1])
         child_values = np.empty((m, model.n_branches))
         for lo in range(0, m, rows):
-            child_values[lo : lo + rows] = self._headroom(pg[lo : lo + rows], ladders) @ weights
+            child_values[lo : lo + rows] = (
+                weights @ self._headroom(pg[lo : lo + rows], ladders)
+            ).T
         return child_values @ model.branch_probs, child_values
 
     def allocate(self, pg, steps: int, prev_a):

@@ -19,7 +19,7 @@ from .lattice import calibrate_step_model, RecombiningLattice
 # through this name; it is the same class, so the wrap reaches every caller
 from .lattice import RecombiningLattice as _BatchLattice  # noqa: F401
 from .gbm import simulate_paths
-from .stats import resampled_means
+from .stats import exact_column_means, resampled_means
 
 CASE_GE = "ge"
 CASE_LT = "lt"
@@ -206,7 +206,9 @@ def _bootstrap_time_metrics(samples, ratio_pairs, n_resamples, seed):
     samples: dict name -> (m, n_times) array, one row per path.  Every metric
     at every time is averaged over the same resampled paths.  ratio_pairs:
     name -> (num, den) pair of sample names; the resampled statistic is
-    100*(1 - mean_num/mean_den), 0 where the denominator vanishes.
+    100*(1 - mean_num/mean_den), 0 where the denominator vanishes.  Point
+    means use the same exact count product as the resamples, so a metric
+    that is constant over paths has its mean equal to both interval ends.
 
     Returns (series, overall): series maps every sample and ratio name to a
     MetricSeries over time; overall maps each ratio name to the (point, lo,
@@ -215,8 +217,10 @@ def _bootstrap_time_metrics(samples, ratio_pairs, n_resamples, seed):
     names = list(samples)
     n_times = samples[names[0]].shape[1]
     rng = np.random.Generator(np.random.Philox(key=seed))
-    resampled = resampled_means(np.hstack([samples[name] for name in names]), n_resamples, rng)
-    points = {name: samples[name].mean(axis=0) for name in names}
+    stacked = np.hstack([samples[name] for name in names])
+    resampled = resampled_means(stacked, n_resamples, rng)
+    means = exact_column_means(stacked)
+    points = {name: means[i * n_times : (i + 1) * n_times] for i, name in enumerate(names)}
     draws = {name: resampled[:, i * n_times : (i + 1) * n_times] for i, name in enumerate(names)}
     series = {}
     overall = {}

@@ -105,6 +105,27 @@ def _exact_parts(x, m: int):
     return np.hstack(parts)
 
 
+def _count_means(counts, parts):
+    """Means of x weighted by (r, m) row counts that each sum to m.
+
+    parts are x's exact parts, so every count product is exact.
+    """
+    sums = counts @ parts
+    k = parts.shape[1] // 2
+    return (sums[:, :k] + sums[:, k:]) / parts.shape[0]
+
+
+def exact_column_means(x) -> np.ndarray:
+    """Column means of x (m, k) by the count product of ``resampled_means``.
+
+    Every count is 1 here, so a column whose resampled means all agree (a
+    constant column) has exactly that mean as its point estimate too.
+    """
+    x = np.asarray(x, dtype=float)
+    m = x.shape[0]
+    return _count_means(np.ones((1, m)), _exact_parts(x, m))[0]
+
+
 def resampled_means(x, n_resamples: int, rng: np.random.Generator) -> np.ndarray:
     """Column means of n_resamples bootstrap resamples of the rows of x.
 
@@ -133,8 +154,7 @@ def resampled_means(x, n_resamples: int, rng: np.random.Generator) -> np.ndarray
             idx = rng.integers(0, m, size=(rows, m))
             idx += offsets[:rows]
             counts[lo : lo + rows] = np.bincount(idx.ravel(), minlength=rows * m).reshape(rows, m)
-        sums = counts[:take] @ parts
-        means[start : start + take] = (sums[:, :k] + sums[:, k:]) / m
+        means[start : start + take] = _count_means(counts[:take], parts)
     return means
 
 
@@ -158,7 +178,7 @@ def bootstrap_ci(
     tail = (1.0 - level) / 2.0
     lo, hi = np.quantile(means, [tail, 1.0 - tail])
     return BootstrapCi(
-        mean=float(x.mean()),
+        mean=float(exact_column_means(x[:, None])[0]),
         lo=float(lo),
         hi=float(hi),
         level=level,

@@ -93,6 +93,22 @@ class TestRunCaseStudy:
         # deterministic quantities have degenerate intervals at t=0
         assert runs[0].metrics["b_tes"].lo[0] == runs[0].metrics["b_tes"].hi[0]
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(n_paths=200, n_resamples=150), dict(case_filter=None, n_paths=500, n_resamples=150)],
+        ids=["ge,lt", "all"],
+    )
+    def test_point_mean_lies_in_its_interval(self, demo_grid, overrides):
+        result = gh.run_case_study(make_config(demo_grid, **overrides))
+        for name, series in result.metrics.items():
+            assert np.all(series.lo <= series.mean), name
+            assert np.all(series.mean <= series.hi), name
+        # every path starts at the same state, so each t = 0 resample and the
+        # point estimate average the same constant to the same bits
+        for name in ("b_tes", "b_ces", "v_tes", "v_ces"):
+            series = result.metrics[name]
+            assert series.mean[0] == series.lo[0] == series.hi[0], name
+
     def test_time_zero_pooling_never_needs_more_battery(self, demo_grid):
         result = gh.run_case_study(make_config(demo_grid, n_paths=200, n_resamples=150))
         assert result.metrics["b_tes"].mean[0] <= result.metrics["b_ces"].mean[0]
@@ -320,21 +336,44 @@ class TestBatchEngines:
             assert abs(residual[row] - want.residual) <= tol
 
     def test_block_size_does_not_change_results(self, demo_grid, monkeypatch):
-        model = gh.calibrate_step_model(demo_grid, 0.5)
-        rng = np.random.default_rng(5)
-        pg = demo_grid.demands * rng.uniform(0.7, 1.4, size=(37, 2))
-        prev_a = rng.uniform(-1.0, 0.0, size=(37, 2))
-        engine = RecombiningLattice(model, demo_grid.demands, 10, 1.0)
-        runs = []
-        for block in (1, 2**40):
-            monkeypatch.setattr(lattice, "LATTICE_BLOCK_ELEMENTS", block)
-            runs.append([engine.allocate(pg, steps, prev_a) for steps in (1, 4, 10)])
-        # a 1-row block may go through a matrix-vector BLAS kernel, which can
-        # round the last bit differently from the matrix-matrix one
-        scale = demo_grid.demands.sum()
-        for one_row, all_rows in zip(*runs):
-            for got, want in zip(one_row, all_rows):
-                np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * scale)
+        three_grids = make_fleet([0.03, 0.04, 0.05], 0.3, [20.0, 25.0, 15.0])
+        for grid in (demo_grid, three_grids):
+            n = grid.n_microgrids
+            model = gh.calibrate_step_model(grid, 0.5)
+            rng = np.random.default_rng(5)
+            pg = grid.demands * rng.uniform(0.7, 1.4, size=(37, n))
+            prev_a = rng.uniform(-1.0, 0.0, size=(37, n))
+            engine = RecombiningLattice(model, grid.demands, 10, 1.0)
+            runs = []
+            # one root per block, a ragged last block, all roots in one block
+            for block in (1, 2**12, 2**40):
+                monkeypatch.setattr(lattice, "LATTICE_BLOCK_ELEMENTS", block)
+                runs.append([engine.allocate(pg, steps, prev_a) for steps in (1, 4, 10)])
+            # a 1-row block may go through a matrix-vector BLAS kernel, which
+            # can round the last bit differently from the matrix-matrix one
+            scale = grid.demands.sum()
+            for run in runs[:-1]:
+                for blocked, whole in zip(run, runs[-1]):
+                    for got, want in zip(blocked, whole):
+                        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * scale)
+
+    @pytest.mark.parametrize("m", [2_000, 8_000])
+    def test_first_level_memory_bounded_by_block(self, m):
+        # the traced peak is the child weights, the outputs and at most two
+        # headroom blocks, however many roots are valued
+        grid = make_fleet([0.03, 0.04, 0.05], 0.3, [20.0, 25.0, 15.0])
+        model = gh.calibrate_step_model(grid, 0.25)
+        engine = RecombiningLattice(model, grid.demands, 20, 1.0)
+        pg = grid.demands * np.random.default_rng(3).uniform(0.7, 1.4, size=(m, 3))
+        tracemalloc.start()
+        try:
+            root_values, child_values = engine.first_level(pg, 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        weights = model.n_branches * 21**3 * 8
+        outputs = root_values.nbytes + child_values.nbytes
+        assert peak <= weights + 2 * lattice.LATTICE_BLOCK_ELEMENTS * 8 + outputs
 
     def test_batch_ces_reads_the_validator_phi_seam(self, monkeypatch):
         # validate --inject-phi-fault rebinds ces._normal_cdf; the batched

@@ -1,4 +1,5 @@
 """KS two-sample test and percentile bootstrap."""
+import math
 import tracemalloc
 
 import numpy as np
@@ -163,6 +164,17 @@ class TestResampledMeans:
             lo, hi = np.quantile(means[:, j], [0.025, 0.975])
             assert lo == hi
             assert np.unique(means[:, j]).size == 1
+
+    def test_exact_column_means_match_constant_resamples(self):
+        constants = [np.full(10_000, 0.1), np.full(10_000, 25 / 3)]
+        x = np.column_stack(constants + [philox(4).exponential(size=10_000)])
+        means = stats.exact_column_means(x)
+        resampled = stats.resampled_means(x, 50, philox(8))
+        assert np.all(resampled[:, :2] == means[:2])
+        correctly_rounded = [math.fsum(column) / column.size for column in x.T]
+        np.testing.assert_allclose(means, correctly_rounded, rtol=1e-15, atol=0)
+        ci = gh.bootstrap_ci(x[:, 0], n_resamples=200, seed=2)
+        assert ci.lo == ci.hi == ci.mean
 
     def test_independent_of_block_size(self, monkeypatch):
         x = philox(13).exponential(size=(257, 3)) * np.array([1.0, 1e-3, 1e4])
