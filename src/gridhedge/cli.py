@@ -6,6 +6,7 @@ infeasible, 4 precondition violation, 5 empty result.
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .ces import MicrogridSpec, ces_allocation, ces_portfolio_value
@@ -15,14 +16,13 @@ from .errors import (
     InfeasibleCalibration,
     InsufficientPaths,
     MalformedSeries,
-    NonPositiveGeneration,
     NonPositiveSample,
     SeriesTooShort,
     TimeOutOfRange,
 )
 from .gbm import chi_square_gof, gbm_mle_from_returns
 from .lattice import calibrate_step_model, dynamic_allocation
-from .scenario import format_case, parse_case, run_case_study, write_results_csv
+from .scenario import parse_case, run_case_study, write_results_csv
 from .timeseries import load_power_csv, parse_clock, window_log_returns
 from .validate import run_suite
 
@@ -31,6 +31,17 @@ EXIT_INPUT = 2
 EXIT_CALIBRATION = 3
 EXIT_PRECONDITION = 4
 EXIT_EMPTY = 5
+
+# main() exits with the code of the first row whose types match the error
+EXIT_CODES = (
+    (
+        (MalformedSeries, NonPositiveSample, SeriesTooShort, FileNotFoundError, ValueError),
+        EXIT_INPUT,
+    ),
+    (InfeasibleCalibration, EXIT_CALIBRATION),
+    (InsufficientPaths, EXIT_EMPTY),
+    (GridHedgeError, EXIT_PRECONDITION),
+)
 
 
 def _cmd_estimate(args) -> int:
@@ -110,17 +121,9 @@ def _cmd_allocate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = load_scenario_config(args.config)
-    overrides = {}
-    if args.paths is not None:
-        overrides["n_paths"] = args.paths
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.case_filter is not None:
-        overrides["case_filter"] = parse_case(args.case_filter)
-    if overrides:
-        from dataclasses import replace
-
-        config = replace(config, **overrides)
+    case = None if args.case_filter is None else parse_case(args.case_filter)
+    overrides = {"n_paths": args.paths, "seed": args.seed, "case_filter": case}
+    config = replace(config, **{key: v for key, v in overrides.items() if v is not None})
     result = run_case_study(config)
     os.makedirs(args.out, exist_ok=True)
     results_path = os.path.join(args.out, "results.csv")
@@ -131,8 +134,7 @@ def _cmd_simulate(args) -> int:
         config=config,
         outputs=["results.csv"],
     )
-    label = format_case(result.case) if result.case else "all"
-    print(f"case          = {label}")
+    print(f"case          = {result.case_label}")
     print(f"paths         = {result.n_paths}")
     print(f"overall_savings_pct = {result.overall_savings:.4f}")
     print(f"overall_savings_ci_lo_pct = {result.overall_savings_lo:.4f}")
@@ -199,24 +201,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (MalformedSeries, NonPositiveSample, SeriesTooShort, FileNotFoundError) as exc:
+    except (GridHedgeError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except InfeasibleCalibration as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CALIBRATION
-    except (TimeOutOfRange, NonPositiveGeneration) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except InsufficientPaths as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY
-    except GridHedgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        return next(code for types, code in EXIT_CODES if isinstance(exc, types))
 
 
 if __name__ == "__main__":

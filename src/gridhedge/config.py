@@ -38,6 +38,9 @@ REQUIRED_KEYS = (
     "n_paths",
     "seed",
 )
+# optional counts; ScenarioConfig holds their defaults
+COUNT_KEYS = ("n_resamples", "max_simulated_paths")
+KNOWN_KEYS = REQUIRED_KEYS + ("case_filter",) + COUNT_KEYS
 
 
 def parse_flat_file(path) -> "dict[str, str]":
@@ -73,6 +76,9 @@ def _correlation(text: str, n: int) -> CorrelationMatrix:
 
 def load_scenario_config(path) -> ScenarioConfig:
     entries = parse_flat_file(path)
+    unknown = [key for key in entries if key not in KNOWN_KEYS]
+    if unknown:
+        raise ValueError(f"config has unknown keys: {', '.join(unknown)}")
     missing = [key for key in REQUIRED_KEYS if key not in entries]
     if missing:
         raise ValueError(f"config missing keys: {', '.join(missing)}")
@@ -88,6 +94,7 @@ def load_scenario_config(path) -> ScenarioConfig:
         battery_unit_kw=float(entries["battery_unit_kw"]),
     )
     case_filter = parse_case(entries["case_filter"]) if entries.get("case_filter") else None
+    counts = {key: int(entries[key]) for key in COUNT_KEYS if key in entries}
     return ScenarioConfig(
         grid=grid,
         initial_kw=_floats(entries["initial_kw"]),
@@ -96,8 +103,7 @@ def load_scenario_config(path) -> ScenarioConfig:
         n_paths=int(entries["n_paths"]),
         seed=int(entries["seed"]),
         case_filter=case_filter,
-        n_resamples=int(entries.get("n_resamples", 10_000)),
-        max_simulated_paths=int(entries.get("max_simulated_paths", 2_000_000)),
+        **counts,
     )
 
 
@@ -117,6 +123,7 @@ def config_snapshot(config: ScenarioConfig) -> "dict[str, str]":
         "n_paths": str(config.n_paths),
         "seed": str(config.seed),
         "n_resamples": str(config.n_resamples),
+        "max_simulated_paths": str(config.max_simulated_paths),
     }
     if config.case_filter:
         snap["case_filter"] = ",".join(config.case_filter)

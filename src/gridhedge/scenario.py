@@ -135,6 +135,11 @@ class CaseResult:
     overall_savings_hi: float
     config: ScenarioConfig = field(repr=False)
 
+    @property
+    def case_label(self) -> str:
+        """The filtered case as "ge,lt", or "all" for an unfiltered run."""
+        return format_case(self.case) if self.case else "all"
+
 
 # ---------------------------------------------------------------------------
 # Vectorized per-grid policy
@@ -151,68 +156,67 @@ def _batch_ces(pg, demands, sigmas, tau, p_b):
 # ---------------------------------------------------------------------------
 
 def _collect_paths(config: ScenarioConfig):
-    """Simulate physical blocks until the case bucket holds n_paths paths."""
+    """Simulate physical blocks until the case bucket holds n_paths paths.
+
+    Each path gets one integer case code whose bit (n-1-i) is set iff grid i
+    ends at or above its demand.  The code selects the filtered case and is
+    tallied over every simulated path.  Returns the first n_paths kept paths
+    and the tally keyed by case labels such as "ge,lt".
+    """
     grid = config.grid
-    block = max(config.n_paths, 20_000)
-    # a row's case code sets bit (n-1-i) iff grid i ends at or above demand
     bits = 1 << np.arange(grid.n_microgrids - 1, -1, -1)
+    case = config.case_filter
+    wanted = None if case is None else (np.array(case) == CASE_GE) @ bits
+    take = config.n_paths if case is None else max(config.n_paths, 20_000)
+    tally = np.zeros(1 << grid.n_microgrids, dtype=np.int64)
     collected = []
     n_collected = 0
-    counts: "dict[str, int]" = {}
     examined = 0
-    block_index = 0
     while n_collected < config.n_paths:
         if examined >= config.max_simulated_paths:
             raise InsufficientPaths(
-                f"case filter {format_case(config.case_filter)!r} matched only "
+                f"case filter {format_case(case)!r} matched only "
                 f"{n_collected}/{config.n_paths} of {examined} simulated paths"
             )
-        take = block if config.case_filter is not None else config.n_paths
-        ensemble = simulate_paths(
+        values = simulate_paths(
             grid.params,
             grid.corr,
             config.initial_kw,
             horizon=config.horizon_hours,
             n_steps=config.rebalance_steps,
             n_paths=take,
-            seed=derive_seed(config.seed, "paths", block_index),
+            seed=derive_seed(config.seed, "paths", examined // take),
             measure="physical",
-        )
+        ).values
         examined += take
-        block_index += 1
-        values = ensemble.values
-        terminal = values[:, -1, :]
-        comparators = terminal >= grid.demands
-        tally = np.bincount(comparators @ bits)
-        for code in np.flatnonzero(tally):
-            label = format_case(tuple(CASE_GE if code & bit else CASE_LT for bit in bits))
-            counts[label] = counts.get(label, 0) + int(tally[code])
-        if config.case_filter is None:
-            collected.append(values)
-            n_collected += values.shape[0]
-        else:
-            wanted = np.array([c == CASE_GE for c in config.case_filter])
-            match = np.all(comparators == wanted, axis=1)
-            if match.any():
-                collected.append(values[match])
-                n_collected += int(match.sum())
+        codes = (values[:, -1, :] >= grid.demands) @ bits
+        tally += np.bincount(codes, minlength=tally.size)
+        if wanted is not None:
+            values = values[codes == wanted]
+        collected.append(values)
+        n_collected += values.shape[0]
     paths = np.concatenate(collected, axis=0)[: config.n_paths]
+    counts = {
+        format_case(CASE_GE if code & bit else CASE_LT for bit in bits): int(count)
+        for code, count in enumerate(tally)
+        if count
+    }
     return paths, counts
 
 
-def _bootstrap_time_metrics(samples, ratio_pairs, n_resamples, seed):
+def _bootstrap_time_metrics(samples, n_resamples, seed):
     """95% percentile CIs from one joint resample of whole paths.
 
-    samples: dict name -> (m, n_times) array, one row per path.  Every metric
-    at every time is averaged over the same resampled paths.  ratio_pairs:
-    name -> (num, den) pair of sample names; the resampled statistic is
-    100*(1 - mean_num/mean_den), 0 where the denominator vanishes.  Point
-    means use the same exact count product as the resamples, so a metric
-    that is constant over paths has its mean equal to both interval ends.
+    samples: dict name -> (m, n_times) array, one row per path, including
+    b_tes and b_ces.  Every metric at every time is averaged over the same
+    resampled paths; savings_pct is 100*(1 - mean b_tes/mean b_ces), 0 where
+    the per-grid mean vanishes.  Point means use the same exact count product
+    as the resamples, so a metric that is constant over paths has its mean
+    equal to both interval ends.
 
-    Returns (series, overall): series maps every sample and ratio name to a
-    MetricSeries over time; overall maps each ratio name to the (point, lo,
-    hi) of its time average.
+    Returns (series, overall): series maps each sample name and savings_pct
+    to a MetricSeries over time; overall is the (point, lo, hi) of the time
+    average of savings_pct.
     """
     names = list(samples)
     n_times = samples[names[0]].shape[1]
@@ -222,17 +226,14 @@ def _bootstrap_time_metrics(samples, ratio_pairs, n_resamples, seed):
     means = exact_column_means(stacked)
     points = {name: means[i * n_times : (i + 1) * n_times] for i, name in enumerate(names)}
     draws = {name: resampled[:, i * n_times : (i + 1) * n_times] for i, name in enumerate(names)}
+    points["savings_pct"], point_overall = battery_savings(points["b_tes"], points["b_ces"])
+    draws["savings_pct"] = _savings_ratio(draws["b_tes"], draws["b_ces"])
+    lo, hi = np.quantile(draws["savings_pct"].mean(axis=1), [0.025, 0.975])
     series = {}
-    overall = {}
-    for name, (num, den) in ratio_pairs.items():
-        points[name], point_overall = battery_savings(points[num], points[den])
-        draws[name] = _savings_ratio(draws[num], draws[den])
-        lo, hi = np.quantile(draws[name].mean(axis=1), [0.025, 0.975])
-        overall[name] = (point_overall, float(lo), float(hi))
     for name, point in points.items():
-        lo, hi = np.quantile(draws[name], [0.025, 0.975], axis=0)
-        series[name] = MetricSeries(mean=point, lo=lo, hi=hi)
-    return series, overall
+        lo_t, hi_t = np.quantile(draws[name], [0.025, 0.975], axis=0)
+        series[name] = MetricSeries(mean=point, lo=lo_t, hi=hi_t)
+    return series, (point_overall, float(lo), float(hi))
 
 
 def run_case_study(config: ScenarioConfig) -> CaseResult:
@@ -269,18 +270,15 @@ def run_case_study(config: ScenarioConfig) -> CaseResult:
         b_ces[n], v_ces[n] = _batch_ces(pg, grid.demands, sigmas, tau, p_b)
         value, a, b, _ = engine.allocate(pg, steps, prev_a)
         v_tes[n], b_tes[n] = value, b
-        if steps > 0:
-            prev_a = a
+        prev_a = a
 
     # transposed views: each time's samples stay contiguous, so the point
     # means are summed in the same order as a 1-D mean
-    metrics, overall = _bootstrap_time_metrics(
+    metrics, (savings, savings_lo, savings_hi) = _bootstrap_time_metrics(
         {"b_tes": b_tes.T, "b_ces": b_ces.T, "v_tes": v_tes.T, "v_ces": v_ces.T},
-        {"savings_pct": ("b_tes", "b_ces")},
         config.n_resamples,
         derive_seed(config.seed, "bootstrap"),
     )
-    savings, savings_lo, savings_hi = overall["savings_pct"]
     return CaseResult(
         times=times,
         case=config.case_filter,
@@ -298,7 +296,7 @@ def run_case_study(config: ScenarioConfig) -> CaseResult:
 
 def write_results_csv(result: CaseResult, path) -> None:
     """One row per (time, metric): t_hours,metric,case,mean,ci_lo,ci_hi."""
-    case_label = format_case(result.case) if result.case else "all"
+    case_label = result.case_label
 
     def fmt(x):
         return format(float(x), ".10g")

@@ -1,9 +1,9 @@
 """Ingestion of power time-series CSV files.
 
 Expected format: header ``timestamp,power_kw``, ISO-8601 timestamps,
-strictly increasing rows at a uniform sampling interval.  Slicing a daily
-clock window (e.g. 10:00-17:00) yields contiguous runs; log-returns are
-taken inside runs only, never across the overnight gap.
+strictly increasing rows at a uniform sampling interval.  Log-returns in a
+daily clock window (e.g. 10:00-17:00) pair consecutive in-window samples
+only, never across the overnight gap.
 """
 import csv
 from dataclasses import dataclass
@@ -97,34 +97,25 @@ def parse_clock(text: str) -> time:
     return time(hour=int(hh), minute=int(mm))
 
 
-def daily_window_runs(series: PowerSeries, start: time, end: time):
-    """Split the series into contiguous runs whose clock time is in [start, end]."""
-    clocks = series.timestamps.astype("datetime64[us]").astype(object)
-    inside = np.array([start <= t.time() <= end for t in clocks])
-    runs = []
-    begin = None
-    for i, flag in enumerate(inside):
-        if flag and begin is None:
-            begin = i
-        elif not flag and begin is not None:
-            runs.append(series.values[begin:i])
-            begin = None
-    if begin is not None:
-        runs.append(series.values[begin:])
-    return [run for run in runs if len(run) >= 2]
-
-
 def window_log_returns(series: PowerSeries, window: "tuple[time, time] | None"):
-    """Log-returns at the file's sampling interval, restricted to the window."""
-    if window is None:
-        runs = [series.values]
-    else:
-        runs = daily_window_runs(series, window[0], window[1])
-    pieces = []
-    for run in runs:
-        if np.any(run <= 0):
-            raise MalformedSeries("window contains non-positive power values")
-        pieces.append(np.diff(np.log(run)))
-    if not pieces:
-        return np.array([])
-    return np.concatenate(pieces)
+    """Log-returns at the file's sampling interval, restricted to the window.
+
+    A return is taken between consecutive samples whose clock times both lie
+    in [start, end], so none spans the gap between one day's window and the
+    next.  Every sample of such a pair must be positive.
+    """
+    values = series.values
+    pair = np.ones(len(values) - 1, dtype=bool)
+    if window is not None:
+        stamps = series.timestamps
+        clock_us = (stamps - stamps.astype("datetime64[D]")).astype(np.int64)
+        start, end = (
+            ((t.hour * 60 + t.minute) * 60 + t.second) * 1_000_000 + t.microsecond
+            for t in window
+        )
+        inside = (clock_us >= start) & (clock_us <= end)
+        pair = inside[:-1] & inside[1:]
+    left, right = values[:-1][pair], values[1:][pair]
+    if np.any(left <= 0) or np.any(right <= 0):
+        raise MalformedSeries("window contains non-positive power values")
+    return np.log(right) - np.log(left)

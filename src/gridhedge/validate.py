@@ -3,7 +3,7 @@
 The oracle suite re-derives the closed-form allocator from an independent
 normal CDF (scipy's erfc, not the C library's erfc behind the library Phi),
 checks lattice/closed-form agreement, calibration residuals, and the
-deterministic initial-savings figure.  The stats suite checks the KS
+lattice value against a Monte Carlo oracle.  The stats suite checks the KS
 threshold, its rejection-rate calibration, the chi-square survival anchor,
 and bootstrap interval width.  scipy is imported inside the checks that use
 it, so importing this module (as the CLI does) does not load scipy.
@@ -123,24 +123,6 @@ def check_calibration_residuals() -> CheckResult:
         worst < 1e-10,
         f"max residual {worst:.3e} (tolerance 1e-10)",
     )
-
-
-def initial_savings() -> float:
-    """Deterministic pooling savings (%) at t=0 for the two-grid demo.
-
-    Reference point for the bundled case studies; see the README note on the
-    published comparison table.
-    """
-    grid = _demo_grid()
-    model = calibrate_step_model(grid, dt=1.0)
-    _, alloc = dynamic_allocation(
-        np.array([20.0, 25.0]), grid.demands, model, 5, None, 1.0
-    )
-    b_ces = sum(
-        ces.ces_allocation(p, ces.MicrogridSpec(demand=d, gbm=g), 0.0, 5.0, 1.0).b_hat
-        for p, d, g in zip((20.0, 25.0), grid.demands, grid.params)
-    )
-    return float(100.0 * (1.0 - alloc.b / b_ces))
 
 
 def check_tes_mc_agreement(seed: int = 31) -> CheckResult:

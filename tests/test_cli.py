@@ -220,6 +220,15 @@ class TestSimulate:
         assert "n_resamples must be >= 1" in proc.stderr
         assert not (out / "results.csv").exists()
 
+    def test_unknown_config_keys_exit_2(self, tmp_path):
+        config = tmp_path / "typo.cfg"
+        config.write_text(DEMO_CFG + "n_resample = 5\ncase_filtr = ge, lt\n")
+        out = tmp_path / "out"
+        proc = run_cli("simulate", str(config), "--out", str(out))
+        assert proc.returncode == 2
+        assert "config has unknown keys: n_resample, case_filtr" in proc.stderr
+        assert not (out / "results.csv").exists()
+
     @pytest.mark.parametrize("case", ["ge", "ge,lt,ge"])
     def test_case_filter_length_mismatch_exit_2(self, demo_config, tmp_path, case):
         out = tmp_path / "out"
@@ -229,6 +238,16 @@ class TestSimulate:
         assert proc.returncode == 2
         assert "one 'ge' or 'lt' entry per microgrid (2)" in proc.stderr
         assert not (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "allocate"])
+def test_missing_config_file_exit_2(tmp_path, command):
+    options = {"simulate": ["--out", str(tmp_path / "out")], "allocate": ["--mode", "ces"]}
+    proc = run_cli(command, str(tmp_path / "absent.cfg"), *options[command])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "absent.cfg" in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 class TestValidate:

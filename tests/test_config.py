@@ -71,14 +71,24 @@ def test_mismatched_lengths(tmp_path):
         load_scenario_config(write(tmp_path, broken))
 
 
+def test_unknown_keys_rejected(tmp_path):
+    text = DEMO + "n_resample = 5\ncase_filtr = ge, lt\n"
+    with pytest.raises(ValueError, match="config has unknown keys: n_resample, case_filtr$"):
+        load_scenario_config(write(tmp_path, text))
+
+
 def test_snapshot_round_trips_through_config_format(tmp_path):
-    config = load_scenario_config(write(tmp_path, DEMO))
+    text = DEMO + "n_resamples = 321\nmax_simulated_paths = 54321\ncase_filter = lt, ge\n"
+    config = load_scenario_config(write(tmp_path, text))
     snap = config_snapshot(config)
     text = "\n".join(f"{key} = {value}" for key, value in snap.items())
     config2 = load_scenario_config(write(tmp_path, text, name="snap.cfg"))
     assert config2.seed == config.seed
     assert np.allclose(config2.grid.corr.rho, config.grid.corr.rho)
     assert config2.n_paths == config.n_paths
+    assert config2.n_resamples == config.n_resamples == 321
+    assert config2.max_simulated_paths == config.max_simulated_paths == 54321
+    assert config2.case_filter == config.case_filter == ("lt", "ge")
 
 
 def test_manifest_contents(tmp_path):

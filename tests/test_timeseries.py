@@ -90,6 +90,43 @@ def test_window_skips_overnight_gap(tmp_path):
     assert np.allclose(returns, np.diff(np.log(inside)))
 
 
+def test_window_returns_never_straddle_midnight(tmp_path):
+    # three uniform hourly days; 22:00-02:00 is outside the 09:00-17:00 window
+    values = list(np.linspace(10, 81, 72))
+    rows = [
+        f"2020-06-{1 + h // 24:02d}T{h % 24:02d}:00:00,{value}" for h, value in enumerate(values)
+    ]
+    series = load_power_csv(write_csv(tmp_path, rows))
+    returns = window_log_returns(series, (parse_clock("09:00"), parse_clock("17:00")))
+    want = np.concatenate(
+        [np.diff(np.log(series.values[24 * day + 9 : 24 * day + 18])) for day in range(3)]
+    )
+    assert returns.size == 3 * 8
+    assert np.array_equal(returns, want)
+
+
+def test_window_covering_midnight_keeps_overnight_returns(tmp_path):
+    # every sample is in 00:00-23:59, so the 23:00 -> 00:00 pairs count too
+    rows = [f"2020-06-{1 + h // 24:02d}T{h % 24:02d}:00:00,{20 + h}" for h in range(48)]
+    series = load_power_csv(write_csv(tmp_path, rows))
+    returns = window_log_returns(series, (parse_clock("00:00"), parse_clock("23:59")))
+    assert np.array_equal(returns, np.diff(np.log(series.values)))
+
+
+def test_non_positive_value_inside_window_rejected(tmp_path):
+    values = [20, 21, 0, 23, 24, 25]
+    series = load_power_csv(write_csv(tmp_path, five_min_rows(1, 10, 6, values)))
+    with pytest.raises(MalformedSeries, match="non-positive"):
+        window_log_returns(series, (parse_clock("10:00"), parse_clock("10:25")))
+
+
+def test_non_positive_value_outside_window_ignored(tmp_path):
+    values = [-1, 0, 22, 23, 24, 25]
+    series = load_power_csv(write_csv(tmp_path, five_min_rows(1, 10, 6, values)))
+    returns = window_log_returns(series, (parse_clock("10:10"), parse_clock("10:25")))
+    assert np.array_equal(returns, np.diff(np.log([22.0, 23.0, 24.0, 25.0])))
+
+
 def test_window_none_uses_all(tmp_path):
     rows = five_min_rows(1, 10, 5, [20, 21, 22, 23, 24])
     series = load_power_csv(write_csv(tmp_path, rows))
