@@ -6,7 +6,7 @@ operation has a closed-form hedge (``ces``); pooled operation is valued and
 allocated on a moment-matched multi-asset lattice (``lattice``); ``scenario``
 reproduces hourly-rebalancing case studies and their statistics.
 """
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .ces import (
     CesAllocation,

@@ -97,6 +97,11 @@ class ScenarioConfig:
         for name in ("rebalance_steps", "n_paths", "n_resamples", "max_simulated_paths"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.max_simulated_paths < self.n_paths:
+            raise ValueError(
+                f"max_simulated_paths ({self.max_simulated_paths}) must be >= n_paths "
+                f"({self.n_paths}): fewer simulated paths can never yield n_paths kept paths"
+            )
         if not np.all(np.isfinite(self.initial_kw) & (self.initial_kw > 0)):
             raise ValueError(f"initial_kw must be finite and > 0, got {self.initial_kw}")
         if self.initial_kw.shape != (self.grid.n_microgrids,):
@@ -160,8 +165,9 @@ def _collect_paths(config: ScenarioConfig):
 
     Each path gets one integer case code whose bit (n-1-i) is set iff grid i
     ends at or above its demand.  The code selects the filtered case and is
-    tallied over every simulated path.  Returns the first n_paths kept paths
-    and the tally keyed by case labels such as "ge,lt".
+    tallied over every simulated path.  Blocks hold ``take`` paths, except a
+    last block cut short at max_simulated_paths.  Returns the first n_paths
+    kept paths and the tally keyed by case labels such as "ge,lt".
     """
     grid = config.grid
     bits = 1 << np.arange(grid.n_microgrids - 1, -1, -1)
@@ -184,11 +190,11 @@ def _collect_paths(config: ScenarioConfig):
             config.initial_kw,
             horizon=config.horizon_hours,
             n_steps=config.rebalance_steps,
-            n_paths=take,
+            n_paths=min(take, config.max_simulated_paths - examined),
             seed=derive_seed(config.seed, "paths", examined // take),
             measure="physical",
         ).values
-        examined += take
+        examined += values.shape[0]
         codes = (values[:, -1, :] >= grid.demands) @ bits
         tally += np.bincount(codes, minlength=tally.size)
         if wanted is not None:
@@ -220,9 +226,8 @@ def _bootstrap_time_metrics(samples, n_resamples, seed):
     """
     names = list(samples)
     n_times = samples[names[0]].shape[1]
-    rng = np.random.Generator(np.random.Philox(key=seed))
     stacked = np.hstack([samples[name] for name in names])
-    resampled = resampled_means(stacked, n_resamples, rng)
+    resampled = resampled_means(stacked, n_resamples, seed)
     means = exact_column_means(stacked)
     points = {name: means[i * n_times : (i + 1) * n_times] for i, name in enumerate(names)}
     draws = {name: resampled[:, i * n_times : (i + 1) * n_times] for i, name in enumerate(names)}

@@ -229,6 +229,13 @@ class TestSimulate:
         assert "config has unknown keys: n_resample, case_filtr" in proc.stderr
         assert not (out / "results.csv").exists()
 
+    def test_paths_above_cap_exit_2(self, demo_config, tmp_path):
+        out = tmp_path / "out"
+        proc = run_cli("simulate", str(demo_config), "--paths", "40001", "--out", str(out))
+        assert proc.returncode == 2
+        assert "max_simulated_paths (40000) must be >= n_paths (40001)" in proc.stderr
+        assert not (out / "results.csv").exists()
+
     @pytest.mark.parametrize("case", ["ge", "ge,lt,ge"])
     def test_case_filter_length_mismatch_exit_2(self, demo_config, tmp_path, case):
         out = tmp_path / "out"

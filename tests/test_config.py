@@ -119,6 +119,12 @@ def test_non_finite_numbers_rejected(tmp_path, key, value, bad):
         load_scenario_config(write(tmp_path, text))
 
 
+def test_cap_below_n_paths_rejected(tmp_path):
+    # the demo keeps 10000 paths, which 9999 simulated paths can never give
+    with pytest.raises(ValueError, match=r"max_simulated_paths \(9999\) must be >= n_paths \(10000\)"):
+        load_scenario_config(write(tmp_path, DEMO + "max_simulated_paths = 9999\n"))
+
+
 @pytest.mark.parametrize("key", ["n_resamples", "max_simulated_paths"])
 def test_counts_below_one_rejected(tmp_path, key):
     # n_resamples = 0 used to reach np.quantile and die with an IndexError

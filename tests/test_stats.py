@@ -150,16 +150,18 @@ def philox(seed):
 
 
 class TestResampledMeans:
-    def test_matches_gathered_means(self):
-        x = 20.0 + 3.0 * philox(21).standard_normal((1_000, 5))
-        got = stats.resampled_means(x, 300, philox(4))
-        idx = philox(4).integers(0, x.shape[0], size=(300, x.shape[0]))
+    # m = 257 is odd, so consecutive draws share a 64-bit word
+    @pytest.mark.parametrize("m", [1, 2, 257, 1_000])
+    def test_matches_gathered_means(self, m):
+        x = 20.0 + 3.0 * philox(21).standard_normal((m, 5))
+        got = stats.resampled_means(x, 300, 4)
+        idx = np.random.Generator(np.random.SFC64(4)).integers(0, m, size=(300, m))
         want = np.stack([x[idx, j].mean(axis=1) for j in range(x.shape[1])], axis=1)
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
 
     def test_constant_columns_are_exact(self):
         x = np.column_stack([np.full(10_000, 0.1), np.full(10_000, 25 / 3)])
-        means = stats.resampled_means(x, 400, philox(8))
+        means = stats.resampled_means(x, 400, 8)
         for j in range(x.shape[1]):
             lo, hi = np.quantile(means[:, j], [0.025, 0.975])
             assert lo == hi
@@ -169,35 +171,50 @@ class TestResampledMeans:
         constants = [np.full(10_000, 0.1), np.full(10_000, 25 / 3)]
         x = np.column_stack(constants + [philox(4).exponential(size=10_000)])
         means = stats.exact_column_means(x)
-        resampled = stats.resampled_means(x, 50, philox(8))
+        resampled = stats.resampled_means(x, 50, 8)
         assert np.all(resampled[:, :2] == means[:2])
         correctly_rounded = [math.fsum(column) / column.size for column in x.T]
         np.testing.assert_allclose(means, correctly_rounded, rtol=1e-15, atol=0)
         ci = gh.bootstrap_ci(x[:, 0], n_resamples=200, seed=2)
         assert ci.lo == ci.hi == ci.mean
 
+    def test_all_constant_columns_draw_nothing(self, monkeypatch):
+        monkeypatch.setattr(stats, "_RowIndices", None)  # a draw would raise
+        for x in (np.full((1, 3), 2.5), np.column_stack([np.full(100, 0.1), np.full(100, 7.0)])):
+            means = stats.resampled_means(x, 120, 3)
+            assert np.all(means == stats.exact_column_means(x))
+
+    @pytest.mark.parametrize("m", [2**31 + 12_345, 3 * 2**30 + 1])
+    def test_row_indices_match_generator_integers(self, m):
+        # about half and a quarter of all half-words are rejected at these m
+        sizes = [1, 3, 7, 101, 999, 5, 1]
+        indices = stats._RowIndices(17, m)
+        got = np.concatenate([indices.draw(n) for n in sizes])
+        want = np.random.Generator(np.random.SFC64(17)).integers(0, m, size=sum(sizes))
+        np.testing.assert_array_equal(got, want)
+
     def test_independent_of_block_size(self, monkeypatch):
         x = philox(13).exponential(size=(257, 3)) * np.array([1.0, 1e-3, 1e4])
         results = []
         for rows in (1, 7, 150):
             monkeypatch.setattr(stats, "RESAMPLE_BLOCK_ELEMENTS", rows * x.shape[0])
-            results.append(stats.resampled_means(x, 150, philox(6)).tobytes())
+            results.append(stats.resampled_means(x, 150, 6).tobytes())
         assert results[0] == results[1] == results[2]
 
     @pytest.mark.parametrize("draw_rows", [1, 3, 150])
     @pytest.mark.parametrize("block_rows", [1, 7, 150])
     def test_independent_of_draw_size(self, monkeypatch, block_rows, draw_rows):
         x = philox(13).exponential(size=(257, 3)) * np.array([1.0, 1e-3, 1e4])
-        want = stats.resampled_means(x, 150, philox(6)).tobytes()
+        want = stats.resampled_means(x, 150, 6).tobytes()
         monkeypatch.setattr(stats, "RESAMPLE_BLOCK_ELEMENTS", block_rows * x.shape[0])
         monkeypatch.setattr(stats, "_DRAW_ELEMENTS", draw_rows * x.shape[0])
-        assert stats.resampled_means(x, 150, philox(6)).tobytes() == want
+        assert stats.resampled_means(x, 150, 6).tobytes() == want
 
     def test_working_memory_is_one_count_block(self):
         x = philox(3).standard_normal((10_000, 24))
         tracemalloc.start()
         try:
-            stats.resampled_means(x, 1_000, philox(5))
+            stats.resampled_means(x, 1_000, 5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
