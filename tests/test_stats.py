@@ -180,7 +180,9 @@ class TestResampledMeans:
 
     def test_all_constant_columns_draw_nothing(self, monkeypatch):
         monkeypatch.setattr(stats, "_RowIndices", None)  # a draw would raise
-        for x in (np.full((1, 3), 2.5), np.column_stack([np.full(100, 0.1), np.full(100, 7.0)])):
+        # the exact mean of 100 copies of 11.038066690348302 is one ulp below it
+        columns = np.column_stack([np.full(100, 0.1), np.full(100, 11.038066690348302)])
+        for x in (np.full((1, 3), 2.5), columns):
             means = stats.resampled_means(x, 120, 3)
             assert np.all(means == stats.exact_column_means(x))
 

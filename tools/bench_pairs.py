@@ -6,8 +6,8 @@ Usage, from the root of a checkout::
 
 The base revision is exported with ``git archive`` into a temporary
 directory.  The change is the checkout this script lives in, or another
-revision exported the same way (``--change REV``).  For each workload the
-script runs ``--pairs`` pairs of ``perfbench/run.py --trace 0``, one on
+revision exported the same way (``--change REV``).  For each workload in
+BENCHMARK.json the script runs ``--pairs`` pairs of ``perfbench/run.py --trace 0``, one on
 each side, one process at a time.  Pair i uses seed ``--seed`` + i, and the
 side that runs first alternates from pair to pair, so drift on the host
 falls on both sides alike.
@@ -28,7 +28,6 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("case_study", "deep_lattice", "cli_calls")
 
 
 def git(*args, cwd=ROOT) -> str:
@@ -91,8 +90,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    parser.add_argument("--workload", action="append", choices=WORKLOADS,
-                        help="repeat to select several (default: all)")
     args = parser.parse_args(argv)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -110,7 +107,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         roots = {"base": export(args.base, Path(tmp) / "base")}
         roots["change"] = export(args.change, Path(tmp) / "change") if args.change else ROOT
-        for workload in args.workload or WORKLOADS:
+        for workload in (entry["name"] for entry in benchmark["workloads"]):
             runs, seeds, first = [], [], []
             for i in range(args.pairs):
                 seed = args.seed + i
