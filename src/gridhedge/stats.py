@@ -126,60 +126,18 @@ def exact_column_means(x) -> np.ndarray:
     return _count_means(np.ones((1, m)), _exact_parts(x, m))[0]
 
 
-class _RowIndices:
-    """Uniform row indices in [0, m) from one SFC64 stream, drawn n at a time.
-
-    Successive ``draw`` calls return, in order, exactly the indices of one
-    ``Generator(SFC64(seed)).integers(0, m, size)`` call whose size is their
-    total.  That is numpy's bounded draw (Lemire, "Fast Random Integer
-    Generation in an Interval", 2019), taken one vector step per draw: each
-    64-bit word gives two 32-bit half-words, low half first, and half-word u
-    gives index (u * m) >> 32 unless the low 32 bits of u * m fall below
-    2**32 % m; numpy then rejects u and tries the next half-word.  A half-word
-    left over by one draw starts the next.  Needs 1 <= m <= 2**32.
-    """
-
-    def __init__(self, seed, m: int):
-        self._bits = np.random.SFC64(seed)
-        self._m = np.uint64(m)
-        self._threshold = (1 << 32) % m
-        self._spare = np.empty(0, dtype=np.uint32)
-
-    def _half_words(self, n: int) -> np.ndarray:
-        words = self._bits.random_raw((n - self._spare.size + 1) // 2)
-        half = words.astype("<u8", copy=False).view("<u4")
-        if self._spare.size:
-            half = np.concatenate((self._spare, half))
-        self._spare = half[n:].copy()
-        return half[:n]
-
-    def draw(self, n: int) -> np.ndarray:
-        """The next n indices, as int64."""
-        parts = []
-        while n:
-            product = self._half_words(n).astype(np.uint64)
-            product *= self._m
-            low = product.astype(np.uint32)
-            product >>= 32
-            if self._threshold and low.min() < self._threshold:
-                product = product[low >= self._threshold]
-            parts.append(product.view(np.int64))
-            n -= product.size
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
 def resampled_means(x, n_resamples: int, seed) -> np.ndarray:
     """Column means of n_resamples bootstrap resamples of the rows of x.
 
     x is (m, k); the result is (n_resamples, k).  Resample r takes its m row
     indices from row r of ``Generator(SFC64(seed)).integers(0, m,
-    size=(n_resamples, m))``, drawn by ``_RowIndices`` a few rows at a time.
-    Each draw is counted per row with one ``bincount`` and written into one
-    reused float count block, and the means are a BLAS product of each block
-    with the columns.  Draws of consecutive rows use up the stream exactly as
-    one draw of all rows does, and the product is exact (see
-    ``_exact_parts``), so the means are bit-identical whatever the block
-    size, draw size, BLAS kernel or thread count.
+    size=(n_resamples, m))``, drawn a few rows at a time.  Each draw is
+    counted per row with one ``bincount`` and written into one reused float
+    count block, and the means are a BLAS product of each block with the
+    columns.  Draws of consecutive rows use up the stream exactly as one draw
+    of all rows does, and the product is exact (see ``_exact_parts``), so the
+    means are bit-identical whatever the block size, draw size, BLAS kernel
+    or thread count.
 
     A column that is constant over the rows has the same mean in every
     resample, ``exact_column_means`` of it, which is what the count product
@@ -195,7 +153,7 @@ def resampled_means(x, n_resamples: int, seed) -> np.ndarray:
     if varying.size == 0:
         return means
     parts = _exact_parts(x[:, varying], m)
-    indices = _RowIndices(seed, m)
+    rng = np.random.Generator(np.random.SFC64(seed))
     block = max(1, RESAMPLE_BLOCK_ELEMENTS // m)
     draw = max(1, _DRAW_ELEMENTS // m)
     counts = np.empty((min(block, n_resamples), m))
@@ -204,7 +162,7 @@ def resampled_means(x, n_resamples: int, seed) -> np.ndarray:
         take = min(block, n_resamples - start)
         for lo in range(0, take, draw):
             rows = min(draw, take - lo)
-            idx = indices.draw(rows * m).reshape(rows, m)
+            idx = rng.integers(0, m, size=(rows, m))
             idx += offsets[:rows]
             counts[lo : lo + rows] = np.bincount(idx.ravel(), minlength=rows * m).reshape(rows, m)
         means[start : start + take, varying] = _count_means(counts[:take], parts)

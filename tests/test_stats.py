@@ -179,21 +179,12 @@ class TestResampledMeans:
         assert ci.lo == ci.hi == ci.mean
 
     def test_all_constant_columns_draw_nothing(self, monkeypatch):
-        monkeypatch.setattr(stats, "_RowIndices", None)  # a draw would raise
+        monkeypatch.setattr(np.random, "SFC64", None)  # a draw would raise
         # the exact mean of 100 copies of 11.038066690348302 is one ulp below it
         columns = np.column_stack([np.full(100, 0.1), np.full(100, 11.038066690348302)])
         for x in (np.full((1, 3), 2.5), columns):
             means = stats.resampled_means(x, 120, 3)
             assert np.all(means == stats.exact_column_means(x))
-
-    @pytest.mark.parametrize("m", [2**31 + 12_345, 3 * 2**30 + 1])
-    def test_row_indices_match_generator_integers(self, m):
-        # about half and a quarter of all half-words are rejected at these m
-        sizes = [1, 3, 7, 101, 999, 5, 1]
-        indices = stats._RowIndices(17, m)
-        got = np.concatenate([indices.draw(n) for n in sizes])
-        want = np.random.Generator(np.random.SFC64(17)).integers(0, m, size=sum(sizes))
-        np.testing.assert_array_equal(got, want)
 
     def test_independent_of_block_size(self, monkeypatch):
         x = philox(13).exponential(size=(257, 3)) * np.array([1.0, 1e-3, 1e4])

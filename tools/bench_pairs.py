@@ -2,15 +2,14 @@
 
 Usage, from the root of a checkout::
 
-    python3 tools/bench_pairs.py --base c6d8b54 --out BENCH_11.json
+    python3 tools/bench_pairs.py --base c6d8b54 --change dc5a245 --seed 101 --out BENCH_11.json
 
-The base revision is exported with ``git archive`` into a temporary
-directory.  The change is the checkout this script lives in, or another
-revision exported the same way (``--change REV``).  For each workload in
-BENCHMARK.json the script runs ``--pairs`` pairs of ``perfbench/run.py --trace 0``, one on
-each side, one process at a time.  Pair i uses seed ``--seed`` + i, and the
-side that runs first alternates from pair to pair, so drift on the host
-falls on both sides alike.
+Both revisions are exported with ``git archive`` into a temporary
+directory.  For each workload in BENCHMARK.json the script runs ``PAIRS``
+pairs of ``perfbench/run.py --trace 0``, one on each side, one process at a
+time.  Pair i uses seed ``--seed`` + i, and the side that runs first
+alternates from pair to pair, so drift on the host falls on both sides
+alike.
 
 For each end-to-end metric the output holds both sides' per-pair values,
 their medians and interquartile ranges, and the number of pairs the change
@@ -28,6 +27,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# Pairs per workload: the fewest from which a gain may be claimed.
+PAIRS = 10
 
 
 def git(*args, cwd=ROOT) -> str:
@@ -86,10 +88,9 @@ def summarise(runs, directions) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="base git revision")
-    parser.add_argument("--change", help="change git revision (default: this checkout)")
+    parser.add_argument("--change", required=True, help="change git revision")
+    parser.add_argument("--seed", required=True, type=int, help="seed of the first pair")
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     args = parser.parse_args(argv)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -98,18 +99,16 @@ def main(argv=None) -> int:
     report = {
         "command": f"perfbench/run.py --seconds {seconds} --trace 0",
         "base": {"rev": args.base, "commit": git("rev-parse", args.base)},
-        "change": {"rev": args.change or "checkout",
-                   "commit": git("rev-parse", args.change or "HEAD"),
-                   "dirty": args.change is None and bool(git("status", "--porcelain"))},
-        "pairs": args.pairs,
+        "change": {"rev": args.change, "commit": git("rev-parse", args.change)},
+        "pairs": PAIRS,
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        roots = {"base": export(args.base, Path(tmp) / "base")}
-        roots["change"] = export(args.change, Path(tmp) / "change") if args.change else ROOT
+        roots = {side: export(rev, Path(tmp) / side)
+                 for side, rev in (("base", args.base), ("change", args.change))}
         for workload in (entry["name"] for entry in benchmark["workloads"]):
             runs, seeds, first = [], [], []
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 seed = args.seed + i
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 pair = {}
