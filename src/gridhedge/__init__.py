@@ -32,22 +32,15 @@ from .grid import GridEnsemble
 from .lattice import (
     Allocation,
     LatticeStepModel,
-    TreeNode,
-    backpropagate,
     calibrate_step_model,
-    compute_resources,
     dynamic_allocation,
-    forward_propagate,
     moment_residuals,
-    replicate_internal,
-    tes_terminal_payoff,
     tes_value_mc,
 )
 from .scenario import (
     CaseResult,
     ScenarioConfig,
     battery_savings,
-    classify_terminal,
     run_case_study,
     write_results_csv,
 )
@@ -76,8 +69,6 @@ __all__ = [
     "PathEnsemble",
     "PowerSeries",
     "ScenarioConfig",
-    "TreeNode",
-    "backpropagate",
     "battery_savings",
     "bootstrap_ci",
     "calibrate_step_model",
@@ -86,11 +77,8 @@ __all__ = [
     "ces_total_battery",
     "chi_square_gof",
     "cholesky_factor",
-    "classify_terminal",
-    "compute_resources",
     "dynamic_allocation",
     "estimate_gbm_mle",
-    "forward_propagate",
     "gbm_mle_from_returns",
     "hedge_backtest",
     "ks_critical_value",
@@ -98,11 +86,9 @@ __all__ = [
     "ks_two_sample",
     "load_power_csv",
     "moment_residuals",
-    "replicate_internal",
     "run_case_study",
     "simulate_paths",
     "terminal_payoff_ces",
-    "tes_terminal_payoff",
     "tes_value_mc",
     "window_log_returns",
     "write_results_csv",

@@ -76,11 +76,7 @@ class InfeasibleCalibration(GridHedgeError):
 
 
 class TreeTooLarge(GridHedgeError):
-    """Forward propagation would exceed the configured node budget."""
-
-
-class MalformedTree(GridHedgeError):
-    """Leaves do not form a complete tree produced by forward propagation."""
+    """A lattice's terminal grid would exceed the node budget."""
 
 
 class MalformedSeries(GridHedgeError):

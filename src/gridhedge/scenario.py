@@ -40,15 +40,6 @@ def derive_seed(root_seed: int, *path) -> int:
     return out
 
 
-def classify_terminal(path, d_c):
-    """Comparator tuple, one entry per microgrid: 'ge' iff P(T_f) >= D."""
-    values = np.asarray(path, dtype=float)
-    terminal = values[-1] if values.ndim == 2 else values
-    return tuple(
-        CASE_GE if p >= d else CASE_LT for p, d in zip(terminal, d_c, strict=True)
-    )
-
-
 def format_case(label) -> str:
     return ",".join(label)
 

@@ -81,9 +81,7 @@ def check_lattice_convergence() -> CheckResult:
         battery_unit_kw=1.0,
     )
     model = calibrate_step_model(grid, dt=5.0 / 200)
-    value, _ = dynamic_allocation(
-        np.array([20.0]), grid.demands, model, 200, None, 1.0, engine="recombining"
-    )
+    value, _ = dynamic_allocation(np.array([20.0]), grid.demands, model, 200, None, 1.0)
     want = ces.ces_portfolio_value(20.0, spec, 0.0, 5.0)
     rel = abs(value - want) / want
     return CheckResult(

@@ -16,10 +16,11 @@ import numpy as np
 import pytest
 
 import gridhedge as gh
-from gridhedge.lattice import tree_levels
 from gridhedge.scenario import derive_seed
 
+import reference_tree
 from conftest import record_criterion
+from reference_tree import tree_levels
 
 mpmath.mp.dps = 30
 
@@ -94,7 +95,7 @@ def test_criterion_2_lattice_convergence():
     start = time.perf_counter()
     model = gh.calibrate_step_model(grid, 5.0 / 200)
     v200, _ = gh.dynamic_allocation(
-        np.array([20.0]), grid.demands, model, 200, None, 1.0, engine="recombining"
+        np.array([20.0]), grid.demands, model, 200, None, 1.0
     )
     fast_elapsed = time.perf_counter() - start
     rel200 = abs(v200 - want) / want
@@ -103,8 +104,8 @@ def test_criterion_2_lattice_convergence():
     tree_values = {}
     for n in (8, 16):
         model = gh.calibrate_step_model(grid, 5.0 / n)
-        tree_values[n], _ = gh.dynamic_allocation(
-            np.array([20.0]), grid.demands, model, n, None, 1.0, engine="tree"
+        tree_values[n], _ = reference_tree.tree_allocation(
+            np.array([20.0]), grid.demands, model, n, None, 1.0
         )
     extrapolated = 2 * tree_values[16] - tree_values[8]  # kills the O(1/N) term
     tree_elapsed = time.perf_counter() - start
@@ -366,8 +367,8 @@ def test_criterion_9_property_suites():
             battery_unit_kw=1.0,
         )
         model = gh.calibrate_step_model(grid, 1.0)
-        leaves = gh.forward_propagate(root, model, 3)
-        pooled, _ = gh.backpropagate(leaves, demands)
+        leaves = reference_tree.forward_propagate(root, model, 3)
+        pooled, _ = reference_tree.backpropagate(leaves, demands)
         separate = sum(
             leaf.path_prob
             * sum(max(demands[i] - leaf.pg[i], 0.0) for i in range(2))
@@ -389,9 +390,9 @@ def test_criterion_9_property_suites():
         demand = rng.uniform(10.0, 40.0)
         grid = single_grid(sigma=sigma, demand=demand)
         model = gh.calibrate_step_model(grid, 1.0)
-        leaves = gh.forward_propagate(np.array([demand * rng.uniform(0.9, 1.1)]), model, 4)
-        gh.backpropagate(leaves, grid.demands)
-        for _, alloc in gh.replicate_internal(leaves, 1.0):
+        leaves = reference_tree.forward_propagate(np.array([demand * rng.uniform(0.9, 1.1)]), model, 4)
+        reference_tree.backpropagate(leaves, grid.demands)
+        for _, alloc in reference_tree.replicate_internal(leaves, 1.0):
             replication_ok = replication_ok and alloc.residual <= 1e-10
 
     # seed determinism across 100 seeds

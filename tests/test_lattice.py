@@ -17,12 +17,13 @@ import gridhedge as gh
 from gridhedge.errors import (
     InfeasibleCalibration,
     LengthMismatch,
-    MalformedTree,
     RankDeficientWarning,
     TimeOutOfRange,
     TreeTooLarge,
 )
-from gridhedge.lattice import tree_levels
+
+import reference_tree
+from reference_tree import MalformedTree, tree_levels
 
 # the (state, value) pair compute_resources reads from a first-level node
 Node = namedtuple("Node", "pg value")
@@ -173,25 +174,25 @@ class TestCalibration:
 class TestForwardPropagation:
     def test_zero_steps_single_root(self):
         model = gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 1.0)
-        leaves = gh.forward_propagate(np.array([20.0, 25.0]), model, 0)
+        leaves = reference_tree.forward_propagate(np.array([20.0, 25.0]), model, 0)
         assert len(leaves) == 1
         assert leaves[0].path_prob == 1.0
         assert leaves[0].node_id == 0
 
     def test_two_steps_sixteen_leaves(self):
         model = gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 1.0)
-        leaves = gh.forward_propagate(np.array([20.0, 25.0]), model, 2)
+        leaves = reference_tree.forward_propagate(np.array([20.0, 25.0]), model, 2)
         assert len(leaves) == 16
 
     def test_probability_conservation(self):
         model = gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 1.0)
-        leaves = gh.forward_propagate(np.array([20.0, 25.0]), model, 5)
+        leaves = reference_tree.forward_propagate(np.array([20.0, 25.0]), model, 5)
         total = sum(leaf.path_prob for leaf in leaves)
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_ids_unique_and_scheme(self):
         model = gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 1.0)
-        leaves = gh.forward_propagate(np.array([20.0, 25.0]), model, 3)
+        leaves = reference_tree.forward_propagate(np.array([20.0, 25.0]), model, 3)
         ids = set()
         for leaf in leaves:
             node = leaf
@@ -205,7 +206,7 @@ class TestForwardPropagation:
 
     def test_child_states_follow_branch_matrix(self):
         model = gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 1.0)
-        leaves = gh.forward_propagate(np.array([20.0, 25.0]), model, 1)
+        leaves = reference_tree.forward_propagate(np.array([20.0, 25.0]), model, 1)
         root = leaves[0].parent
         for k, child in enumerate(root.children):
             assert np.allclose(child.pg, root.pg * model.branch_matrix[k])
@@ -215,12 +216,12 @@ class TestForwardPropagation:
     def test_node_budget(self):
         model = gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 1.0)
         with pytest.raises(TreeTooLarge):
-            gh.forward_propagate(np.array([20.0, 25.0]), model, 20, max_nodes=10_000)
+            reference_tree.forward_propagate(np.array([20.0, 25.0]), model, 20, max_nodes=10_000)
 
     def test_recombination_consistency(self):
         # equal per-asset up-counts imply equal states (u*d = 1)
         model = gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 1.0)
-        leaves = gh.forward_propagate(np.array([20.0, 25.0]), model, 4)
+        leaves = reference_tree.forward_propagate(np.array([20.0, 25.0]), model, 4)
         buckets = {}
         for leaf in leaves:
             ups = [0, 0]
@@ -240,41 +241,41 @@ class TestForwardPropagation:
 
 class TestTerminalPayoff:
     def test_netting_cases(self):
-        assert gh.tes_terminal_payoff([25.0, 30.0], [20.0, 25.0]) == 0.0
+        assert reference_tree.tes_terminal_payoff([25.0, 30.0], [20.0, 25.0]) == 0.0
         # surplus of grid 1 offsets part of grid 2's deficit
-        assert gh.tes_terminal_payoff([25.0, 18.0], [20.0, 25.0]) == pytest.approx(2.0)
-        assert gh.tes_terminal_payoff([15.0, 20.0], [20.0, 25.0]) == pytest.approx(10.0)
+        assert reference_tree.tes_terminal_payoff([25.0, 18.0], [20.0, 25.0]) == pytest.approx(2.0)
+        assert reference_tree.tes_terminal_payoff([15.0, 20.0], [20.0, 25.0]) == pytest.approx(10.0)
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            gh.tes_terminal_payoff([25.0, 30.0], [20.0])
+            reference_tree.tes_terminal_payoff([25.0, 30.0], [20.0])
 
 
 class TestBackpropagation:
     def make_tree(self, n_steps=3, demands=(20.0, 25.0)):
         model = gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6,
                                                   demands=np.array(demands)), 1.0)
-        leaves = gh.forward_propagate(np.array([20.0, 25.0]), model, n_steps)
+        leaves = reference_tree.forward_propagate(np.array([20.0, 25.0]), model, n_steps)
         return model, leaves
 
     def test_zero_payoffs_propagate_zero(self):
         model, leaves = self.make_tree(demands=(1.0, 1.0))
-        value, first = gh.backpropagate(leaves, np.array([1.0, 1.0]))
+        value, first = reference_tree.backpropagate(leaves, np.array([1.0, 1.0]))
         assert value == 0.0
         assert len(first) == 4
 
     def test_tower_property(self):
         model, leaves = self.make_tree()
-        value, _ = gh.backpropagate(leaves, np.array([20.0, 25.0]))
+        value, _ = reference_tree.backpropagate(leaves, np.array([20.0, 25.0]))
         direct = sum(
-            leaf.path_prob * gh.tes_terminal_payoff(leaf.pg, [20.0, 25.0])
+            leaf.path_prob * reference_tree.tes_terminal_payoff(leaf.pg, [20.0, 25.0])
             for leaf in leaves
         )
         assert value == pytest.approx(direct, abs=1e-9)
 
     def test_martingale_identity_every_node(self):
         model, leaves = self.make_tree()
-        gh.backpropagate(leaves, np.array([20.0, 25.0]))
+        reference_tree.backpropagate(leaves, np.array([20.0, 25.0]))
         for level in tree_levels(leaves)[1:]:
             for node in level:
                 want = sum(c.hop_prob * c.value for c in node.children)
@@ -282,18 +283,18 @@ class TestBackpropagation:
 
     def test_zero_step_tree_returns_payoff(self):
         model, _ = self.make_tree()
-        leaves = gh.forward_propagate(np.array([18.0, 24.0]), model, 0)
-        value, first = gh.backpropagate(leaves, np.array([20.0, 25.0]))
+        leaves = reference_tree.forward_propagate(np.array([18.0, 24.0]), model, 0)
+        value, first = reference_tree.backpropagate(leaves, np.array([20.0, 25.0]))
         assert value == pytest.approx(3.0)
         assert first == leaves
 
     def test_malformed_tree_detected(self):
         model, leaves = self.make_tree(n_steps=2)
         with pytest.raises(MalformedTree):
-            gh.backpropagate(leaves[:-1], np.array([20.0, 25.0]))
+            reference_tree.backpropagate(leaves[:-1], np.array([20.0, 25.0]))
         mixed = leaves[:-1] + [leaves[-1].parent]
         with pytest.raises(MalformedTree):
-            gh.backpropagate(mixed, np.array([20.0, 25.0]))
+            reference_tree.backpropagate(mixed, np.array([20.0, 25.0]))
 
 
 class TestComputeResources:
@@ -302,7 +303,7 @@ class TestComputeResources:
             Node(pg=np.array([20.6]), value=0.0),
             Node(pg=np.array([19.4]), value=0.0),
         ]
-        alloc = gh.compute_resources(0.0, nodes, np.zeros(1), 1.0)
+        alloc = reference_tree.compute_resources(0.0, nodes, np.zeros(1), 1.0)
         assert alloc.a[0] == 0.0 and alloc.b == 0.0 and alloc.residual == 0.0
 
     def test_hand_solved_two_by_two(self):
@@ -311,7 +312,7 @@ class TestComputeResources:
             Node(pg=np.array([20.606]), value=0.0),
             Node(pg=np.array([19.412]), value=0.588),
         ]
-        alloc = gh.compute_resources(0.28, nodes, np.zeros(1), 1.0)
+        alloc = reference_tree.compute_resources(0.28, nodes, np.zeros(1), 1.0)
         a_want = (0.0 - 0.588) / (20.606 - 19.412)
         b_want = -a_want * 20.606
         assert alloc.a[0] == pytest.approx(a_want, abs=1e-12)
@@ -326,7 +327,7 @@ class TestComputeResources:
             pgs = rng.uniform(5.0, 40.0, size=(4, 2))
             values = rng.uniform(0.0, 10.0, size=4)
             nodes = [Node(pg=pgs[j], value=values[j]) for j in range(4)]
-            alloc = gh.compute_resources(values.mean(), nodes, np.zeros(2), 2.0)
+            alloc = reference_tree.compute_resources(values.mean(), nodes, np.zeros(2), 2.0)
             design = np.column_stack([pgs, np.full(4, 2.0)])
             want = np.linalg.solve(design.T @ design, design.T @ values)
             got = np.concatenate([alloc.a, [alloc.b]])
@@ -337,7 +338,7 @@ class TestComputeResources:
 
     def test_single_node_keeps_previous_weights(self):
         node = Node(pg=np.array([18.0, 24.0]), value=3.0)
-        alloc = gh.compute_resources(3.0, [node], np.array([-0.4, -0.5]), 2.0)
+        alloc = reference_tree.compute_resources(3.0, [node], np.array([-0.4, -0.5]), 2.0)
         assert np.allclose(alloc.a, [-0.4, -0.5])
         assert alloc.b == pytest.approx((3.0 - (-0.4 * 18.0 - 0.5 * 24.0)) / 2.0)
         assert alloc.residual == 0.0
@@ -345,7 +346,7 @@ class TestComputeResources:
     def test_rank_deficient_warns(self):
         nodes = [Node(pg=np.array([20.0, 25.0]), value=1.0) for _ in range(4)]
         with pytest.warns(RankDeficientWarning):
-            gh.compute_resources(1.0, nodes, np.zeros(2), 1.0)
+            reference_tree.compute_resources(1.0, nodes, np.zeros(2), 1.0)
 
 
 class TestEngines:
@@ -360,11 +361,11 @@ class TestEngines:
         model = gh.calibrate_step_model(grid, 1.0)
         root = np.array([20.0, 25.0, 15.0][:n])
         prev_a = np.array([-0.4, -0.5, -0.3][:n])
-        value_t, alloc_t = gh.dynamic_allocation(
-            root, demands, model, n_steps, prev_a, 1.0, engine="tree"
+        value_t, alloc_t = reference_tree.tree_allocation(
+            root, demands, model, n_steps, prev_a, 1.0
         )
         value_r, alloc_r = gh.dynamic_allocation(
-            root, demands, model, n_steps, prev_a, 1.0, engine="recombining"
+            root, demands, model, n_steps, prev_a, 1.0
         )
         assert value_t == pytest.approx(value_r, abs=1e-9)
         assert np.allclose(alloc_t.a, alloc_r.a, atol=1e-9)
@@ -373,12 +374,30 @@ class TestEngines:
 
     @pytest.mark.parametrize("engine", ["tree", "recombining"])
     def test_non_positive_root_or_battery_unit_rejected(self, engine):
+        allocate = {
+            "tree": reference_tree.tree_allocation,
+            "recombining": gh.dynamic_allocation,
+        }[engine]
         model = gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 1.0)
         demands = np.array([20.0, 25.0])
         with pytest.raises(ValueError, match="strictly positive"):
-            gh.dynamic_allocation(np.array([0.0, 25.0]), demands, model, 2, None, 1.0, engine=engine)
+            allocate(np.array([0.0, 25.0]), demands, model, 2, None, 1.0)
         with pytest.raises(ValueError, match="p_b must be > 0"):
-            gh.dynamic_allocation(demands, demands, model, 2, None, 0.0, engine=engine)
+            allocate(demands, demands, model, 2, None, 0.0)
+
+    @pytest.mark.parametrize(
+        "pg_now,d_c,prev_a,steps",
+        [
+            ([20.0, 25.0], [20.0, 20.0, 5.0], None, 2),  # one demand too many
+            ([20.0, 25.0], [20.0, 25.0], [-0.4], 0),  # one ReGU weight too few
+            ([20.0, 25.0, 15.0], [20.0, 25.0], None, 2),  # one root state too many
+        ],
+        ids=["d_c", "prev_a", "pg_now"],
+    )
+    def test_inputs_must_match_the_lattice(self, pg_now, d_c, prev_a, steps):
+        model = gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 1.0)
+        with pytest.raises(LengthMismatch, match="2 microgrids"):
+            gh.dynamic_allocation(pg_now, d_c, model, steps, prev_a, 1.0)
 
     def test_recombining_grid_budget_checked_before_allocation(self):
         grid = make_grid([0.03, 0.04, 0.05], 0.3, demands=np.array([20.0, 25.0, 15.0]))
@@ -396,9 +415,9 @@ class TestEngines:
     def test_single_asset_replication_exact_everywhere(self):
         grid = make_grid([0.03], demands=np.array([20.0]))
         model = gh.calibrate_step_model(grid, 1.0)
-        leaves = gh.forward_propagate(np.array([20.0]), model, 6)
-        gh.backpropagate(leaves, np.array([20.0]))
-        for node, alloc in gh.replicate_internal(leaves, 1.0):
+        leaves = reference_tree.forward_propagate(np.array([20.0]), model, 6)
+        reference_tree.backpropagate(leaves, np.array([20.0]))
+        for node, alloc in reference_tree.replicate_internal(leaves, 1.0):
             assert alloc.residual <= 1e-10
 
     def test_self_financing_across_transitions(self):
@@ -409,10 +428,10 @@ class TestEngines:
         def max_identity_defect(dt, n_steps):
             grid = make_grid([0.03], demands=np.array([20.0]))
             model = gh.calibrate_step_model(grid, dt)
-            leaves = gh.forward_propagate(np.array([20.0]), model, n_steps)
-            gh.backpropagate(leaves, np.array([20.0]))
+            leaves = reference_tree.forward_propagate(np.array([20.0]), model, n_steps)
+            reference_tree.backpropagate(leaves, np.array([20.0]))
             worst = 0.0
-            for node, alloc in gh.replicate_internal(leaves, 1.0):
+            for node, alloc in reference_tree.replicate_internal(leaves, 1.0):
                 for child in node.children:
                     held = float(alloc.a @ child.pg) + alloc.b * 1.0
                     assert abs(held - child.value) < 1e-10  # exact transition
@@ -449,8 +468,8 @@ class TestDominance:
             root = demands * rng.uniform(0.8, 1.25, size=2)
             grid = make_grid(sigmas, rho, demands=demands)
             model = gh.calibrate_step_model(grid, 1.0)
-            leaves = gh.forward_propagate(root, model, 3)
-            pooled, _ = gh.backpropagate(leaves, demands)
+            leaves = reference_tree.forward_propagate(root, model, 3)
+            pooled, _ = reference_tree.backpropagate(leaves, demands)
             separate = sum(
                 leaf.path_prob
                 * (max(demands[0] - leaf.pg[0], 0.0) + max(demands[1] - leaf.pg[1], 0.0))
@@ -490,7 +509,7 @@ class TestMonteCarloOracle:
         estimate, se = gh.tes_value_mc(
             demo_grid, np.array([18.0, 24.0]), 5.0 - 1e-9, 5.0, 20_000, 2
         )
-        payoff = gh.tes_terminal_payoff([18.0, 24.0], [20.0, 25.0])
+        payoff = reference_tree.tes_terminal_payoff([18.0, 24.0], [20.0, 25.0])
         assert estimate == pytest.approx(payoff, abs=1e-3)
         assert se < 1e-4
 

@@ -1,4 +1,5 @@
 """Case-study driver: classification, savings, aggregation, CSV output."""
+import inspect
 import tracemalloc
 from collections import Counter
 
@@ -17,6 +18,8 @@ from gridhedge.errors import (
 from gridhedge import scenario
 from gridhedge.lattice import RecombiningLattice
 from gridhedge.scenario import _batch_ces, _collect_paths, derive_seed, format_case, parse_case
+
+import reference_tree
 
 
 def make_config(demo_grid, **overrides):
@@ -37,16 +40,16 @@ def make_config(demo_grid, **overrides):
 class TestClassification:
     def test_examples(self):
         d = [20.0, 25.0]
-        assert gh.classify_terminal([22.0, 26.0], d) == ("ge", "ge")
-        assert gh.classify_terminal([22.0, 24.0], d) == ("ge", "lt")
-        assert gh.classify_terminal([19.0, 24.0], d) == ("lt", "lt")
+        assert reference_tree.classify_terminal([22.0, 26.0], d) == ("ge", "ge")
+        assert reference_tree.classify_terminal([22.0, 24.0], d) == ("ge", "lt")
+        assert reference_tree.classify_terminal([19.0, 24.0], d) == ("lt", "lt")
 
     def test_boundary_counts_as_surplus(self):
-        assert gh.classify_terminal([20.0, 25.0], [20.0, 25.0]) == ("ge", "ge")
+        assert reference_tree.classify_terminal([20.0, 25.0], [20.0, 25.0]) == ("ge", "ge")
 
     def test_accepts_full_path(self):
         path = np.array([[20.0, 25.0], [21.0, 24.0], [22.0, 26.0]])
-        assert gh.classify_terminal(path, [20.0, 25.0]) == ("ge", "ge")
+        assert reference_tree.classify_terminal(path, [20.0, 25.0]) == ("ge", "ge")
 
     def test_label_round_trip(self):
         assert parse_case("ge, lt") == ("ge", "lt")
@@ -189,7 +192,7 @@ class TestRunCaseStudy:
         )
         paths, counts = _collect_paths(config)
         assert paths.shape[0] == 3_000
-        want = Counter(format_case(gh.classify_terminal(path, grid.demands)) for path in paths)
+        want = Counter(format_case(reference_tree.classify_terminal(path, grid.demands)) for path in paths)
         assert counts == dict(want)
         assert len(counts) == 2**n_grids
 
@@ -329,8 +332,8 @@ class TestBatchEngines:
         )
         tol = 1e-12 * demands.sum()  # every compared quantity is in kW
         for row in range(2):
-            want_value, want = gh.dynamic_allocation(
-                pg[row], demands, model, steps, None, p_b, engine="tree"
+            want_value, want = reference_tree.tree_allocation(
+                pg[row], demands, model, steps, None, p_b
             )
             assert abs(value[row] - want_value) <= tol
             assert np.all(np.abs(a[row] - want.a) * pg[row] <= tol)
@@ -393,6 +396,14 @@ class TestBatchEngines:
         # perfbench/traced.py wraps scenario._BatchLattice.allocate to time
         # the pooled lattice; the alias must stay bound to the one class
         assert scenario._BatchLattice is RecombiningLattice
+
+    def test_traced_benchmark_binds_these_argument_names(self):
+        # perfbench/traced.py reads the remaining-step count and the root
+        # states by parameter name; a rename would leave its spans empty
+        assert {"pg_now", "remaining_steps"} <= set(
+            inspect.signature(gh.dynamic_allocation).parameters
+        )
+        assert {"pg", "steps"} <= set(inspect.signature(RecombiningLattice.allocate).parameters)
 
     def test_rank_deficient_design_warns(self):
         # sigma so small that u == d in floating point: every child state
