@@ -11,12 +11,13 @@ netted terminal shortfall is valued back to the root, and the operator's
 ReGU/battery mix is read off a least-squares replication of the first-level
 portfolio values.
 
-One allocator does this for every caller: ``RecombiningLattice.allocate``,
-which exploits u*d = 1 and state-independent probabilities to value many
-roots at once and makes hundreds of steps cheap.  The case study calls it
-on all paths, ``dynamic_allocation`` on one root.
+One allocator does this for every caller: ``RecombiningLattice.allocate``.
+Probabilities are state independent and u*d = 1, so the reach weights of
+every root are one FFT convolution power of the one-step law.  The case
+study calls it on all paths, ``dynamic_allocation`` on one root.
 """
 import itertools
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -199,19 +200,20 @@ class RecombiningLattice:
 
     Probabilities are state independent and u*d = 1, so a state is fixed by
     its per-asset up-counts, and the chance of reaching each up-count vector
-    in l steps is the l-fold convolution W_l of the one-step law, the same
-    for every root.  With s steps left, child k (one step taken, up-counts
-    up_k) is worth sum_j W_{s-1}[j] * H[j + up_k], where H is the terminal
-    headroom max(D - sum_i pg_i * u_i^(2 j_i - s), 0).  One matrix product
-    per block of roots replaces s rounds of backward induction: the
-    (2^n, states) child weights times a (states, roots) headroom block.  The
-    roots are the innermost axis, and a block holds at most
-    ``LATTICE_BLOCK_ELEMENTS`` headroom values, whatever the root count.
+    in l steps is the l-fold convolution power W_l of the one-step law (one
+    FFT power), the same for every root.  With s steps left, child k (one
+    step taken, up-counts up_k) is worth sum_j W_{s-1}[j] * H[j + up_k],
+    where H is the terminal headroom max(D - sum_i pg_i * u_i^(2 j_i - s), 0).
+    One matrix product per block of roots replaces s rounds of backward
+    induction: the (2^n, states) child weights times a (states, roots)
+    headroom block.  The roots are the innermost axis, and a block holds at
+    most ``LATTICE_BLOCK_ELEMENTS`` headroom values, whatever the root count.
 
     The replication design of a root has rows [pg * factors_k, p_b]: the
     unit design [factors_k, p_b] with its generation columns scaled by the
     (positive) root state.  The scaling keeps the rank, so one rank check
-    and one pseudoinverse of the unit design serve every root.
+    and one pseudoinverse of the unit design serve every root.  Equal roots
+    are valued once.
 
     A lattice of up to ``max_steps`` steps whose terminal grid exceeds the
     node budget is refused at construction, before anything is allocated.
@@ -244,19 +246,18 @@ class RecombiningLattice:
     def _child_weights(self, steps):
         """(2^n, (steps+1)^n) matrix; row k is W_{steps-1} shifted by up_k.
 
-        W is rebuilt from W_0 on each call: keeping every level would hold
-        about steps/(n+1) terminal grids, while one rebuild costs as much as
-        backward induction from a single root.
+        W is the one-step law on the (2,)*n grid of up-counts raised to the
+        power steps-1 by one FFT (length steps per axis holds its degree
+        steps-1 without wrap-around), written straight into row 0.
         """
         model = self.model
-        reach = np.ones((1,) * model.n_assets)
-        for level in range(1, steps):
-            nxt = np.zeros((level + 1,) * model.n_assets)
-            for k in range(model.n_branches):
-                nxt[_branch_slices(model, k)] += model.branch_probs[k] * reach
-            reach = nxt
+        one_step = np.zeros((2,) * model.n_assets)
+        one_step[tuple(model.up_mask.T.astype(int))] = model.branch_probs
+        shape, axes = (steps,) * model.n_assets, tuple(range(model.n_assets))
         stacked = np.zeros((model.n_branches,) + (steps + 1,) * model.n_assets)
-        for k in range(model.n_branches):
+        reach = stacked[(0,) + _branch_slices(model, 0)]
+        np.fft.irfftn(np.fft.rfftn(one_step, shape, axes) ** (steps - 1), shape, axes, out=reach)
+        for k in range(1, model.n_branches):
             stacked[(k,) + _branch_slices(model, k)] = reach
         return stacked.reshape(model.n_branches, -1)
 
@@ -302,11 +303,15 @@ class RecombiningLattice:
             value = np.maximum(self.total_demand - pg.sum(axis=1), 0.0)
             b = (value - np.sum(prev_a * pg, axis=1)) / self.p_b
             return value, prev_a.copy(), b, np.zeros(pg.shape[0])
-        root_value, child_values = self.first_level(pg, steps)
-        scaled = child_values @ self.pinv_unit.T          # (m, n+1)
+        # each distinct root is valued once, so equal roots get equal bytes
+        # wherever they fall in a block
+        roots, inverse = np.unique(pg, axis=0, return_inverse=True)
+        root_value, child_values = self.first_level(roots, steps)
+        scaled = child_values @ self.pinv_unit.T          # (roots, n+1)
         fit = scaled @ self.design_unit.T                 # root factors cancel
         residual = np.linalg.norm(fit - child_values, axis=1)
-        return root_value, scaled[:, :n] / pg, scaled[:, n], residual
+        a = scaled[:, :n] / roots
+        return root_value[inverse], a[inverse], scaled[inverse, n], residual[inverse]
 
 
 def dynamic_allocation(pg_now, d_c, model: LatticeStepModel, remaining_steps: int, prev_a, p_b):
@@ -317,6 +322,10 @@ def dynamic_allocation(pg_now, d_c, model: LatticeStepModel, remaining_steps: in
     of ``model``.  Returns (portfolio value at the evaluation time,
     Allocation).
     """
+    if isinstance(remaining_steps, bool) or not (
+        isinstance(remaining_steps, numbers.Integral) and remaining_steps >= 0
+    ):
+        raise ValueError(f"remaining_steps must be an integer >= 0, got {remaining_steps!r}")
     pg_now = np.asarray(pg_now, dtype=float)
     d_c = np.asarray(d_c, dtype=float)
     prev_a = np.zeros(model.n_assets) if prev_a is None else np.asarray(prev_a, dtype=float)

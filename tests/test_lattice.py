@@ -2,16 +2,19 @@
 
 Independent oracles used here: a brute-force root solve of the one-asset
 moment system (scipy.optimize), residual evaluation written from scratch,
-normal-equations least squares, the closed-form per-grid valuation, and
-transformed-measure Monte Carlo.
+normal-equations least squares, the closed-form per-grid valuation,
+transformed-measure Monte Carlo, and the binomial law of one asset's reach
+weights (scipy.stats).
 """
 import itertools
+import math
 import tracemalloc
 from collections import namedtuple
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.stats import binom
 
 import gridhedge as gh
 from gridhedge.errors import (
@@ -21,6 +24,7 @@ from gridhedge.errors import (
     TimeOutOfRange,
     TreeTooLarge,
 )
+from gridhedge.lattice import RecombiningLattice
 
 import reference_tree
 from reference_tree import MalformedTree, tree_levels
@@ -399,6 +403,13 @@ class TestEngines:
         with pytest.raises(LengthMismatch, match="2 microgrids"):
             gh.dynamic_allocation(pg_now, d_c, model, steps, prev_a, 1.0)
 
+    @pytest.mark.parametrize("steps", [-1, 2.5])
+    def test_remaining_steps_must_be_a_count(self, steps):
+        model = gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 1.0)
+        demands = np.array([20.0, 25.0])
+        with pytest.raises(ValueError, match="remaining_steps must be an integer >= 0"):
+            gh.dynamic_allocation(demands, demands, model, steps, None, 1.0)
+
     def test_recombining_grid_budget_checked_before_allocation(self):
         grid = make_grid([0.03, 0.04, 0.05], 0.3, demands=np.array([20.0, 25.0, 15.0]))
         model = gh.calibrate_step_model(grid, 5.0 / 250)
@@ -454,6 +465,59 @@ class TestEngines:
         )
         want = gh.ces_portfolio_value(20.0, spec, 0.0, 5.0)
         assert abs(value - want) / want < 0.01
+
+
+class TestReachWeights:
+    """Reach weights W_L, the L-fold convolution power of the one-step law."""
+
+    @pytest.mark.parametrize("level", [2_000, 20_000])
+    def test_one_asset_reach_is_binomial(self, level):
+        model = gh.calibrate_step_model(make_grid([0.03]), 5.0 / level)
+        weights = RecombiningLattice(model, [20.0], level + 1, 1.0)._child_weights(level + 1)
+        # row 1 is the down branch, which leaves W_level unshifted
+        want = binom.pmf(np.arange(level + 1), level, model.branch_probs[0])
+        assert np.max(np.abs(weights[1, :-1] - want)) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "sigmas,rho,steps",
+        [([0.03], 0.0, 20_000), ([0.03, 0.04], 0.6, 300), ([0.03, 0.04, 0.05], 0.3, 60)],
+    )
+    def test_every_row_has_unit_mass(self, sigmas, rho, steps):
+        model = gh.calibrate_step_model(make_grid(sigmas, rho), 5.0 / steps)
+        weights = RecombiningLattice(model, [20.0] * len(sigmas), steps, 1.0)._child_weights(steps)
+        # the mass is the one-step total, which rounds to within 2^n ulps of
+        # 1, raised to the power steps - 1
+        tol = (steps - 1) * model.n_branches * np.finfo(float).eps
+        for row in weights:
+            assert abs(math.fsum(row) - 1.0) <= tol
+
+    @pytest.mark.parametrize(
+        "sigmas,rho,steps", [([0.03, 0.04], 0.6, 300), ([0.03, 0.04, 0.05], 0.3, 60)]
+    )
+    def test_matches_level_by_level_convolution(self, sigmas, rho, steps):
+        # the shifted-add loop the FFT power replaced: W_l is one scaled copy
+        # of W_{l-1} per branch, shifted by that branch's up-counts
+        n = len(sigmas)
+        model = gh.calibrate_step_model(make_grid(sigmas, rho), 5.0 / steps)
+        reach = np.ones((1,) * n)
+        for level in range(1, steps):
+            grown = np.zeros((level + 1,) * n)
+            for up, p in zip(model.up_mask, model.branch_probs):
+                grown[tuple(slice(1, None) if u else slice(0, -1) for u in up)] += p * reach
+            reach = grown
+        weights = RecombiningLattice(model, [20.0] * n, steps, 1.0)._child_weights(steps)
+        # the last branch moves every asset down, which leaves W unshifted
+        got = weights[-1].reshape((steps + 1,) * n)[(slice(0, -1),) * n]
+        assert np.max(np.abs(got - reach)) <= 1e-15
+
+    def test_deep_one_asset_root_value_is_the_binomial_sum(self):
+        steps, demand = 20_000, 20.0
+        model = gh.calibrate_step_model(make_grid([0.03]), 5.0 / steps)
+        value, _ = gh.dynamic_allocation([demand], [demand], model, steps, None, 1.0)
+        j = np.arange(steps + 1)
+        headroom = np.maximum(demand - demand * np.exp(model.log_steps[0] * (2 * j - steps)), 0.0)
+        want = math.fsum(binom.pmf(j, steps, model.branch_probs[0]) * headroom)
+        assert abs(value - want) <= 1e-12 * demand
 
 
 class TestDominance:

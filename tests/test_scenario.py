@@ -362,6 +362,18 @@ class TestBatchEngines:
                     for got, want in zip(blocked, whole):
                         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * scale)
 
+    def test_identical_roots_get_identical_bytes(self, demo_grid):
+        # valued one by one, 5 000 roots at 5 steps fill three blocks; a
+        # root's place in a block must not move the last bit of its result
+        model = gh.calibrate_step_model(demo_grid, 1.0)
+        pg = np.tile(demo_grid.demands, (5_000, 1))
+        value, a, b, _ = RecombiningLattice(model, demo_grid.demands, 5, 1.0).allocate(
+            pg, 5, np.zeros_like(pg)
+        )
+        assert len(np.unique(value)) == len(np.unique(b)) == 1
+        for i in range(demo_grid.n_microgrids):
+            assert len(np.unique(a[:, i])) == 1
+
     @pytest.mark.parametrize("m", [2_000, 8_000])
     def test_first_level_memory_bounded_by_block(self, m):
         # the traced peak is the child weights, the outputs and at most two
