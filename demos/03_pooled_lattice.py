@@ -3,8 +3,9 @@
 Two correlated microgrids share surpluses: the pooled terminal requirement
 nets deficits against surpluses, so the pooled portfolio is never worth
 more than the two per-grid portfolios combined.  The script calibrates a
-lattice step, walks the forward/backward propagation, extracts the
-replicating ReGU/battery mix, and cross-checks the value by Monte Carlo.
+lattice step, values the pooled shortfall on the recombining lattice,
+extracts the replicating ReGU/battery mix, and cross-checks the value by
+Monte Carlo.
 """
 import numpy as np
 
@@ -23,7 +24,8 @@ model = gh.calibrate_step_model(grid, dt=horizon / steps)
 print("calibrated one-hour step")
 print("  up factors   :", np.round(model.up, 6))
 print("  down factors :", np.round(model.down, 6))
-print("  branch probs :", np.round(model.branch_probs, 6), "(sum = 1)")
+print("  branch probs :", np.round(model.branch_probs, 6),
+      f"(sum - 1 = {model.branch_probs.sum() - 1.0:.1e})")
 print("  moment residuals:", f"{np.max(np.abs(gh.moment_residuals(model, grid))):.2e}")
 
 value, alloc = gh.dynamic_allocation(

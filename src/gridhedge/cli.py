@@ -9,7 +9,7 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .ces import MicrogridSpec, ces_allocation, ces_portfolio_value
+from .ces import MicrogridSpec, ces_allocation
 from .config import load_scenario_config, write_manifest
 from .errors import (
     GridHedgeError,
@@ -19,6 +19,7 @@ from .errors import (
     NonPositiveSample,
     SeriesTooShort,
     TimeOutOfRange,
+    TooFewBins,
 )
 from .gbm import chi_square_gof, gbm_mle_from_returns
 from .lattice import calibrate_step_model, dynamic_allocation
@@ -35,7 +36,7 @@ EXIT_EMPTY = 5
 # main() exits with the code of the first row whose types match the error
 EXIT_CODES = (
     (
-        (MalformedSeries, NonPositiveSample, SeriesTooShort, FileNotFoundError, ValueError),
+        (MalformedSeries, NonPositiveSample, SeriesTooShort, TooFewBins, OSError, ValueError),
         EXIT_INPUT,
     ),
     (InfeasibleCalibration, EXIT_CALIBRATION),
@@ -48,8 +49,11 @@ def _cmd_estimate(args) -> int:
     series = load_power_csv(args.input)
     window = None
     if args.window:
-        start, end = args.window.split("-")
-        window = (parse_clock(start), parse_clock(end))
+        try:
+            start, end = args.window.split("-")
+            window = (parse_clock(start), parse_clock(end))
+        except ValueError:
+            raise ValueError(f"window must be HH:MM-HH:MM, got {args.window!r}") from None
     if args.interval_minutes is not None:
         expected = args.interval_minutes / 60.0
         if abs(series.dt_hours - expected) > 1e-9:
@@ -90,12 +94,11 @@ def _cmd_allocate(args) -> int:
         for i, (p, d, g) in enumerate(zip(pg, grid.demands, grid.params), start=1):
             spec = MicrogridSpec(demand=d, gbm=g, label=f"microgrid_{i}")
             alloc = ces_allocation(p, spec, t, t_f, grid.battery_unit_kw)
-            value = ces_portfolio_value(p, spec, t, t_f)
             total_b += alloc.b_hat
-            total_v += value
+            total_v += alloc.value_hat
             print(
                 f"microgrid_{i}: a_hat = {alloc.a_hat:.6f}  "
-                f"b_hat = {alloc.b_hat:.6f}  value_kw = {value:.6f}"
+                f"b_hat = {alloc.b_hat:.6f}  value_kw = {alloc.value_hat:.6f}"
             )
         print(f"total_battery_units = {total_b:.6f}")
         print(f"total_portfolio_kw  = {total_v:.6f}")
@@ -201,7 +204,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GridHedgeError, ValueError, FileNotFoundError) as exc:
+    except (GridHedgeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for types, code in EXIT_CODES if isinstance(exc, types))
 

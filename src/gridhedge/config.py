@@ -65,6 +65,9 @@ def _floats(text: str) -> np.ndarray:
 def _correlation(text: str, n: int) -> CorrelationMatrix:
     if ";" in text:
         rows = [_floats(row) for row in text.split(";")]
+        if len({row.size for row in rows}) > 1:
+            lengths = ", ".join(str(row.size) for row in rows)
+            raise ValueError(f"matrix rows have unequal lengths ({lengths})")
         return CorrelationMatrix(np.array(rows))
     values = _floats(text)
     if values.size == 1:
@@ -72,6 +75,14 @@ def _correlation(text: str, n: int) -> CorrelationMatrix:
             return CorrelationMatrix.identity(1)
         return CorrelationMatrix.pairwise(float(values[0]), n)
     raise ValueError("correlation must be a scalar or ';'-separated matrix rows")
+
+
+def _value(entries, key, parse):
+    """parse(entries[key]), with a value it cannot parse reported under its key."""
+    try:
+        return parse(entries[key])
+    except ValueError as exc:
+        raise ValueError(f"config key '{key}': {exc}") from None
 
 
 def load_scenario_config(path) -> ScenarioConfig:
@@ -82,26 +93,28 @@ def load_scenario_config(path) -> ScenarioConfig:
     missing = [key for key in REQUIRED_KEYS if key not in entries]
     if missing:
         raise ValueError(f"config missing keys: {', '.join(missing)}")
-    mu = _floats(entries["mu"])
-    sigma = _floats(entries["sigma"])
+    mu = _value(entries, "mu", _floats)
+    sigma = _value(entries, "sigma", _floats)
     if mu.size != sigma.size:
         raise ValueError("mu and sigma must have the same length")
     params = tuple(GbmParams(m, s) for m, s in zip(mu, sigma))
     grid = GridEnsemble(
         params=params,
-        corr=_correlation(entries["correlation"], mu.size),
-        demands=_floats(entries["demand_kw"]),
-        battery_unit_kw=float(entries["battery_unit_kw"]),
+        corr=_value(entries, "correlation", lambda text: _correlation(text, mu.size)),
+        demands=_value(entries, "demand_kw", _floats),
+        battery_unit_kw=_value(entries, "battery_unit_kw", float),
     )
-    case_filter = parse_case(entries["case_filter"]) if entries.get("case_filter") else None
-    counts = {key: int(entries[key]) for key in COUNT_KEYS if key in entries}
+    case_filter = None
+    if entries.get("case_filter"):
+        case_filter = _value(entries, "case_filter", parse_case)
+    counts = {key: _value(entries, key, int) for key in COUNT_KEYS if key in entries}
     return ScenarioConfig(
         grid=grid,
-        initial_kw=_floats(entries["initial_kw"]),
-        horizon_hours=float(entries["horizon_hours"]),
-        rebalance_steps=int(entries["rebalance_steps"]),
-        n_paths=int(entries["n_paths"]),
-        seed=int(entries["seed"]),
+        initial_kw=_value(entries, "initial_kw", _floats),
+        horizon_hours=_value(entries, "horizon_hours", float),
+        rebalance_steps=_value(entries, "rebalance_steps", int),
+        n_paths=_value(entries, "n_paths", int),
+        seed=_value(entries, "seed", int),
         case_filter=case_filter,
         **counts,
     )

@@ -80,25 +80,12 @@ class LatticeStepModel:
         return 1 << self.n_assets
 
 
-def _closed_form_h(sigmas: np.ndarray, dt: float) -> np.ndarray:
-    # Mean and raw second moment jointly imply h^2 = s2 + (s2/2)^2, s2=sigma^2*dt
-    s2 = sigmas**2 * dt
-    return np.sqrt(s2 + (s2 / 2.0) ** 2)
-
-
-def _walsh_probs(sigmas, rho, dt, h):
-    """Product-form probabilities with pairwise correlation corrections."""
-    n = len(sigmas)
-    mask = branch_up_mask(n)
-    signs = np.where(mask, 1.0, -1.0)
-    m = -(sigmas**2) * dt / (2.0 * h)
-    probs = np.ones(1 << n)
-    probs += signs @ m
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = rho[i, j] * sigmas[i] * sigmas[j] * dt / (h[i] * h[j])
-            probs += signs[:, i] * signs[:, j] * c
-    return probs / (1 << n)
+def _walsh(signs, first, pairs):
+    """(1 + sum_i e_ki*first_i + sum_{i<j} e_ki*e_kj*pairs_ij) / 2^n for each branch k."""
+    probs = 1.0 + signs @ first
+    for i, j in itertools.combinations(range(signs.shape[1]), 2):
+        probs += signs[:, i] * signs[:, j] * pairs[i, j]
+    return probs / (1 << signs.shape[1])
 
 
 def calibrate_step_model(grid: GridEnsemble, dt: float) -> LatticeStepModel:
@@ -118,17 +105,18 @@ def calibrate_step_model(grid: GridEnsemble, dt: float) -> LatticeStepModel:
     sigmas = grid.sigmas
     if np.any(sigmas == 0):
         raise DegenerateVolatility("lattice calibration requires sigma > 0")
-    h = _closed_form_h(sigmas, dt)
+    s = sigmas**2 * dt
+    h = np.sqrt(s + (s / 2.0) ** 2)
     rho = grid.corr.rho
     mask = branch_up_mask(grid.n_microgrids)
-    probs = _walsh_probs(sigmas, rho, dt, h)
+    signs = np.where(mask, 1.0, -1.0)
+    pairs = rho * sigmas[:, None] * sigmas * dt / (h[:, None] * h)
+    probs = _walsh(signs, -s / (2.0 * h), pairs)
     bad = (probs < -1e-15) | (probs > 1 + 1e-15)
     if np.any(bad):
-        # As dt -> 0, branch k tends to (1 + sum_{i<j} s_i s_j rho_ij) / 2^n;
-        # when that limit is negative no finer time step can restore feasibility.
-        signs = np.where(mask, 1.0, -1.0)
-        pairs = (np.einsum("ki,ij,kj->k", signs, rho, signs) - grid.n_microgrids) / 2.0
-        limits = (1.0 + pairs) / (1 << grid.n_microgrids)
+        # as dt -> 0, m -> 0 and c -> rho; when that limit is negative no
+        # finer time step can restore feasibility
+        limits = _walsh(signs, np.zeros(grid.n_microgrids), rho)
         if np.min(limits) < 0:
             k = int(np.argmin(limits))
             raise InfeasibleCalibration(
@@ -155,20 +143,17 @@ def moment_residuals(model: LatticeStepModel, grid: GridEnsemble) -> np.ndarray:
     p = model.branch_probs
     h = model.log_steps
     sigmas = grid.sigmas
-    dt = model.dt
-    out = []
-    for i in range(model.n_assets):
-        s_i = signs[:, i] @ p
-        out.append(h[i] * s_i + sigmas[i] ** 2 * dt / 2.0)
-    for i in range(model.n_assets):
-        s_i = signs[:, i] @ p
-        out.append(h[i] ** 2 * p.sum() - h[i] ** 2 * s_i**2 - sigmas[i] ** 2 * dt)
-    for i in range(model.n_assets):
-        for j in range(i + 1, model.n_assets):
-            cross = (signs[:, i] * signs[:, j]) @ p
-            out.append(h[i] * h[j] * cross - grid.corr.rho[i, j] * sigmas[i] * sigmas[j] * dt)
-    out.append(p.sum() - 1.0)
-    return np.array(out)
+    s = sigmas**2 * model.dt
+    first = signs.T @ p
+    cross = np.einsum("k,ki,kj->ij", p, signs, signs)
+    covariance = grid.corr.rho * sigmas[:, None] * sigmas * model.dt
+    upper = np.triu_indices(model.n_assets, 1)
+    return np.concatenate([
+        h * first + s / 2.0,
+        h**2 * p.sum() - h**2 * first**2 - s,
+        (h[:, None] * h * cross - covariance)[upper],
+        [p.sum() - 1.0],
+    ])
 
 
 # ---------------------------------------------------------------------------

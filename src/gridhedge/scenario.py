@@ -19,7 +19,7 @@ from .lattice import calibrate_step_model, RecombiningLattice
 # through this name; it is the same class, so the wrap reaches every caller
 from .lattice import RecombiningLattice as _BatchLattice  # noqa: F401
 from .gbm import simulate_paths
-from .stats import exact_column_means, resampled_means
+from .stats import resampled_means
 
 CASE_GE = "ge"
 CASE_LT = "lt"
@@ -218,8 +218,7 @@ def _bootstrap_time_metrics(samples, n_resamples, seed):
     names = list(samples)
     n_times = samples[names[0]].shape[1]
     stacked = np.hstack([samples[name] for name in names])
-    resampled = resampled_means(stacked, n_resamples, seed)
-    means = exact_column_means(stacked)
+    means, resampled = resampled_means(stacked, n_resamples, seed)
     points = {name: means[i * n_times : (i + 1) * n_times] for i, name in enumerate(names)}
     draws = {name: resampled[:, i * n_times : (i + 1) * n_times] for i, name in enumerate(names)}
     points["savings_pct"], point_overall = battery_savings(points["b_tes"], points["b_ces"])

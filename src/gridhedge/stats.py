@@ -115,22 +115,12 @@ def _count_means(counts, parts):
     return (sums[:, :k] + sums[:, k:]) / parts.shape[0]
 
 
-def exact_column_means(x) -> np.ndarray:
-    """Column means of x (m, k) by the count product of ``resampled_means``.
+def resampled_means(x, n_resamples: int, seed):
+    """Column means of x and of n_resamples bootstrap resamples of its rows.
 
-    Every count is 1 here, so a column whose resampled means all agree (a
-    constant column) has exactly that mean as its point estimate too.
-    """
-    x = np.asarray(x, dtype=float)
-    m = x.shape[0]
-    return _count_means(np.ones((1, m)), _exact_parts(x, m))[0]
-
-
-def resampled_means(x, n_resamples: int, seed) -> np.ndarray:
-    """Column means of n_resamples bootstrap resamples of the rows of x.
-
-    x is (m, k); the result is (n_resamples, k).  Resample r takes its m row
-    indices from row r of ``Generator(SFC64(seed)).integers(0, m,
+    x is (m, k); returns (means, resampled), the (k,) column means and the
+    (n_resamples, k) resampled means.  Resample r takes its m row indices
+    from row r of ``Generator(SFC64(seed)).integers(0, m,
     size=(n_resamples, m))``, drawn a few rows at a time.  Each draw is
     counted per row with one ``bincount`` and written into one reused float
     count block, and the means are a BLAS product of each block with the
@@ -139,20 +129,20 @@ def resampled_means(x, n_resamples: int, seed) -> np.ndarray:
     means are bit-identical whatever the block size, draw size, BLAS kernel
     or thread count.
 
-    A column that is constant over the rows has the same mean in every
-    resample, ``exact_column_means`` of it, which is what the count product
-    gives it; it is filled with that value and left out of the product.  When
-    every column is constant, which includes m == 1, nothing is drawn.
+    The point means are the same exact product with every count 1, so a
+    column that is constant over the rows has its point mean in every
+    resample; it is filled with that value and left out of the product.
+    When every column is constant, which includes m == 1, nothing is drawn.
     """
     x = np.asarray(x, dtype=float)
     m, k = x.shape
-    constant = np.all(x == x[:1], axis=0)
-    varying = np.flatnonzero(~constant)
-    means = np.empty((n_resamples, k))
-    means[:, constant] = exact_column_means(x[:, constant])
+    parts = _exact_parts(x, m)
+    means = _count_means(np.ones((1, m)), parts)[0]
+    resampled = np.tile(means, (n_resamples, 1))
+    varying = np.flatnonzero(np.any(x != x[:1], axis=0))
     if varying.size == 0:
-        return means
-    parts = _exact_parts(x[:, varying], m)
+        return means, resampled
+    parts = parts[:, np.concatenate([varying, varying + k])]
     rng = np.random.Generator(np.random.SFC64(seed))
     block = max(1, RESAMPLE_BLOCK_ELEMENTS // m)
     draw = max(1, _DRAW_ELEMENTS // m)
@@ -165,8 +155,8 @@ def resampled_means(x, n_resamples: int, seed) -> np.ndarray:
             idx = rng.integers(0, m, size=(rows, m))
             idx += offsets[:rows]
             counts[lo : lo + rows] = np.bincount(idx.ravel(), minlength=rows * m).reshape(rows, m)
-        means[start : start + take, varying] = _count_means(counts[:take], parts)
-    return means
+        resampled[start : start + take, varying] = _count_means(counts[:take], parts)
+    return means, resampled
 
 
 def bootstrap_ci(
@@ -184,11 +174,11 @@ def bootstrap_ci(
         raise ValueError(f"n_resamples must be >= 100, got {n_resamples}")
     if not 0.0 < level < 1.0:
         raise InvalidAlpha(f"level must be in (0, 1), got {level}")
-    means = resampled_means(x[:, None], n_resamples, seed)[:, 0]
+    mean, resampled = resampled_means(x[:, None], n_resamples, seed)
     tail = (1.0 - level) / 2.0
-    lo, hi = np.quantile(means, [tail, 1.0 - tail])
+    lo, hi = np.quantile(resampled[:, 0], [tail, 1.0 - tail])
     return BootstrapCi(
-        mean=float(exact_column_means(x[:, None])[0]),
+        mean=float(mean[0]),
         lo=float(lo),
         hi=float(hi),
         level=level,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import gridhedge as gh
+from gridhedge import cli, errors
 from gridhedge.cli import EXIT_CALIBRATION
 
 DEMO_CFG = """\
@@ -108,6 +109,11 @@ class TestEstimate:
     def test_interval_mismatch_exit_2(self, gbm_csv):
         proc = run_cli("estimate", str(gbm_csv), "--interval-minutes", "15")
         assert proc.returncode == 2
+
+    def test_too_few_bins_exit_2(self, gbm_csv):
+        proc = run_cli("estimate", str(gbm_csv), "--bins", "3")
+        assert proc.returncode == 2
+        assert "n_bins=3" in proc.stderr
 
 
 class TestAllocate:
@@ -255,6 +261,80 @@ def test_missing_config_file_exit_2(tmp_path, command):
     assert proc.stderr.startswith("error: ")
     assert "absent.cfg" in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", ["output_under_a_file", "input_is_a_directory"])
+def test_unusable_path_exit_2(tmp_path, demo_config, case):
+    regular = tmp_path / "regular"
+    regular.write_text("")
+    args = {
+        "output_under_a_file": ("simulate", str(demo_config), "--out", str(regular / "out")),
+        "input_is_a_directory": ("estimate", str(tmp_path)),
+    }
+    proc = run_cli(*args[case])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+# config lines whose value cannot be parsed; the message names the key
+UNPARSABLE = {
+    "n_paths": "n_paths = 1e4",
+    "mu": "mu = 0.006, abc",
+    "correlation": "correlation = 1,0.6;0.6",
+}
+
+
+@pytest.mark.parametrize("case", ["n_paths", "mu", "correlation", "window"])
+def test_unparsable_value_named_exit_2(tmp_path, gbm_csv, case):
+    if case == "window":
+        proc = run_cli("estimate", str(gbm_csv), "--window", "10:00")
+        named = "window must be HH:MM-HH:MM"
+    else:
+        config = tmp_path / "bad.cfg"
+        config.write_text(DEMO_CFG + UNPARSABLE[case] + "\n")
+        proc = run_cli("allocate", str(config), "--mode", "ces")
+        named = f"error: config key '{case}':"
+    assert proc.returncode == 2
+    assert named in proc.stderr
+    if case == "correlation":
+        assert "unequal lengths" in proc.stderr
+
+
+# the exit code of every package error, chosen on purpose: a new error class
+# fails here until it is classified
+EXPECTED_EXIT_CODES = {
+    "MalformedSeries": cli.EXIT_INPUT,
+    "NonPositiveSample": cli.EXIT_INPUT,
+    "SeriesTooShort": cli.EXIT_INPUT,
+    "TooFewBins": cli.EXIT_INPUT,
+    "InfeasibleCalibration": cli.EXIT_CALIBRATION,
+    "InsufficientPaths": cli.EXIT_EMPTY,
+    "NotPositiveDefinite": cli.EXIT_PRECONDITION,
+    "InvalidHorizon": cli.EXIT_PRECONDITION,
+    "DegenerateVolatility": cli.EXIT_PRECONDITION,
+    "EmptySample": cli.EXIT_PRECONDITION,
+    "InvalidAlpha": cli.EXIT_PRECONDITION,
+    "NonPositiveGeneration": cli.EXIT_PRECONDITION,
+    "TimeOutOfRange": cli.EXIT_PRECONDITION,
+    "LengthMismatch": cli.EXIT_PRECONDITION,
+    "TreeTooLarge": cli.EXIT_PRECONDITION,
+}
+
+
+def test_every_error_class_has_a_chosen_exit_code():
+    classes = {
+        name: value
+        for name, value in vars(errors).items()
+        if isinstance(value, type)
+        and issubclass(value, errors.GridHedgeError)
+        and value is not errors.GridHedgeError
+    }
+    got = {
+        name: next(code for types, code in cli.EXIT_CODES if issubclass(cls, types))
+        for name, cls in classes.items()
+    }
+    assert got == EXPECTED_EXIT_CODES
 
 
 class TestValidate:

@@ -66,6 +66,28 @@ def residual_oracle(model, sigmas, rho, dt):
     return np.array(out)
 
 
+def loop_moment_residuals(model, grid):
+    """Per-asset loop form of ``moment_residuals``, in the same output order."""
+    signs = np.where(model.up_mask, 1.0, -1.0)
+    p = model.branch_probs
+    h = model.log_steps
+    sigmas = grid.sigmas
+    dt = model.dt
+    out = []
+    for i in range(model.n_assets):
+        s_i = signs[:, i] @ p
+        out.append(h[i] * s_i + sigmas[i] ** 2 * dt / 2.0)
+    for i in range(model.n_assets):
+        s_i = signs[:, i] @ p
+        out.append(h[i] ** 2 * p.sum() - h[i] ** 2 * s_i**2 - sigmas[i] ** 2 * dt)
+    for i in range(model.n_assets):
+        for j in range(i + 1, model.n_assets):
+            cross = (signs[:, i] * signs[:, j]) @ p
+            out.append(h[i] * h[j] * cross - grid.corr.rho[i, j] * sigmas[i] * sigmas[j] * dt)
+    out.append(p.sum() - 1.0)
+    return np.array(out)
+
+
 class TestCalibration:
     def test_one_asset_closed_form_against_root_solve(self):
         # independent solve of the two-equation system: substituting the
@@ -126,6 +148,30 @@ class TestCalibration:
                     grid = make_grid([s1, s2], rho)
                     model = gh.calibrate_step_model(grid, dt)
                     assert np.max(np.abs(gh.moment_residuals(model, grid))) < 1e-15
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_moment_residuals_match_loop_reference(self, n):
+        rng = np.random.Generator(np.random.Philox(key=40 + n))
+        for _ in range(25):
+            sigmas = rng.uniform(0.005, 0.1, n)
+            factors = rng.standard_normal((n, n + 2))
+            cov = factors @ factors.T
+            scale = np.sqrt(np.diag(cov))
+            # shrunk toward the identity, so every draw stays positive
+            # definite and feasible (|rho| <= 0.12)
+            rho = 0.12 * cov / np.outer(scale, scale) + 0.88 * np.eye(n)
+            np.fill_diagonal(rho, 1.0)
+            grid = gh.GridEnsemble(
+                params=tuple(gh.GbmParams(0.0, s) for s in sigmas),
+                corr=gh.CorrelationMatrix(rho),
+                demands=np.full(n, 20.0),
+                battery_unit_kw=1.0,
+            )
+            model = gh.calibrate_step_model(grid, rng.choice([0.01, 0.1, 1.0]))
+            got = gh.moment_residuals(model, grid)
+            want = loop_moment_residuals(model, grid)
+            assert got.shape == want.shape == (2 * n + n * (n - 1) // 2 + 1,)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
     def test_infeasible_raises_with_suggestion(self):
         with pytest.raises(InfeasibleCalibration, match="smaller"):
