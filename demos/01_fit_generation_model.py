@@ -27,7 +27,7 @@ ensemble = gh.simulate_paths(
     n_paths=1,
     seed=20,
 )
-series = ensemble.values[0, :, 0]
+series = ensemble[0, :, 0]
 
 fitted, log_returns = gh.estimate_gbm_mle(series, dt_hours)
 print(f"true  mu={truth.mu:.4f}  sigma={truth.sigma:.4f}")

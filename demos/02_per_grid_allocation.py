@@ -10,7 +10,7 @@ import numpy as np
 
 import gridhedge as gh
 
-spec = gh.MicrogridSpec(demand=20.0, gbm=gh.GbmParams(0.006, 0.03), label="mg-1")
+spec = gh.MicrogridSpec(demand=20.0, gbm=gh.GbmParams(0.006, 0.03))
 horizon = 5.0
 
 print("policy at t=0 across generation states")

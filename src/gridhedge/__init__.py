@@ -21,7 +21,6 @@ from .gbm import (
     CorrelationMatrix,
     GbmParams,
     GofResult,
-    PathEnsemble,
     chi_square_gof,
     cholesky_factor,
     estimate_gbm_mle,
@@ -46,10 +45,8 @@ from .scenario import (
 )
 from .stats import (
     BootstrapCi,
-    KsResult,
     bootstrap_ci,
     ks_critical_value,
-    ks_test,
     ks_two_sample,
 )
 from .timeseries import PowerSeries, load_power_csv, window_log_returns
@@ -63,10 +60,8 @@ __all__ = [
     "GbmParams",
     "GofResult",
     "GridEnsemble",
-    "KsResult",
     "LatticeStepModel",
     "MicrogridSpec",
-    "PathEnsemble",
     "PowerSeries",
     "ScenarioConfig",
     "battery_savings",
@@ -82,7 +77,6 @@ __all__ = [
     "gbm_mle_from_returns",
     "hedge_backtest",
     "ks_critical_value",
-    "ks_test",
     "ks_two_sample",
     "load_power_csv",
     "moment_residuals",

@@ -25,7 +25,6 @@ class MicrogridSpec:
 
     demand: float
     gbm: GbmParams
-    label: str = ""
 
     def __post_init__(self):
         if not (np.isfinite(self.demand) and self.demand > 0):
@@ -127,7 +126,6 @@ class HedgeBacktest:
 
     terminal_errors: np.ndarray     # hedged portfolio minus terminal payoff, kW
     financing_gaps: np.ndarray      # sum over rebalances of da*P + db*P_b, kW
-    n_steps: int
 
 
 def hedge_backtest(
@@ -148,7 +146,7 @@ def hedge_backtest(
     rated-power-conservation constraint drives to zero as dt -> 0.
     """
     if paths is None:
-        ensemble = simulate_paths(
+        paths = simulate_paths(
             [spec.gbm],
             CorrelationMatrix.identity(1),
             np.array([p0]),
@@ -157,8 +155,7 @@ def hedge_backtest(
             n_paths=n_paths,
             seed=seed,
             measure="physical",
-        )
-        paths = ensemble.values[:, :, 0]
+        )[:, :, 0]
     else:
         paths = np.asarray(paths, dtype=float)
         if paths.shape[1] != n_steps + 1:
@@ -179,6 +176,4 @@ def hedge_backtest(
         prev_a, prev_b = alloc.a_hat, alloc.b_hat
         value = value + alloc.a_hat * (paths[:, n + 1] - state)
     payoff = terminal_payoff_ces(paths[:, -1], spec.demand)
-    return HedgeBacktest(
-        terminal_errors=value - payoff, financing_gaps=gaps, n_steps=n_steps
-    )
+    return HedgeBacktest(terminal_errors=value - payoff, financing_gaps=gaps)

@@ -92,7 +92,7 @@ def _cmd_allocate(args) -> int:
         total_b = 0.0
         total_v = 0.0
         for i, (p, d, g) in enumerate(zip(pg, grid.demands, grid.params), start=1):
-            spec = MicrogridSpec(demand=d, gbm=g, label=f"microgrid_{i}")
+            spec = MicrogridSpec(demand=d, gbm=g)
             alloc = ces_allocation(p, spec, t, t_f, grid.battery_unit_kw)
             total_b += alloc.b_hat
             total_v += alloc.value_hat

@@ -54,8 +54,9 @@ class InfeasibleCalibration(GridHedgeError):
 
     Carries the offending branch index.  As dt -> 0 branch probabilities
     approach (1 + sum_{i<j} s_i s_j rho_ij) / 2**n_assets.  When that limit
-    is negative it is passed as ``limit`` and no finer time step helps;
-    otherwise shrinking the time step restores feasibility.
+    is negative, or zero and approached from below, it is passed as
+    ``limit`` and no finer time step helps; otherwise shrinking the time
+    step restores feasibility.
     """
 
     def __init__(self, branch, probability, dt, limit=None):

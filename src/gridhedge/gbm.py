@@ -6,7 +6,7 @@ under the physical measure or under the drift-removed transformed measure
 in which every generation process is a martingale.
 """
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from typing import NamedTuple
@@ -76,32 +76,6 @@ class CorrelationMatrix:
         return cls(rho)
 
 
-@dataclass(frozen=True)
-class PathEnsemble:
-    """Simulated generation paths, kW, shape (n_paths, n_steps + 1, n_assets)."""
-
-    values: np.ndarray
-    dt: float
-    measure: str
-    seed: int
-    initial: np.ndarray = field(repr=False)
-
-    @property
-    def n_paths(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_steps(self) -> int:
-        return self.values.shape[1] - 1
-
-    @property
-    def n_assets(self) -> int:
-        return self.values.shape[2]
-
-    def log_increments(self) -> np.ndarray:
-        return np.diff(np.log(self.values), axis=1)
-
-
 def cholesky_factor(corr: CorrelationMatrix) -> np.ndarray:
     """Lower-triangular L with L @ L.T == rho.
 
@@ -116,17 +90,6 @@ def cholesky_factor(corr: CorrelationMatrix) -> np.ndarray:
         ) from exc
 
 
-def _path_normals(seed: int, n_paths: int, n_steps: int, n_assets: int) -> np.ndarray:
-    """Counter-based standard normals for the whole ensemble.
-
-    A single Philox stream keyed by the seed is consumed in path-major
-    order in one array draw, so identical (seed, shape) give bit-identical
-    ensembles on every platform, independent of any internal chunking.
-    """
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    return gen.standard_normal((n_paths, n_steps, n_assets))
-
-
 def simulate_paths(
     params,
     corr: CorrelationMatrix,
@@ -136,8 +99,11 @@ def simulate_paths(
     n_paths: int,
     seed: int,
     measure: str = "physical",
-) -> PathEnsemble:
-    """Exact log-space discretization of correlated GBM.
+) -> np.ndarray:
+    """Exact log-space discretization of correlated GBM, in kW.
+
+    Returns the (n_paths, n_steps + 1, n_assets) array of generation paths;
+    step 0 holds ``initial``.
 
     Per-step log-increments are jointly Gaussian with mean
     (mu - sigma^2/2)*dt under the physical measure, -sigma^2*dt/2 under the
@@ -170,13 +136,16 @@ def simulate_paths(
     else:
         drift = -(sigma**2) * dt / 2.0
 
-    z = _path_normals(seed, n_paths, n_steps, len(params))
+    # one Philox stream keyed by the seed, drawn path-major in one call, so
+    # identical (seed, shape) give bit-identical paths on every platform
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    z = gen.standard_normal((n_paths, n_steps, len(params)))
     increments = drift + (z @ lower.T) * sigma * np.sqrt(dt)
     log_paths = np.cumsum(increments, axis=1) + np.log(initial)
     values = np.empty((n_paths, n_steps + 1, len(params)))
     values[:, 0, :] = initial
     values[:, 1:, :] = np.exp(log_paths)
-    return PathEnsemble(values=values, dt=dt, measure=measure, seed=seed, initial=initial)
+    return values
 
 
 def gbm_mle_from_returns(log_returns, dt: float) -> GbmParams:

@@ -34,7 +34,3 @@ class GridEnsemble:
     @property
     def sigmas(self) -> np.ndarray:
         return np.array([p.sigma for p in self.params])
-
-    @property
-    def mus(self) -> np.ndarray:
-        return np.array([p.mu for p in self.params])

@@ -114,11 +114,13 @@ def calibrate_step_model(grid: GridEnsemble, dt: float) -> LatticeStepModel:
     probs = _walsh(signs, -s / (2.0 * h), pairs)
     bad = (probs < -1e-15) | (probs > 1 + 1e-15)
     if np.any(bad):
-        # as dt -> 0, m -> 0 and c -> rho; when that limit is negative no
-        # finer time step can restore feasibility
+        # as dt -> 0, m -> 0 and c -> rho; when that limit is negative, or
+        # zero and approached from below as -(sum_i e_ki sigma_i)*sqrt(dt)/2^(n+1),
+        # no finer time step can restore feasibility
         limits = _walsh(signs, np.zeros(grid.n_microgrids), rho)
-        if np.min(limits) < 0:
-            k = int(np.argmin(limits))
+        hopeless = (limits < 0) | ((np.abs(limits) <= 1e-15) & (signs @ sigmas > 0))
+        if np.any(hopeless):
+            k = int(np.argmin(np.where(hopeless, limits, np.inf)))
             raise InfeasibleCalibration(
                 branch=k, probability=float(probs[k]), dt=dt, limit=float(limits[k])
             )
@@ -338,7 +340,7 @@ def tes_value_mc(grid: GridEnsemble, p_g_now, t, t_f, n_paths: int, seed: int):
     """
     if t >= t_f:
         raise TimeOutOfRange(f"need t < t_f, got t={t}, t_f={t_f}")
-    ensemble = simulate_paths(
+    terminal = simulate_paths(
         grid.params,
         grid.corr,
         np.asarray(p_g_now, dtype=float),
@@ -347,8 +349,7 @@ def tes_value_mc(grid: GridEnsemble, p_g_now, t, t_f, n_paths: int, seed: int):
         n_paths=n_paths,
         seed=seed,
         measure="transformed",
-    )
-    terminal = ensemble.values[:, -1, :]
+    )[:, -1, :]
     payoff = np.maximum(np.sum(grid.demands - terminal, axis=1), 0.0)
     estimate = float(payoff.mean())
     stderr = float(payoff.std(ddof=1) / np.sqrt(n_paths))

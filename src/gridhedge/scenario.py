@@ -7,11 +7,11 @@ rebalance time, and battery requirements, portfolio values, and the battery
 savings of pooling are aggregated with percentile-bootstrap intervals.
 """
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import ces as _ces  # Phi is read as _ces._normal_cdf at call time (validator seam)
+from .ces import _policy
 from .errors import InsufficientPaths
 from .grid import GridEnsemble
 from .lattice import calibrate_step_model, RecombiningLattice
@@ -129,7 +129,6 @@ class CaseResult:
     overall_savings: float
     overall_savings_lo: float  # 95% percentile-bootstrap interval
     overall_savings_hi: float
-    config: ScenarioConfig = field(repr=False)
 
     @property
     def case_label(self) -> str:
@@ -143,7 +142,7 @@ class CaseResult:
 
 def _batch_ces(pg, demands, sigmas, tau, p_b):
     """Per-grid policy across paths; pg is (m, n).  Returns (b_sum, v_sum)."""
-    _, b, v = _ces._policy(pg, demands, sigmas, tau, p_b)
+    _, b, v = _policy(pg, demands, sigmas, tau, p_b)
     return b.sum(axis=1), v.sum(axis=1)
 
 
@@ -184,7 +183,7 @@ def _collect_paths(config: ScenarioConfig):
             n_paths=min(take, config.max_simulated_paths - examined),
             seed=derive_seed(config.seed, "paths", examined // take),
             measure="physical",
-        ).values
+        )
         examined += values.shape[0]
         codes = (values[:, -1, :] >= grid.demands) @ bits
         tally += np.bincount(codes, minlength=tally.size)
@@ -285,7 +284,6 @@ def run_case_study(config: ScenarioConfig) -> CaseResult:
         overall_savings=savings,
         overall_savings_lo=savings_lo,
         overall_savings_hi=savings_hi,
-        config=config,
     )
 
 

@@ -7,26 +7,10 @@ from .errors import EmptySample, InvalidAlpha
 
 
 @dataclass(frozen=True)
-class KsResult:
-    statistic: float
-    n: int
-    m: int
-    alpha: float
-    critical_value: float
-
-    @property
-    def reject(self) -> bool:
-        return self.statistic > self.critical_value
-
-
-@dataclass(frozen=True)
 class BootstrapCi:
     mean: float
     lo: float
     hi: float
-    level: float
-    n_resamples: int
-    seed: int
 
 
 def ks_two_sample(a, b) -> float:
@@ -58,20 +42,6 @@ def ks_critical_value(n: int, m: int, alpha: float) -> float:
         raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha}")
     coefficient = np.sqrt(-np.log(alpha / 2.0) / 2.0)
     return float(coefficient * np.sqrt((n + m) / (n * m)))
-
-
-def ks_test(a, b, alpha: float = 0.05) -> KsResult:
-    """Convenience wrapper bundling the statistic with its threshold."""
-    statistic = ks_two_sample(a, b)
-    a = np.asarray(a)
-    b = np.asarray(b)
-    return KsResult(
-        statistic=statistic,
-        n=a.size,
-        m=b.size,
-        alpha=alpha,
-        critical_value=ks_critical_value(a.size, b.size, alpha),
-    )
 
 
 # Elements per block of resample counts.  One float64 block (at most 16 MiB) is
@@ -177,11 +147,4 @@ def bootstrap_ci(
     mean, resampled = resampled_means(x[:, None], n_resamples, seed)
     tail = (1.0 - level) / 2.0
     lo, hi = np.quantile(resampled[:, 0], [tail, 1.0 - tail])
-    return BootstrapCi(
-        mean=float(mean[0]),
-        lo=float(lo),
-        hi=float(hi),
-        level=level,
-        n_resamples=n_resamples,
-        seed=seed,
-    )
+    return BootstrapCi(mean=float(mean[0]), lo=float(lo), hi=float(hi))

@@ -160,7 +160,7 @@ def check_ks_calibration(n_trials: int = 500, seed: int = 501) -> CheckResult:
     params = GbmParams(0.006, 0.03)
     rejections = 0
     for trial in range(n_trials):
-        ens = simulate_paths(
+        terminal = simulate_paths(
             [params],
             CorrelationMatrix.identity(1),
             np.array([20.0]),
@@ -168,8 +168,7 @@ def check_ks_calibration(n_trials: int = 500, seed: int = 501) -> CheckResult:
             n_steps=1,
             n_paths=20_000,
             seed=derive_seed(seed, "ks", trial),
-        )
-        terminal = ens.values[:, -1, 0]
+        )[:, -1, 0]
         if ks_two_sample(terminal[:10_000], terminal[10_000:]) > critical:
             rejections += 1
     rate = rejections / n_trials

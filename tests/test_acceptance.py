@@ -270,7 +270,7 @@ def test_criterion_6_ks_threshold_and_calibration():
             horizon=5.0, n_steps=1, n_paths=20_000,
             seed=derive_seed(501, "ks", trial),
         )
-        terminal = ens.values[:, -1, 0]
+        terminal = ens[:, -1, 0]
         if gh.ks_two_sample(terminal[:10_000], terminal[10_000:]) > critical:
             rejections += 1
     rate = rejections / 500
@@ -312,7 +312,7 @@ def test_criterion_8_hedging_replication():
         [spec.gbm], gh.CorrelationMatrix.identity(1), np.array([20.0]),
         horizon=5.0, n_steps=1_000, n_paths=10_000, seed=812,
     )
-    fine = ens.values[:, :, 0]
+    fine = ens[:, :, 0]
     rms = {}
     for n_steps, paths in ((100, fine[:, ::10]), (1_000, fine)):
         result = gh.hedge_backtest(spec, 20.0, 5.0, n_steps, 10_000, seed=0, paths=paths)
@@ -407,7 +407,7 @@ def test_criterion_9_property_suites():
             list(DEMO_PARAMS), corr, np.array([20.0, 25.0]),
             horizon=5.0, n_steps=5, n_paths=16, seed=seed,
         )
-        determinism_ok = determinism_ok and np.array_equal(a.values, b.values)
+        determinism_ok = determinism_ok and np.array_equal(a, b)
 
     ok = pde_ok and dominance_ok and replication_ok and determinism_ok
     record_criterion(

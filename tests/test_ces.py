@@ -33,7 +33,7 @@ def oracle_put(p, d, sigma, tau):
                  - p * mpmath.ncdf((log_ratio - half) / scale))
 
 
-SPEC1 = gh.MicrogridSpec(demand=20.0, gbm=gh.GbmParams(0.006, 0.03), label="one")
+SPEC1 = gh.MicrogridSpec(demand=20.0, gbm=gh.GbmParams(0.006, 0.03))
 
 
 class TestAllocation:
@@ -111,7 +111,7 @@ class TestPortfolioValue:
             horizon=5.0, n_steps=1, n_paths=1_000_000, seed=909,
             measure="transformed",
         )
-        payoff = np.maximum(20.0 - ens.values[:, -1, 0], 0.0)
+        payoff = np.maximum(20.0 - ens[:, -1, 0], 0.0)
         se = payoff.std(ddof=1) / np.sqrt(payoff.size)
         assert abs(payoff.mean() - gh.ces_portfolio_value(20.0, SPEC1, 0.0, 5.0)) < 3 * se
 
@@ -181,7 +181,7 @@ class TestTotalBattery:
 
     def test_mixed_volatilities(self):
         # second grid: sigma^2 tau/2 = 0.004, sigma sqrt(tau) = 0.0894427
-        spec2 = gh.MicrogridSpec(demand=25.0, gbm=gh.GbmParams(0.005, 0.04), label="two")
+        spec2 = gh.MicrogridSpec(demand=25.0, gbm=gh.GbmParams(0.005, 0.04))
         total = gh.ces_total_battery([20.0, 25.0], [SPEC1, spec2], 0.0, 5.0, 1.0)
         want = 20.0 * phi(0.00225 / (0.03 * np.sqrt(5))) + 25.0 * phi(
             0.004 / (0.04 * np.sqrt(5))

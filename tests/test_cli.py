@@ -69,7 +69,7 @@ def gbm_csv(tmp_path):
         [params], gh.CorrelationMatrix.identity(1), np.array([1200.0]),
         horizon=n_steps / 12, n_steps=n_steps, n_paths=1, seed=77,
     )
-    values = ens.values[0, :, 0]
+    values = ens[0, :, 0]
     rows = ["timestamp,power_kw"]
     minutes = 0
     for value in values:
@@ -299,6 +299,34 @@ def test_unparsable_value_named_exit_2(tmp_path, gbm_csv, case):
     assert named in proc.stderr
     if case == "correlation":
         assert "unequal lengths" in proc.stderr
+
+
+# correlations that no Brownian motion can have, on two and on three grids
+NOT_PSD = {
+    "two_grid": "correlation = 1,2;2,1\n",
+    "three_grid": (
+        "mu = 0.006, 0.005, 0.004\nsigma = 0.03, 0.04, 0.05\ncorrelation = -0.6\n"
+        "demand_kw = 20, 25, 15\ninitial_kw = 20, 25, 15\n"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("allocate", "--mode", "ces"), ("allocate", "--mode", "tes"), ("simulate", "--out")],
+    ids=["ces", "tes", "simulate"],
+)
+@pytest.mark.parametrize("case", sorted(NOT_PSD))
+def test_non_psd_correlation_exit_2(tmp_path, case, command):
+    config = tmp_path / "bad.cfg"
+    config.write_text(DEMO_CFG + NOT_PSD[case])
+    args = (command[0], str(config), *command[1:])
+    if command[0] == "simulate":
+        args += (str(tmp_path / "out"),)
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert "error: config key 'correlation': not positive semi-definite" in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 # the exit code of every package error, chosen on purpose: a new error class

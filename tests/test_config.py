@@ -130,3 +130,17 @@ def test_counts_below_one_rejected(tmp_path, key):
     # n_resamples = 0 used to reach np.quantile and die with an IndexError
     with pytest.raises(ValueError, match=f"{key} must be >= 1, got 0"):
         load_scenario_config(write(tmp_path, DEMO + f"{key} = 0\n"))
+
+
+@pytest.mark.parametrize("value", ["inf", "1, inf; inf, 1", "1.5"])
+def test_correlation_outside_unit_interval_rejected(tmp_path, value):
+    # an infinite entry has NaN eigenvalues; the PSD check still refuses it
+    text = DEMO + f"correlation = {value}\n"
+    with pytest.raises(ValueError, match="'correlation': not positive semi-definite"):
+        load_scenario_config(write(tmp_path, text))
+
+
+@pytest.mark.parametrize("rho", ["1", "-1"])
+def test_singular_correlation_accepted(tmp_path, rho):
+    config = load_scenario_config(write(tmp_path, DEMO + f"correlation = {rho}\n"))
+    assert config.grid.corr.rho[0, 1] == float(rho)

@@ -88,7 +88,7 @@ class TestSimulatePaths:
             n_paths=10_000,
             seed=11,
         )
-        terminal = ens.values[:, -1, 0]
+        terminal = ens[:, -1, 0]
         want = 20.0 * np.exp(0.006 * 5.0)
         se = terminal.std(ddof=1) / np.sqrt(terminal.size)
         assert abs(terminal.mean() - want) < 3 * se
@@ -104,7 +104,7 @@ class TestSimulatePaths:
             seed=12,
             measure="transformed",
         )
-        terminal = ens.values[:, -1, 0]
+        terminal = ens[:, -1, 0]
         se = terminal.std(ddof=1) / np.sqrt(terminal.size)
         assert abs(terminal.mean() - 20.0) < 3 * se
 
@@ -115,10 +115,10 @@ class TestSimulatePaths:
             self.params, self.corr, self.initial,
             horizon=5.0, n_steps=5, n_paths=10_000, seed=13, measure="transformed",
         )
-        increments = np.diff(ens.values, axis=1)
+        increments = np.diff(ens, axis=1)
         for asset in range(2):
             y = increments[:, :, asset].ravel()
-            x = ens.values[:, :-1, asset].ravel()
+            x = ens[:, :-1, asset].ravel()
             design = np.column_stack([np.ones_like(x), x])
             beta, *_ = np.linalg.lstsq(design, y, rcond=None)
             resid = y - design @ beta
@@ -131,17 +131,17 @@ class TestSimulatePaths:
             self.params, self.corr, self.initial,
             horizon=5.0, n_steps=7, n_paths=500, seed=3,
         )
-        assert np.all(ens.values > 0)
-        assert np.allclose(ens.values[:, 0, :], self.initial)
+        assert np.all(ens > 0)
+        assert np.allclose(ens[:, 0, :], self.initial)
 
     def test_seed_determinism(self):
         kwargs = dict(horizon=5.0, n_steps=5, n_paths=64, seed=42)
         a = gh.simulate_paths(self.params, self.corr, self.initial, **kwargs)
         b = gh.simulate_paths(self.params, self.corr, self.initial, **kwargs)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
         c = gh.simulate_paths(self.params, self.corr, self.initial,
                               horizon=5.0, n_steps=5, n_paths=64, seed=43)
-        assert not np.array_equal(a.values, c.values)
+        assert not np.array_equal(a, c)
 
     def test_log_increment_covariance(self):
         # empirical covariance vs sigma_i sigma_j rho_ij dt at 1e5 paths
@@ -149,7 +149,7 @@ class TestSimulatePaths:
             self.params, self.corr, self.initial,
             horizon=1.0, n_steps=1, n_paths=100_000, seed=21,
         )
-        x = ens.log_increments()[:, 0, :]
+        x = np.diff(np.log(ens), axis=1)[:, 0, :]
         got = np.cov(x.T, ddof=0)
         sig = np.array([0.03, 0.04])
         want = np.outer(sig, sig) * self.corr.rho
@@ -163,7 +163,7 @@ class TestMle:
             [params], gh.CorrelationMatrix.identity(1), np.array([20.0]),
             horizon=100_000 / 12, n_steps=100_000, n_paths=1, seed=5,
         )
-        fitted, returns = gh.estimate_gbm_mle(ens.values[0, :, 0], dt=1 / 12)
+        fitted, returns = gh.estimate_gbm_mle(ens[0, :, 0], dt=1 / 12)
         assert returns.size == 100_000
         assert abs(fitted.sigma - 0.027) / 0.027 < 0.02
 
@@ -194,7 +194,7 @@ class TestMle:
             [params], gh.CorrelationMatrix.identity(1), np.array([20.0]),
             horizon=100_000 / 12, n_steps=100_000, n_paths=1, seed=17,
         )
-        series = ens.values[0, :, 0]
+        series = ens[0, :, 0]
         errors = []
         for n in (1_000, 10_000, 100_000):
             fitted, _ = gh.estimate_gbm_mle(series[: n + 1], dt=1 / 12)

@@ -191,6 +191,23 @@ class TestCalibration:
             assert info.value.branch == 0
             assert info.value.limit == pytest.approx(-0.04375, abs=1e-15)
 
+    @pytest.mark.parametrize("dt", [1.0, 1e-8])
+    @pytest.mark.parametrize(
+        "sigmas, rho", [([0.03, 0.04], 1.0), ([0.03, 0.04], -1.0), ([0.03, 0.03], -1.0)]
+    )
+    def test_perfect_correlation_infeasible_at_every_dt(self, sigmas, rho, dt):
+        # a branch whose limit is exactly 0 sits at -(sum_i e_i sigma_i) sqrt(dt) / 8,
+        # so a smaller step never helps and the advice must not suggest one
+        with pytest.raises(InfeasibleCalibration, match="no moment-matched lattice") as info:
+            gh.calibrate_step_model(make_grid(sigmas, rho), dt)
+        assert "smaller" not in str(info.value)
+        assert info.value.limit == 0
+
+    def test_equal_volatilities_perfectly_correlated_calibrate(self):
+        for dt in (1.0, 1e-2, 1e-8):
+            model = gh.calibrate_step_model(make_grid([0.03, 0.03], 1.0), dt)
+            assert np.all(model.branch_probs >= 0)
+
     def test_zero_volatility_rejected(self):
         from gridhedge.errors import DegenerateVolatility
 

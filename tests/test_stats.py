@@ -56,7 +56,7 @@ class TestKsTwoSample:
             [gh.GbmParams(0.006, 0.03)], gh.CorrelationMatrix.identity(1),
             np.array([20.0]), horizon=5.0, n_steps=1, n_paths=20_000, seed=1001,
         )
-        terminal = ens.values[:, -1, 0]
+        terminal = ens[:, -1, 0]
         statistic = gh.ks_two_sample(terminal[:10_000], terminal[10_000:])
         assert statistic < gh.ks_critical_value(10_000, 10_000, 0.05)
 
@@ -78,13 +78,11 @@ class TestKsCriticalValue:
         with pytest.raises(InvalidAlpha):
             gh.ks_critical_value(10, 10, 1.5)
 
-    def test_ks_test_wrapper_reject_flag(self):
+    def test_shifted_sample_rejected(self):
         rng = np.random.default_rng(9)
-        same = gh.ks_test(rng.normal(size=500), rng.normal(size=500))
-        assert same.reject == (same.statistic > same.critical_value)
-        shifted = gh.ks_test(rng.normal(size=500), rng.normal(loc=1.0, size=500))
-        assert shifted.reject
-        assert 0.0 <= shifted.statistic <= 1.0
+        statistic = gh.ks_two_sample(rng.normal(size=500), rng.normal(loc=1.0, size=500))
+        assert 0.0 <= statistic <= 1.0
+        assert statistic > gh.ks_critical_value(500, 500, 0.05)
 
     def test_rejection_calibration(self):
         # same-distribution draws reject at ~alpha; 500 trials, frozen seeds
@@ -97,7 +95,7 @@ class TestKsCriticalValue:
                 horizon=5.0, n_steps=1, n_paths=20_000,
                 seed=derive_seed(501, "ks", trial),
             )
-            terminal = ens.values[:, -1, 0]
+            terminal = ens[:, -1, 0]
             if gh.ks_two_sample(terminal[:10_000], terminal[10_000:]) > critical:
                 rejections += 1
         assert 0.04 <= rejections / 500 <= 0.06
