@@ -22,7 +22,6 @@ from .gbm import (
     GbmParams,
     GofResult,
     chi_square_gof,
-    cholesky_factor,
     estimate_gbm_mle,
     gbm_mle_from_returns,
     simulate_paths,
@@ -71,7 +70,6 @@ __all__ = [
     "ces_portfolio_value",
     "ces_total_battery",
     "chi_square_gof",
-    "cholesky_factor",
     "dynamic_allocation",
     "estimate_gbm_mle",
     "gbm_mle_from_returns",

@@ -5,6 +5,7 @@ infeasible, 4 precondition violation, 5 empty result.
 """
 import argparse
 import os
+import shlex
 import sys
 from dataclasses import replace
 
@@ -133,7 +134,7 @@ def _cmd_simulate(args) -> int:
     write_results_csv(result, results_path)
     write_manifest(
         os.path.join(args.out, "manifest.txt"),
-        command=" ".join(sys.argv),
+        command=args.command_line,
         config=config,
         outputs=["results.csv"],
     )
@@ -201,7 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
+    args.command_line = "gridhedge " + shlex.join(argv)
     try:
         return args.func(args)
     except (GridHedgeError, ValueError, OSError) as exc:

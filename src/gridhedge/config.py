@@ -68,21 +68,11 @@ def _correlation(text: str, n: int) -> CorrelationMatrix:
         if len({row.size for row in rows}) > 1:
             lengths = ", ".join(str(row.size) for row in rows)
             raise ValueError(f"matrix rows have unequal lengths ({lengths})")
-        corr = CorrelationMatrix(np.array(rows))
-    else:
-        values = _floats(text)
-        if values.size != 1:
-            raise ValueError("correlation must be a scalar or ';'-separated matrix rows")
-        corr = CorrelationMatrix.pairwise(float(values[0]), n)
-    # only a positive semi-definite matrix correlates Brownian motions; an
-    # entry outside [-1, 1] gives a negative 2x2 minor (an infinite one NaN
-    # eigenvalues), so this one check covers it
-    eigenvalues = np.linalg.eigvalsh(corr.rho)
-    if not np.all(eigenvalues >= -1e-12):
-        raise ValueError(
-            f"not positive semi-definite (smallest eigenvalue {eigenvalues[0]:.6g})"
-        )
-    return corr
+        return CorrelationMatrix(np.array(rows))
+    values = _floats(text)
+    if values.size != 1:
+        raise ValueError("correlation must be a scalar or ';'-separated matrix rows")
+    return CorrelationMatrix.pairwise(float(values[0]), n)
 
 
 def _value(entries, key, parse):

@@ -5,10 +5,6 @@ class GridHedgeError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NotPositiveDefinite(GridHedgeError):
-    """Correlation matrix admits no Cholesky factorization (a pivot <= 0)."""
-
-
 class InvalidHorizon(GridHedgeError):
     """Simulation horizon must be positive."""
 

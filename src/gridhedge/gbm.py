@@ -6,7 +6,7 @@ under the physical measure or under the drift-removed transformed measure
 in which every generation process is a martingale.
 """
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from typing import NamedTuple
@@ -17,7 +17,6 @@ from .errors import (
     EmptySample,
     InvalidHorizon,
     NonPositiveSample,
-    NotPositiveDefinite,
     SeriesTooShort,
     TooFewBins,
 )
@@ -46,19 +45,23 @@ class GbmParams:
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
-    """Symmetric unit-diagonal correlation matrix of the Wiener drivers."""
+    """PSD unit-diagonal Wiener correlation ``rho``; lower ``factor`` @ factor.T == rho."""
 
     rho: np.ndarray
+    factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rho = np.atleast_2d(np.asarray(self.rho, dtype=float))
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise ValueError(f"correlation matrix must be square, got {rho.shape}")
-        if not np.allclose(rho, rho.T, atol=1e-12):
+        if np.isnan(rho).any():
+            raise ValueError("correlation matrix has a NaN entry")
+        if not np.allclose(rho, rho.T, rtol=0, atol=1e-12):
             raise ValueError("correlation matrix must be symmetric")
-        if not np.allclose(np.diag(rho), 1.0, atol=1e-12):
+        if not np.allclose(np.diag(rho), 1.0, rtol=0, atol=1e-12):
             raise ValueError("correlation matrix must have unit diagonal")
         object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "factor", _lower_factor(rho))
 
     @property
     def n(self) -> int:
@@ -76,18 +79,24 @@ class CorrelationMatrix:
         return cls(rho)
 
 
-def cholesky_factor(corr: CorrelationMatrix) -> np.ndarray:
-    """Lower-triangular L with L @ L.T == rho.
-
-    Raises NotPositiveDefinite when the factorization hits a pivot <= 0,
-    which is exactly the failure mode of an invalid correlation matrix.
+def _lower_factor(rho: np.ndarray) -> np.ndarray:
+    """Column Cholesky in LAPACK's potf2 order; a pivot within 1e-12 of zero
+    leaves its column zero (Higham 1990).  ValueError unless rho is PSD.
     """
-    try:
-        return np.linalg.cholesky(corr.rho)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(
-            "correlation matrix is not positive definite (Cholesky failed)"
-        ) from exc
+    lower = np.zeros_like(rho)
+    for j in range(len(rho)):
+        row = lower[j, :j]
+        pivot = rho[j, j] - row @ row
+        if abs(pivot) <= 1e-12:
+            continue
+        if not pivot > 0:
+            raise ValueError(f"not positive semi-definite (pivot {j} is {pivot:.6g})")
+        lower[j, j] = np.sqrt(pivot)
+        lower[j + 1:, j] = (rho[j + 1:, j] - lower[j + 1:, :j] @ row) * (1.0 / lower[j, j])
+    residual = np.abs(lower @ lower.T - rho).max(initial=0.0)
+    if not residual <= 1e-12:
+        raise ValueError(f"not positive semi-definite (factor residual {residual:.3g})")
+    return lower
 
 
 def simulate_paths(
@@ -130,7 +139,6 @@ def simulate_paths(
         raise DegenerateVolatility("simulation requires sigma > 0 for every process")
 
     dt = horizon / n_steps
-    lower = cholesky_factor(corr)
     if measure == "physical":
         drift = (mu - sigma**2 / 2.0) * dt
     else:
@@ -140,7 +148,7 @@ def simulate_paths(
     # identical (seed, shape) give bit-identical paths on every platform
     gen = np.random.Generator(np.random.Philox(key=seed))
     z = gen.standard_normal((n_paths, n_steps, len(params)))
-    increments = drift + (z @ lower.T) * sigma * np.sqrt(dt)
+    increments = drift + (z @ corr.factor.T) * sigma * np.sqrt(dt)
     log_paths = np.cumsum(increments, axis=1) + np.log(initial)
     values = np.empty((n_paths, n_steps + 1, len(params)))
     values[:, 0, :] = initial

@@ -6,6 +6,7 @@ daily clock window (e.g. 10:00-17:00) pair consecutive in-window samples
 only, never across the overnight gap.
 """
 import csv
+import math
 from dataclasses import dataclass
 from datetime import datetime, time, timezone
 
@@ -61,9 +62,12 @@ def load_power_csv(path) -> PowerSeries:
                 raise MalformedSeries(f"row {line_no}: expected 2 columns, got {len(row)}")
             stamps.append(_parse_timestamp(row[0].strip(), line_no))
             try:
-                values.append(float(row[1]))
-            except ValueError as exc:
-                raise MalformedSeries(f"row {line_no}: bad power value {row[1]!r}") from exc
+                value = float(row[1])
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise MalformedSeries(f"row {line_no}: bad power value {row[1]!r}")
+            values.append(value)
             lines.append(line_no)
     if not values:
         raise MalformedSeries("no data rows")

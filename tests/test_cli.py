@@ -1,7 +1,9 @@
-"""End-to-end CLI behavior through subprocess invocations."""
+"""End-to-end CLI behavior through subprocess invocations and in-process main()."""
 import os
+import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +44,13 @@ def run_cli(*args):
         text=True,
         env=CHILD_ENV,
     )
+
+
+def run_main(capsys, *args):
+    """cli.main in-process: (exit code, stdout, stderr)."""
+    code = cli.main(list(args))
+    streams = capsys.readouterr()
+    return code, streams.out, streams.err
 
 
 def parse_kv(stdout):
@@ -114,6 +123,18 @@ class TestEstimate:
         proc = run_cli("estimate", str(gbm_csv), "--bins", "3")
         assert proc.returncode == 2
         assert "n_bins=3" in proc.stderr
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_power_value_exit_2(self, tmp_path, capsys, bad):
+        # the third of five data rows is file line 4
+        rows = [f"2020-06-01T10:{5 * i:02d}:00,{bad if i == 2 else 20 + i}" for i in range(5)]
+        series = tmp_path / "series.csv"
+        series.write_text("timestamp,power_kw\n" + "\n".join(rows) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_main(capsys, "estimate", str(series))
+        assert code == 2
+        assert err == f"error: row 4: bad power value '{bad}'\n"
 
 
 class TestAllocate:
@@ -194,6 +215,34 @@ class TestSimulate:
         manifest = (out1 / "manifest.txt").read_text()
         assert "config.case_filter = ge,lt" in manifest
         assert "output = results.csv" in manifest
+
+    def test_perfectly_correlated_grids_simulate(self, tmp_path, capsys):
+        # both grids share one driver: the factor's second pivot is zero
+        config = tmp_path / "shared.cfg"
+        config.write_text(DEMO_CFG.replace("0.03, 0.04", "0.03, 0.03") + "correlation = 1\n")
+        out = tmp_path / "out"
+        code, _, err = run_main(capsys, "simulate", str(config), "--out", str(out))
+        assert code == 0, err
+        assert (out / "results.csv").exists()
+
+    def test_anti_correlated_grids_stop_at_the_lattice_exit_3(self, tmp_path, capsys):
+        # the paths factor (one driver negated), but the two-point lattice
+        # admits rho = -1 at no step size, so the calibration message stands
+        config = tmp_path / "negated.cfg"
+        config.write_text(DEMO_CFG.replace("0.03, 0.04", "0.03, 0.03") + "correlation = -1\n")
+        out = tmp_path / "out"
+        code, _, err = run_main(capsys, "simulate", str(config), "--out", str(out))
+        assert code == EXIT_CALIBRATION
+        assert "no moment-matched lattice" in err
+        assert not out.exists()
+
+    def test_manifest_records_the_parsed_command(self, demo_config, tmp_path, capsys):
+        argv = ["simulate", str(demo_config), "--paths", "1", "--out", str(tmp_path / "out dir")]
+        code, _, err = run_main(capsys, *argv)
+        assert code == 0, err
+        first = (tmp_path / "out dir" / "manifest.txt").read_text().splitlines()[0]
+        assert first == "command = gridhedge " + shlex.join(argv)
+        assert shlex.split(first.removeprefix("command = ")) == ["gridhedge", *argv]
 
     def test_empty_bucket_exit_5(self, tmp_path):
         config = tmp_path / "far.cfg"
@@ -329,6 +378,15 @@ def test_non_psd_correlation_exit_2(tmp_path, case, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "1,nan;nan,1"])
+def test_nan_correlation_named_exit_2(tmp_path, capsys, value):
+    config = tmp_path / "nan.cfg"
+    config.write_text(DEMO_CFG + f"correlation = {value}\n")
+    code, _, err = run_main(capsys, "allocate", str(config), "--mode", "ces")
+    assert code == 2
+    assert err == "error: config key 'correlation': correlation matrix has a NaN entry\n"
+
+
 # the exit code of every package error, chosen on purpose: a new error class
 # fails here until it is classified
 EXPECTED_EXIT_CODES = {
@@ -338,7 +396,6 @@ EXPECTED_EXIT_CODES = {
     "TooFewBins": cli.EXIT_INPUT,
     "InfeasibleCalibration": cli.EXIT_CALIBRATION,
     "InsufficientPaths": cli.EXIT_EMPTY,
-    "NotPositiveDefinite": cli.EXIT_PRECONDITION,
     "InvalidHorizon": cli.EXIT_PRECONDITION,
     "DegenerateVolatility": cli.EXIT_PRECONDITION,
     "EmptySample": cli.EXIT_PRECONDITION,

@@ -134,7 +134,7 @@ def test_counts_below_one_rejected(tmp_path, key):
 
 @pytest.mark.parametrize("value", ["inf", "1, inf; inf, 1", "1.5"])
 def test_correlation_outside_unit_interval_rejected(tmp_path, value):
-    # an infinite entry has NaN eigenvalues; the PSD check still refuses it
+    # an infinite entry drives a Cholesky pivot to -inf, so it is refused too
     text = DEMO + f"correlation = {value}\n"
     with pytest.raises(ValueError, match="'correlation': not positive semi-definite"):
         load_scenario_config(write(tmp_path, text))
@@ -144,3 +144,21 @@ def test_correlation_outside_unit_interval_rejected(tmp_path, value):
 def test_singular_correlation_accepted(tmp_path, rho):
     config = load_scenario_config(write(tmp_path, DEMO + f"correlation = {rho}\n"))
     assert config.grid.corr.rho[0, 1] == float(rho)
+
+
+@pytest.mark.parametrize("value", ["nan", "1, nan; nan, 1"])
+def test_nan_correlation_named(tmp_path, value):
+    text = DEMO + f"correlation = {value}\n"
+    with pytest.raises(ValueError, match="'correlation': correlation matrix has a NaN entry"):
+        load_scenario_config(write(tmp_path, text))
+
+
+@pytest.mark.parametrize(
+    "value", ["-0.5", "1, 1, -1; 1, 1, -1; -1, -1, 1"], ids=["pairwise=-0.5", "rank1"]
+)
+def test_singular_three_grid_correlation_accepted(tmp_path, value):
+    three = DEMO + "mu = 0.006, 0.005, 0.004\nsigma = 0.03, 0.04, 0.05\n"
+    three += "demand_kw = 20, 25, 15\ninitial_kw = 20, 25, 15\n"
+    config = load_scenario_config(write(tmp_path, three + f"correlation = {value}\n"))
+    lower = config.grid.corr.factor
+    assert np.max(np.abs(lower @ lower.T - config.grid.corr.rho)) <= 1e-12

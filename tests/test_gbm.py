@@ -9,40 +9,51 @@ from gridhedge.errors import (
     EmptySample,
     InvalidHorizon,
     NonPositiveSample,
-    NotPositiveDefinite,
     SeriesTooShort,
     TooFewBins,
 )
 
 
+def random_correlation(rng, n, rank=None):
+    """Correlation of rank ``rank`` (default n) from random factor loadings."""
+    loadings = rng.normal(size=(n, n + 2 if rank is None else rank))
+    cov = loadings @ loadings.T
+    scale = np.sqrt(np.diag(cov))
+    rho = cov / np.outer(scale, scale)
+    rho = (rho + rho.T) / 2
+    np.fill_diagonal(rho, 1.0)
+    return rho
+
+
+# positive semi-definite matrices with a zero eigenvalue
+SINGULAR = {
+    "rho=1": [[1.0, 1.0], [1.0, 1.0]],
+    "rho=-1": [[1.0, -1.0], [-1.0, 1.0]],
+    "pairwise=-0.5": [[1.0, -0.5, -0.5], [-0.5, 1.0, -0.5], [-0.5, -0.5, 1.0]],
+    "rank1": [[1.0, 1.0, -1.0], [1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]],
+}
+
+
 class TestCholesky:
     def test_identity(self):
         corr = gh.CorrelationMatrix.identity(2)
-        assert np.allclose(gh.cholesky_factor(corr), np.eye(2))
+        assert np.allclose(corr.factor, np.eye(2))
 
     def test_hand_factor(self):
         # 0.8 = sqrt(1 - 0.36)
         corr = gh.CorrelationMatrix.pairwise(0.6)
         want = np.array([[1.0, 0.0], [0.6, 0.8]])
-        assert np.allclose(gh.cholesky_factor(corr), want, atol=1e-15)
+        assert np.allclose(corr.factor, want, atol=1e-15)
 
     def test_invalid_correlation_rejected(self):
-        corr = gh.CorrelationMatrix(np.array([[1.0, 1.0001], [1.0001, 1.0]]))
-        with pytest.raises(NotPositiveDefinite):
-            gh.cholesky_factor(corr)
+        with pytest.raises(ValueError, match="not positive semi-definite"):
+            gh.CorrelationMatrix(np.array([[1.0, 1.0001], [1.0001, 1.0]]))
 
     def test_reconstruction(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
-            # factor construction guarantees positive definiteness
-            loadings = rng.normal(size=(4, 6))
-            cov = loadings @ loadings.T + np.diag(rng.uniform(0.1, 1.0, 4))
-            scale = np.sqrt(np.diag(cov))
-            rho = cov / np.outer(scale, scale)
-            rho = (rho + rho.T) / 2
-            np.fill_diagonal(rho, 1.0)
-            corr = gh.CorrelationMatrix(rho)
-            lower = gh.cholesky_factor(corr)
+            rho = random_correlation(rng, 4)
+            lower = gh.CorrelationMatrix(rho).factor
             assert np.max(np.abs(lower @ lower.T - rho)) < 1e-12
 
     def test_shape_validation(self):
@@ -50,6 +61,84 @@ class TestCholesky:
             gh.CorrelationMatrix(np.array([[1.0, 0.2], [0.3, 1.0]]))
         with pytest.raises(ValueError):
             gh.CorrelationMatrix(np.array([[0.9, 0.2], [0.2, 1.0]]))
+        # 1e-12 is an absolute tolerance, not numpy's default rtol of 1e-5
+        with pytest.raises(ValueError, match="symmetric"):
+            gh.CorrelationMatrix(np.array([[1.0, 0.5], [0.500001, 1.0]]))
+        with pytest.raises(ValueError, match="unit diagonal"):
+            gh.CorrelationMatrix(np.array([[1.000001, 0.5], [0.5, 1.0]]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_bit_identical_to_lapack_on_positive_definite(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(2000):
+            rho = random_correlation(rng, n)
+            factor = gh.CorrelationMatrix(rho).factor
+            assert np.array_equal(factor, np.linalg.cholesky(rho))
+
+    @pytest.mark.parametrize("coefficient, n", [(0.6, 2), (0.3, 3)])
+    def test_benchmark_correlations_bit_identical(self, coefficient, n):
+        corr = gh.CorrelationMatrix.pairwise(coefficient, n)
+        assert np.array_equal(corr.factor, np.linalg.cholesky(corr.rho))
+
+    @pytest.mark.parametrize("rho", list(SINGULAR.values()), ids=list(SINGULAR))
+    def test_singular_boundary_factored(self, rho):
+        rho = np.array(rho)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(rho)
+        lower = gh.CorrelationMatrix(rho).factor
+        assert np.array_equal(lower, np.tril(lower))
+        assert np.max(np.abs(lower @ lower.T - rho)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "rho",
+        [
+            [[1.0, 1.0, 0.0], [1.0, 1.0, 0.5], [0.0, 0.5, 1.0]],  # zero pivot, then a miss
+            [[1.0, -0.6, -0.6], [-0.6, 1.0, -0.6], [-0.6, -0.6, 1.0]],
+            [[1.0, np.inf], [np.inf, 1.0]],
+        ],
+        ids=["singular_inconsistent", "pairwise=-0.6", "inf"],
+    )
+    def test_not_semi_definite_rejected(self, rho):
+        with pytest.raises(ValueError, match="^not positive semi-definite"):
+            gh.CorrelationMatrix(np.array(rho))
+
+    def test_nan_entry_named(self):
+        with pytest.raises(ValueError, match="NaN"):
+            gh.CorrelationMatrix(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+    def test_every_accepted_matrix_simulates(self):
+        rng = np.random.default_rng(11)
+        matrices = [np.array(rho) for rho in SINGULAR.values()]
+        for n in (2, 3, 4):
+            for rank in range(1, n + 1):
+                matrices += [random_correlation(rng, n, rank) for _ in range(5)]
+        simulated = 0
+        for rho in matrices:
+            try:
+                corr = gh.CorrelationMatrix(rho)
+            except ValueError:
+                continue  # the property concerns accepted matrices only
+            n = corr.n
+            paths = gh.simulate_paths(
+                [gh.GbmParams(0.005, 0.03)] * n, corr, np.full(n, 20.0),
+                horizon=5.0, n_steps=5, n_paths=50, seed=3,
+            )
+            assert paths.shape == (50, 6, n)
+            assert np.all(np.isfinite(paths)) and np.all(paths > 0)
+            simulated += 1
+        assert simulated >= len(SINGULAR) + 40
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_perfect_correlation_shares_or_negates_one_driver(self, sign):
+        sigma, dt = 0.03, 1.0
+        paths = gh.simulate_paths(
+            [gh.GbmParams(0.005, sigma)] * 2, gh.CorrelationMatrix.pairwise(sign),
+            np.array([20.0, 25.0]), horizon=5.0, n_steps=5, n_paths=200, seed=9,
+            measure="transformed",
+        )
+        shocks = np.diff(np.log(paths), axis=1) + sigma**2 * dt / 2
+        assert np.max(np.abs(shocks[..., 1] - sign * shocks[..., 0])) < 1e-12
+        assert np.std(shocks[..., 0]) > sigma / 2
 
 
 class TestSimulatePaths:

@@ -52,6 +52,13 @@ def test_non_increasing_names_row(tmp_path):
         load_power_csv(write_csv(tmp_path, rows))
 
 
+@pytest.mark.parametrize("bad", ["abc", "nan", "inf"])
+def test_bad_power_value_names_row(tmp_path, bad):
+    values = [20.0, 20.5, bad, 20.8, 21.0]
+    with pytest.raises(MalformedSeries, match=f"^row 4: bad power value '{bad}'$"):
+        load_power_csv(write_csv(tmp_path, five_min_rows(1, 10, 5, values)))
+
+
 def test_bad_header(tmp_path):
     with pytest.raises(MalformedSeries, match="header"):
         load_power_csv(write_csv(tmp_path, ["2020-06-01T10:00:00,20"], header="time,kw"))
