@@ -146,13 +146,6 @@ def test_singular_correlation_accepted(tmp_path, rho):
     assert config.grid.corr.rho[0, 1] == float(rho)
 
 
-@pytest.mark.parametrize("value", ["nan", "1, nan; nan, 1"])
-def test_nan_correlation_named(tmp_path, value):
-    text = DEMO + f"correlation = {value}\n"
-    with pytest.raises(ValueError, match="'correlation': correlation matrix has a NaN entry"):
-        load_scenario_config(write(tmp_path, text))
-
-
 @pytest.mark.parametrize(
     "value", ["-0.5", "1, 1, -1; 1, 1, -1; -1, -1, 1"], ids=["pairwise=-0.5", "rank1"]
 )
