@@ -43,9 +43,10 @@ for case, story in cases:
     print(f"  pooled b(t)  : {np.round(result.metrics['b_tes'].mean, 2)}")
     print(f"  per-grid b(t): {np.round(result.metrics['b_ces'].mean, 2)}")
     print(f"  savings %    : {np.round(result.metrics['savings_pct'].mean, 2)}")
+    savings = result.overall_savings
     print(
-        f"  overall savings = {result.overall_savings:.2f}% "
-        f"(95% CI {result.overall_savings_lo:.2f} to {result.overall_savings_hi:.2f})"
+        f"  overall savings = {savings.mean:.2f}% "
+        f"(95% CI {savings.lo:.2f} to {savings.hi:.2f})"
     )
     out = f"case_{'_'.join(case)}.csv"
     gh.write_results_csv(result, out)

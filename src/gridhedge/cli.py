@@ -8,6 +8,7 @@ import os
 import shlex
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from . import __version__
 from .ces import MicrogridSpec, ces_allocation
@@ -128,8 +129,17 @@ def _cmd_simulate(args) -> int:
     case = None if args.case_filter is None else parse_case(args.case_filter)
     overrides = {"n_paths": args.paths, "seed": args.seed, "case_filter": case}
     config = replace(config, **{key: v for key, v in overrides.items() if v is not None})
-    result = run_case_study(config)
+    # an unusable --out fails before the run; a failed run removes the
+    # directories it made, deepest first
+    out = Path(args.out).absolute()
+    made = [path for path in (out, *out.parents) if not os.path.lexists(path)]
     os.makedirs(args.out, exist_ok=True)
+    try:
+        result = run_case_study(config)
+    except BaseException:
+        for path in made:
+            os.rmdir(path)
+        raise
     results_path = os.path.join(args.out, "results.csv")
     write_results_csv(result, results_path)
     write_manifest(
@@ -140,9 +150,10 @@ def _cmd_simulate(args) -> int:
     )
     print(f"case          = {result.case_label}")
     print(f"paths         = {result.n_paths}")
-    print(f"overall_savings_pct = {result.overall_savings:.4f}")
-    print(f"overall_savings_ci_lo_pct = {result.overall_savings_lo:.4f}")
-    print(f"overall_savings_ci_hi_pct = {result.overall_savings_hi:.4f}")
+    savings = result.overall_savings
+    print(f"overall_savings_pct = {savings.mean:.4f}")
+    print(f"overall_savings_ci_lo_pct = {savings.lo:.4f}")
+    print(f"overall_savings_ci_hi_pct = {savings.hi:.4f}")
     print(f"results       = {results_path}")
     return 0
 

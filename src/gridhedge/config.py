@@ -1,6 +1,8 @@
 """Flat key=value scenario configuration files and run manifests.
 
-Config keys mirror the scenario fields one-to-one; numbers are decimal with
+Five keys build the GridEnsemble (mu, sigma, correlation, demand_kw,
+battery_unit_kw); every other key is the ScenarioConfig field of its name,
+optional exactly when that field has a default.  Numbers are decimal with
 units fixed by the key name (kW, hours).  Lists are comma separated and a
 correlation matrix writes its rows separated by semicolons.  Example::
 
@@ -18,29 +20,15 @@ correlation matrix writes its rows separated by semicolons.  Example::
     case_filter     = ge, lt            # optional
 """
 import os
+from contextlib import contextmanager
+from dataclasses import MISSING, fields
 from datetime import datetime, timezone
 
 import numpy as np
 
 from .gbm import CorrelationMatrix, GbmParams
 from .grid import GridEnsemble
-from .scenario import ScenarioConfig, parse_case
-
-REQUIRED_KEYS = (
-    "mu",
-    "sigma",
-    "correlation",
-    "demand_kw",
-    "initial_kw",
-    "battery_unit_kw",
-    "horizon_hours",
-    "rebalance_steps",
-    "n_paths",
-    "seed",
-)
-# optional counts; ScenarioConfig holds their defaults
-COUNT_KEYS = ("n_resamples", "max_simulated_paths")
-KNOWN_KEYS = REQUIRED_KEYS + ("case_filter",) + COUNT_KEYS
+from .scenario import ScenarioConfig, format_case, parse_case
 
 
 def parse_flat_file(path) -> "dict[str, str]":
@@ -62,83 +50,84 @@ def _floats(text: str) -> np.ndarray:
     return np.array([float(part) for part in text.split(",") if part.strip() != ""])
 
 
-def _correlation(text: str, n: int) -> CorrelationMatrix:
+def _correlation(text: str) -> np.ndarray:
+    """A scalar pairwise coefficient, or the 2-D array of ';'-separated rows."""
     if ";" in text:
         rows = [_floats(row) for row in text.split(";")]
         if len({row.size for row in rows}) > 1:
             lengths = ", ".join(str(row.size) for row in rows)
             raise ValueError(f"matrix rows have unequal lengths ({lengths})")
-        return CorrelationMatrix(np.array(rows))
+        return np.array(rows)
     values = _floats(text)
     if values.size != 1:
         raise ValueError("correlation must be a scalar or ';'-separated matrix rows")
-    return CorrelationMatrix.pairwise(float(values[0]), n)
+    return values[0]
 
 
-def _value(entries, key, parse):
-    """parse(entries[key]), with a value it cannot parse reported under its key."""
+def _join(values) -> str:
+    return ",".join(format(v, ".17g") for v in values)
+
+
+# key: (parse the config text, write a ScenarioConfig back as manifest text),
+# in manifest order
+KEYS = {
+    "mu": (_floats, lambda c: _join(p.mu for p in c.grid.params)),
+    "sigma": (_floats, lambda c: _join(p.sigma for p in c.grid.params)),
+    "correlation": (_correlation, lambda c: ";".join(_join(row) for row in c.grid.corr.rho)),
+    "demand_kw": (_floats, lambda c: _join(c.grid.demands)),
+    "initial_kw": (_floats, lambda c: _join(c.initial_kw)),
+    "battery_unit_kw": (float, lambda c: format(c.grid.battery_unit_kw, ".17g")),
+    "horizon_hours": (float, lambda c: format(c.horizon_hours, ".17g")),
+    "rebalance_steps": (int, lambda c: str(c.rebalance_steps)),
+    "n_paths": (int, lambda c: str(c.n_paths)),
+    "seed": (int, lambda c: str(c.seed)),
+    "n_resamples": (int, lambda c: str(c.n_resamples)),
+    "max_simulated_paths": (int, lambda c: str(c.max_simulated_paths)),
+    # an empty value means no filter, and no filter writes no line
+    "case_filter": (
+        lambda text: parse_case(text) if text else None,
+        lambda c: format_case(c.case_filter) if c.case_filter else None,
+    ),
+}
+
+
+@contextmanager
+def _named(key):
+    """Report a ValueError raised inside under the config key it concerns."""
     try:
-        return parse(entries[key])
+        yield
     except ValueError as exc:
         raise ValueError(f"config key '{key}': {exc}") from None
 
 
 def load_scenario_config(path) -> ScenarioConfig:
     entries = parse_flat_file(path)
-    unknown = [key for key in entries if key not in KNOWN_KEYS]
+    unknown = [key for key in entries if key not in KEYS]
     if unknown:
         raise ValueError(f"config has unknown keys: {', '.join(unknown)}")
-    missing = [key for key in REQUIRED_KEYS if key not in entries]
+    optional = {f.name for f in fields(ScenarioConfig) if f.default is not MISSING}
+    missing = [key for key in KEYS if key not in entries and key not in optional]
     if missing:
         raise ValueError(f"config missing keys: {', '.join(missing)}")
-    mu = _value(entries, "mu", _floats)
-    sigma = _value(entries, "sigma", _floats)
+    values = {}
+    for key, (parse, _) in KEYS.items():
+        if key in entries:
+            with _named(key):
+                values[key] = parse(entries[key])
+    mu, sigma, rho = values.pop("mu"), values.pop("sigma"), values.pop("correlation")
     if mu.size != sigma.size:
         raise ValueError("mu and sigma must have the same length")
+    with _named("correlation"):
+        corr = CorrelationMatrix(rho) if rho.ndim else CorrelationMatrix.pairwise(rho, mu.size)
     params = tuple(GbmParams(m, s) for m, s in zip(mu, sigma))
-    grid = GridEnsemble(
-        params=params,
-        corr=_value(entries, "correlation", lambda text: _correlation(text, mu.size)),
-        demands=_value(entries, "demand_kw", _floats),
-        battery_unit_kw=_value(entries, "battery_unit_kw", float),
-    )
-    case_filter = None
-    if entries.get("case_filter"):
-        case_filter = _value(entries, "case_filter", parse_case)
-    counts = {key: _value(entries, key, int) for key in COUNT_KEYS if key in entries}
-    return ScenarioConfig(
-        grid=grid,
-        initial_kw=_value(entries, "initial_kw", _floats),
-        horizon_hours=_value(entries, "horizon_hours", float),
-        rebalance_steps=_value(entries, "rebalance_steps", int),
-        n_paths=_value(entries, "n_paths", int),
-        seed=_value(entries, "seed", int),
-        case_filter=case_filter,
-        **counts,
-    )
+    grid = GridEnsemble(params, corr, values.pop("demand_kw"), values.pop("battery_unit_kw"))
+    return ScenarioConfig(grid=grid, **values)
 
 
 def config_snapshot(config: ScenarioConfig) -> "dict[str, str]":
     """Flat representation sufficient to reproduce the run bit-for-bit."""
-    grid = config.grid
-    rows = ";".join(",".join(format(v, ".17g") for v in row) for row in grid.corr.rho)
-    snap = {
-        "mu": ",".join(format(p.mu, ".17g") for p in grid.params),
-        "sigma": ",".join(format(p.sigma, ".17g") for p in grid.params),
-        "correlation": rows,
-        "demand_kw": ",".join(format(v, ".17g") for v in grid.demands),
-        "initial_kw": ",".join(format(v, ".17g") for v in config.initial_kw),
-        "battery_unit_kw": format(grid.battery_unit_kw, ".17g"),
-        "horizon_hours": format(config.horizon_hours, ".17g"),
-        "rebalance_steps": str(config.rebalance_steps),
-        "n_paths": str(config.n_paths),
-        "seed": str(config.seed),
-        "n_resamples": str(config.n_resamples),
-        "max_simulated_paths": str(config.max_simulated_paths),
-    }
-    if config.case_filter:
-        snap["case_filter"] = ",".join(config.case_filter)
-    return snap
+    snap = {key: write(config) for key, (_, write) in KEYS.items()}
+    return {key: text for key, text in snap.items() if text is not None}
 
 
 def write_manifest(path, command: str, config: ScenarioConfig, outputs) -> None:
@@ -151,10 +140,8 @@ def write_manifest(path, command: str, config: ScenarioConfig, outputs) -> None:
         f"created_utc = {datetime.now(timezone.utc).isoformat()}",
         f"seed = {config.seed}",
     ]
-    for key, value in config_snapshot(config).items():
-        lines.append(f"config.{key} = {value}")
-    for name in outputs:
-        lines.append(f"output = {name}")
+    lines += [f"config.{key} = {value}" for key, value in config_snapshot(config).items()]
+    lines += [f"output = {name}" for name in outputs]
     tmp = f"{path}.tmp"
     with open(tmp, "w") as handle:
         handle.write("\n".join(lines) + "\n")

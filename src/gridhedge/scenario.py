@@ -19,7 +19,7 @@ from .lattice import calibrate_step_model, RecombiningLattice
 # through this name; it is the same class, so the wrap reaches every caller
 from .lattice import RecombiningLattice as _BatchLattice  # noqa: F401
 from .gbm import simulate_paths
-from .stats import resampled_means
+from .stats import BootstrapCi, percentile_ci, resampled_means
 
 CASE_GE = "ge"
 CASE_LT = "lt"
@@ -88,6 +88,9 @@ class ScenarioConfig:
         for name in ("rebalance_steps", "n_paths", "n_resamples", "max_simulated_paths"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0 <= self.seed <= 0xFFFFFFFF:
+            # derive_seed keeps 32 bits of the root seed; wider seeds would alias
+            raise ValueError(f"seed must be in [0, 4294967295], got {self.seed}")
         if self.max_simulated_paths < self.n_paths:
             raise ValueError(
                 f"max_simulated_paths ({self.max_simulated_paths}) must be >= n_paths "
@@ -111,24 +114,15 @@ class ScenarioConfig:
 
 
 @dataclass(frozen=True)
-class MetricSeries:
-    mean: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-
-
-@dataclass(frozen=True)
 class CaseResult:
     times: np.ndarray
     case: "tuple[str, ...] | None"
     n_paths: int
-    metrics: "dict[str, MetricSeries]"
+    metrics: "dict[str, BootstrapCi]"  # arrays over time, 95% intervals
     pg_mean: np.ndarray  # (n_times, n_microgrids)
     pg_std: np.ndarray
     case_counts: "dict[str, int]"
-    overall_savings: float
-    overall_savings_lo: float  # 95% percentile-bootstrap interval
-    overall_savings_hi: float
+    overall_savings: BootstrapCi  # of the time average of savings_pct
 
     @property
     def case_label(self) -> str:
@@ -211,23 +205,16 @@ def _bootstrap_time_metrics(samples, n_resamples, seed):
     equal to both interval ends.
 
     Returns (series, overall): series maps each sample name and savings_pct
-    to a MetricSeries over time; overall is the (point, lo, hi) of the time
+    to a BootstrapCi over time; overall is the BootstrapCi of the time
     average of savings_pct.
     """
-    names = list(samples)
-    n_times = samples[names[0]].shape[1]
-    stacked = np.hstack([samples[name] for name in names])
-    means, resampled = resampled_means(stacked, n_resamples, seed)
-    points = {name: means[i * n_times : (i + 1) * n_times] for i, name in enumerate(names)}
-    draws = {name: resampled[:, i * n_times : (i + 1) * n_times] for i, name in enumerate(names)}
+    means, resampled = resampled_means(np.hstack(list(samples.values())), n_resamples, seed)
+    points = dict(zip(samples, np.split(means, len(samples))))
+    draws = dict(zip(samples, np.split(resampled, len(samples), axis=1)))
     points["savings_pct"], point_overall = battery_savings(points["b_tes"], points["b_ces"])
     draws["savings_pct"] = _savings_ratio(draws["b_tes"], draws["b_ces"])
-    lo, hi = np.quantile(draws["savings_pct"].mean(axis=1), [0.025, 0.975])
-    series = {}
-    for name, point in points.items():
-        lo_t, hi_t = np.quantile(draws[name], [0.025, 0.975], axis=0)
-        series[name] = MetricSeries(mean=point, lo=lo_t, hi=hi_t)
-    return series, (point_overall, float(lo), float(hi))
+    series = {name: percentile_ci(points[name], draws[name]) for name in points}
+    return series, percentile_ci(point_overall, draws["savings_pct"].mean(axis=1))
 
 
 def run_case_study(config: ScenarioConfig) -> CaseResult:
@@ -252,24 +239,20 @@ def run_case_study(config: ScenarioConfig) -> CaseResult:
     paths, counts = _collect_paths(config)
     m = paths.shape[0]
 
-    b_tes = np.zeros((n_times, m))
-    b_ces = np.zeros((n_times, m))
-    v_tes = np.zeros((n_times, m))
-    v_ces = np.zeros((n_times, m))
+    # one row per path, as the bootstrap resamples whole paths
+    b_tes, b_ces, v_tes, v_ces = np.zeros((4, m, n_times))
     prev_a = np.zeros((m, grid.n_microgrids))
     for n in range(n_times):
         pg = paths[:, n, :]
         tau = config.horizon_hours - times[n]
         steps = config.rebalance_steps - n
-        b_ces[n], v_ces[n] = _batch_ces(pg, grid.demands, sigmas, tau, p_b)
+        b_ces[:, n], v_ces[:, n] = _batch_ces(pg, grid.demands, sigmas, tau, p_b)
         value, a, b, _ = engine.allocate(pg, steps, prev_a)
-        v_tes[n], b_tes[n] = value, b
+        v_tes[:, n], b_tes[:, n] = value, b
         prev_a = a
 
-    # transposed views: each time's samples stay contiguous, so the point
-    # means are summed in the same order as a 1-D mean
-    metrics, (savings, savings_lo, savings_hi) = _bootstrap_time_metrics(
-        {"b_tes": b_tes.T, "b_ces": b_ces.T, "v_tes": v_tes.T, "v_ces": v_ces.T},
+    metrics, savings = _bootstrap_time_metrics(
+        {"b_tes": b_tes, "b_ces": b_ces, "v_tes": v_tes, "v_ces": v_ces},
         config.n_resamples,
         derive_seed(config.seed, "bootstrap"),
     )
@@ -282,8 +265,6 @@ def run_case_study(config: ScenarioConfig) -> CaseResult:
         pg_std=paths.std(axis=0),
         case_counts=counts,
         overall_savings=savings,
-        overall_savings_lo=savings_lo,
-        overall_savings_hi=savings_hi,
     )
 
 
@@ -298,10 +279,9 @@ def write_results_csv(result: CaseResult, path) -> None:
         writer = csv.writer(handle)
         writer.writerow(["t_hours", "metric", "case", "mean", "ci_lo", "ci_hi"])
         for i, t in enumerate(result.times):
-            for name in ("b_tes", "b_ces", "v_tes", "v_ces", "savings_pct"):
-                ms = result.metrics[name]
+            for name, ci in result.metrics.items():
                 writer.writerow(
-                    [fmt(t), name, case_label, fmt(ms.mean[i]), fmt(ms.lo[i]), fmt(ms.hi[i])]
+                    [fmt(t), name, case_label, fmt(ci.mean[i]), fmt(ci.lo[i]), fmt(ci.hi[i])]
                 )
             for g in range(result.pg_mean.shape[1]):
                 writer.writerow(

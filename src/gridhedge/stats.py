@@ -8,9 +8,17 @@ from .errors import EmptySample, InvalidAlpha
 
 @dataclass(frozen=True)
 class BootstrapCi:
-    mean: float
-    lo: float
-    hi: float
+    """A point estimate and its percentile interval: floats, or arrays over time."""
+
+    mean: "float | np.ndarray"
+    lo: "float | np.ndarray"
+    hi: "float | np.ndarray"
+
+
+def percentile_ci(mean, resampled, tail: float = 0.025) -> BootstrapCi:
+    """mean with the tail and 1 - tail quantiles of resampled along axis 0."""
+    lo, hi = np.quantile(resampled, [tail, 1.0 - tail], axis=0)
+    return BootstrapCi(mean=mean, lo=lo, hi=hi)
 
 
 def ks_two_sample(a, b) -> float:
@@ -145,6 +153,4 @@ def bootstrap_ci(
     if not 0.0 < level < 1.0:
         raise InvalidAlpha(f"level must be in (0, 1), got {level}")
     mean, resampled = resampled_means(x[:, None], n_resamples, seed)
-    tail = (1.0 - level) / 2.0
-    lo, hi = np.quantile(resampled[:, 0], [tail, 1.0 - tail])
-    return BootstrapCi(mean=float(mean[0]), lo=float(lo), hi=float(hi))
+    return percentile_ci(float(mean[0]), resampled[:, 0], (1.0 - level) / 2.0)

@@ -378,6 +378,46 @@ def test_non_psd_correlation_exit_2(tmp_path, case, command):
     assert not (tmp_path / "out").exists()
 
 
+def test_out_under_a_file_fails_before_the_run(tmp_path, demo_config, capsys, monkeypatch):
+    def no_run(config):
+        raise AssertionError("run_case_study ran before --out was created")
+
+    monkeypatch.setattr(cli, "run_case_study", no_run)
+    regular = tmp_path / "regular"
+    regular.write_text("")
+    code, _, err = run_main(capsys, "simulate", str(demo_config), "--out", str(regular / "sub"))
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_failed_run_removes_the_directories_it_created(tmp_path, demo_config, capsys, monkeypatch):
+    def empty_run(config):
+        raise errors.InsufficientPaths("no paths")
+
+    monkeypatch.setattr(cli, "run_case_study", empty_run)
+    (tmp_path / "kept").mkdir()
+    code, _, _ = run_main(capsys, "simulate", str(demo_config), "--out", str(tmp_path / "a" / "b"))
+    assert code == 5
+    code, _, _ = run_main(capsys, "simulate", str(demo_config), "--out", str(tmp_path / "kept"))
+    assert code == 5
+    assert sorted(os.listdir(tmp_path)) == ["demo.cfg", "kept"]
+
+
+# derive_seed keeps 32 bits of the root seed, so a wider seed would alias one
+# in range: 4294967338 used to give the bytes of 42, and -1 those of 4294967295
+@pytest.mark.parametrize("where", ["config", "option"])
+@pytest.mark.parametrize("seed", ["-1", "4294967296"])
+def test_seed_outside_32_bits_exit_2(tmp_path, capsys, seed, where):
+    config = tmp_path / "seed.cfg"
+    config.write_text(DEMO_CFG + (f"seed = {seed}\n" if where == "config" else ""))
+    option = ("--seed", seed) if where == "option" else ()
+    out = tmp_path / "out"
+    code, _, err = run_main(capsys, "simulate", str(config), *option, "--out", str(out))
+    assert code == 2
+    assert err == f"error: seed must be in [0, 4294967295], got {seed}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "1,nan;nan,1"])
 def test_nan_correlation_named_exit_2(tmp_path, capsys, value):
     config = tmp_path / "nan.cfg"

@@ -1,13 +1,17 @@
 """Flat config parsing and run manifests."""
+from dataclasses import MISSING, fields
+
 import numpy as np
 import pytest
 
 from gridhedge.config import (
+    KEYS,
     config_snapshot,
     load_scenario_config,
     parse_flat_file,
     write_manifest,
 )
+from gridhedge.scenario import ScenarioConfig
 
 DEMO = """\
 # two-microgrid demo scenario
@@ -78,17 +82,53 @@ def test_unknown_keys_rejected(tmp_path):
 
 
 def test_snapshot_round_trips_through_config_format(tmp_path):
+    # every optional key away from its default, and a matrix correlation
     text = DEMO + "n_resamples = 321\nmax_simulated_paths = 54321\ncase_filter = lt, ge\n"
+    text += "correlation = 1, 0.35; 0.35, 1\n"
     config = load_scenario_config(write(tmp_path, text))
+    for field in fields(config):
+        if field.default is not MISSING:
+            assert getattr(config, field.name) != field.default, field.name
     snap = config_snapshot(config)
+    assert list(snap) == list(KEYS)
     text = "\n".join(f"{key} = {value}" for key, value in snap.items())
     config2 = load_scenario_config(write(tmp_path, text, name="snap.cfg"))
+    assert config_snapshot(config2) == snap
     assert config2.seed == config.seed
-    assert np.allclose(config2.grid.corr.rho, config.grid.corr.rho)
+    assert np.array_equal(config2.grid.corr.rho, config.grid.corr.rho)
+    assert config2.grid.corr.rho[0, 1] == 0.35
     assert config2.n_paths == config.n_paths
     assert config2.n_resamples == config.n_resamples == 321
     assert config2.max_simulated_paths == config.max_simulated_paths == 54321
     assert config2.case_filter == config.case_filter == ("lt", "ge")
+
+
+def test_keys_are_the_grid_keys_and_the_scenario_fields():
+    grid_keys = {"mu", "sigma", "correlation", "demand_kw", "battery_unit_kw"}
+    scenario_fields = {f.name for f in fields(ScenarioConfig)} - {"grid"}
+    assert set(KEYS) == grid_keys | scenario_fields
+    assert not grid_keys & scenario_fields
+
+
+def test_optional_keys_are_the_fields_with_defaults(tmp_path):
+    # the demo sets only the required keys; the rest take their defaults
+    config = load_scenario_config(write(tmp_path, DEMO))
+    defaults = {f.name: f.default for f in fields(config) if f.default is not MISSING}
+    assert set(defaults) == {"case_filter", "n_resamples", "max_simulated_paths"}
+    assert {name: getattr(config, name) for name in defaults} == defaults
+
+
+@pytest.mark.parametrize("seed", [0, 4294967295])
+def test_seed_range_ends_load(tmp_path, seed):
+    config = load_scenario_config(write(tmp_path, DEMO + f"seed = {seed}\n"))
+    assert config.seed == seed
+    assert config_snapshot(config)["seed"] == str(seed)
+
+
+@pytest.mark.parametrize("seed", [-1, 4294967296])
+def test_seed_outside_32_bits_rejected(tmp_path, seed):
+    with pytest.raises(ValueError, match=rf"seed must be in \[0, 4294967295\], got {seed}$"):
+        load_scenario_config(write(tmp_path, DEMO + f"seed = {seed}\n"))
 
 
 def test_manifest_contents(tmp_path):

@@ -154,8 +154,9 @@ class TestRunCaseStudy:
         _, overall = gh.battery_savings(
             result.metrics["b_tes"].mean, result.metrics["b_ces"].mean
         )
-        assert result.overall_savings == overall
-        assert result.overall_savings_lo < result.overall_savings < result.overall_savings_hi
+        savings = result.overall_savings
+        assert savings.mean == overall
+        assert savings.lo < savings.mean < savings.hi
 
     def test_counts_cover_all_cases(self, demo_grid):
         result = gh.run_case_study(make_config(demo_grid, n_paths=500, n_resamples=150))
