@@ -22,6 +22,7 @@ from .gbm import (
     GbmParams,
     GofResult,
     chi_square_gof,
+    chi_square_survival,
     estimate_gbm_mle,
     gbm_mle_from_returns,
     simulate_paths,
@@ -70,6 +71,7 @@ __all__ = [
     "ces_portfolio_value",
     "ces_total_battery",
     "chi_square_gof",
+    "chi_square_survival",
     "dynamic_allocation",
     "estimate_gbm_mle",
     "gbm_mle_from_returns",

@@ -4,6 +4,7 @@ Exit codes: 0 success, 1 validation failure, 2 input error, 3 calibration
 infeasible, 4 precondition violation, 5 empty result.
 """
 import argparse
+import math
 import os
 import shlex
 import sys
@@ -48,6 +49,10 @@ EXIT_CODES = (
 
 
 def _cmd_estimate(args) -> int:
+    if args.interval_minutes is not None and not 0 < args.interval_minutes < math.inf:
+        raise ValueError(
+            f"--interval-minutes must be finite and > 0, got {args.interval_minutes:g}"
+        )
     series = load_power_csv(args.input)
     window = None
     if args.window:

@@ -1,10 +1,14 @@
-"""Correlated geometric Brownian motion: simulation and estimation.
+"""Correlated geometric Brownian motion: simulation, estimation and fit test.
 
 Generation of each microgrid follows dP = mu*P*dt + sigma*P*dW with
 correlated Wiener increments (dW_i dW_j = rho_ij dt).  Paths can be drawn
 under the physical measure or under the drift-removed transformed measure
-in which every generation process is a martingale.
+in which every generation process is a martingale.  The maximum-likelihood
+fit is checked by a chi-square goodness-of-fit test whose p-value comes
+from a standard-library survival function, so this module needs no scipy.
 """
+import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -200,6 +204,41 @@ class GofResult(NamedTuple):
     p_value: float
 
 
+# fdlibm's two-part ln 2: k * _LN2_HI is exact for k < 2**21
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+
+
+def chi_square_survival(x: float, dof: int) -> float:
+    """P(X > x) for X ~ chi-square(dof) with integer dof >= 1.
+
+    With y = x/2 this is the finite series of Q(dof/2, y):
+    e^-y * sum of y^j / Gamma(j + 1) over j = 0, 1, ... < dof/2 (even dof),
+    or over j = 1/2, 3/2, ... < dof/2 plus erfc(sqrt(y)) (odd dof).  The
+    terms follow t_j = t_(j-1) * y / j at a running power-of-two scale, and
+    e^-y is applied last as 2^-k * e^-r (Cody-Waite), so neither underflows
+    while the product is a normal float.
+    """
+    if not (isinstance(dof, numbers.Integral) and dof >= 1):
+        raise ValueError(f"dof must be an integer >= 1, got {dof!r}")
+    if not 0 < x < 2.0**61:  # beyond 2^61 every feasible dof gives 0
+        return 1.0 if x <= 0 else 0.0 if x > 0 else math.nan
+    y = 0.5 * x
+    if dof % 2:
+        head, term, j = math.erfc(math.sqrt(y)), 2.0 * math.sqrt(y / math.pi), 0.5
+    else:
+        head, term, j = 0.0, 1.0, 0.0
+    total, scale = 0.0, 0
+    while j < dof / 2:
+        total += term
+        j += 1
+        term *= y / j
+        if total > 2.0**512:
+            total, term, scale = total * 2.0**-512, term * 2.0**-512, scale + 512
+    k = round(y / math.log(2))
+    r = (y - k * _LN2_HI) - k * _LN2_LO
+    return head + math.ldexp(total * math.exp(-r), scale - k)
+
+
 def chi_square_gof(
     log_returns, params: GbmParams, dt: float, n_bins: int, n_estimated: int = 2
 ) -> GofResult:
@@ -209,8 +248,6 @@ def chi_square_gof(
     degrees of freedom are n_bins - 1 - n_estimated, defaulting to the two
     parameters fitted by ``estimate_gbm_mle``.
     """
-    from scipy.special import chdtrc  # loaded here so other commands skip scipy
-
     x = np.asarray(log_returns, dtype=float)
     if x.size == 0:
         raise EmptySample("no log-returns supplied")
@@ -225,4 +262,4 @@ def chi_square_gof(
     expected = x.size / n_bins
     statistic = float(np.sum((observed - expected) ** 2) / expected)
     dof = n_bins - 1 - n_estimated
-    return GofResult(statistic, dof, float(chdtrc(dof, statistic)))
+    return GofResult(statistic, dof, chi_square_survival(statistic, dof))

@@ -4,9 +4,10 @@ The oracle suite re-derives the closed-form allocator from an independent
 normal CDF (scipy's erfc, not the C library's erfc behind the library Phi),
 checks lattice/closed-form agreement, calibration residuals, and the
 lattice value against a Monte Carlo oracle.  The stats suite checks the KS
-threshold, its rejection-rate calibration, the chi-square survival anchor,
-and bootstrap interval width.  scipy is imported inside the checks that use
-it, so importing this module (as the CLI does) does not load scipy.
+threshold, its rejection-rate calibration, the chi-square survival anchor
+and the survival function against scipy's chdtrc, and bootstrap interval
+width.  scipy is imported inside the checks that use it, so importing this
+module (as the CLI does) does not load scipy.
 """
 import math
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ces
-from .gbm import CorrelationMatrix, GbmParams, simulate_paths
+from .gbm import CorrelationMatrix, GbmParams, chi_square_survival, simulate_paths
 from .grid import GridEnsemble
 from .lattice import calibrate_step_model, dynamic_allocation, moment_residuals
 from .scenario import derive_seed
@@ -180,13 +181,29 @@ def check_ks_calibration(n_trials: int = 500, seed: int = 501) -> CheckResult:
 
 
 def check_chi_square_anchor() -> CheckResult:
-    from scipy.special import chdtrc
-
-    p = float(chdtrc(13, 18.86))
+    p = chi_square_survival(18.86, 13)
     return CheckResult(
         "chi_square_survival_anchor",
         abs(p - 0.128) <= 0.002,
         f"sf(18.86, 13) = {p:.4f} (target 0.128 +/- 0.002)",
+    )
+
+
+def check_chi_square_survival() -> CheckResult:
+    """The library survival function against scipy's chdtrc on a fixed grid."""
+    from scipy.special import chdtrc
+
+    worst = 0.0
+    for dof in (1, 2, 3, 13, 14, 99, 300, 997, 9_997):
+        for x in np.geomspace(1e-6, 4.0 * dof + 400.0, 25):
+            want = float(chdtrc(dof, x))
+            if want >= 1e-300:
+                got = chi_square_survival(float(x), dof)
+                worst = max(worst, abs(got - want) / want)
+    return CheckResult(
+        "chi_square_survival_vs_scipy",
+        worst < 1e-9,
+        f"max relative error {worst:.3e} (tolerance 1e-9)",
     )
 
 
@@ -214,6 +231,7 @@ STATS_CHECKS = (
     check_ks_critical,
     check_ks_calibration,
     check_chi_square_anchor,
+    check_chi_square_survival,
     check_bootstrap_width,
 )
 

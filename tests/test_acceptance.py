@@ -287,9 +287,7 @@ def test_criterion_6_ks_threshold_and_calibration():
 
 def test_criterion_7_chi_square_anchor():
     """Survival function at the published statistic/dof gives p = 0.128."""
-    from scipy.stats import chi2
-
-    p = float(chi2.sf(18.86, 13))
+    p = gh.chi_square_survival(18.86, 13)
     ok = abs(p - 0.128) <= 0.002
     record_criterion(
         "criterion_7_chi_square_p_value",

@@ -119,6 +119,13 @@ class TestEstimate:
         proc = run_cli("estimate", str(gbm_csv), "--interval-minutes", "15")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "0", "-5"])
+    def test_unusable_interval_exit_2(self, gbm_csv, capsys, bad):
+        code, out, err = run_main(capsys, "estimate", str(gbm_csv), f"--interval-minutes={bad}")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --interval-minutes must be finite and > 0, got {float(bad):g}\n"
+
     def test_too_few_bins_exit_2(self, gbm_csv):
         proc = run_cli("estimate", str(gbm_csv), "--bins", "3")
         assert proc.returncode == 2
@@ -492,13 +499,22 @@ def test_every_exported_name_resolves():
 
 
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy"])
-def test_import_does_not_load_scipy_stats(module):
+def test_import_does_not_load_scipy_stats(module, gbm_csv, demo_config, tmp_path):
     # scipy.stats costs about a second of start-up for every command, and
-    # scipy.special another 0.3 s; only estimate and validate load scipy
+    # scipy.special another 0.3 s; only validate loads scipy, for its oracles.
+    # The import alone, then each production command run in turn, loads none.
+    commands = [
+        [],
+        ["estimate", str(gbm_csv)],
+        ["allocate", str(demo_config), "--mode", "tes"],
+        ["simulate", str(demo_config), "--paths", "10", "--out", str(tmp_path / "out")],
+    ]
     code = (
-        "import sys, gridhedge.cli; "
-        f"loaded = [m for m in sys.modules if m == {module!r} or m.startswith({module!r} + '.')]; "
-        "assert not loaded, loaded"
+        "import sys, gridhedge.cli\n"
+        f"for argv in {commands!r}:\n"
+        "    assert not argv or gridhedge.cli.main(argv) == 0, argv\n"
+        f"    loaded = [m for m in sys.modules if m == {module!r} or m.startswith({module!r} + '.')]\n"
+        "    assert not loaded, (argv, loaded)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV

@@ -291,6 +291,40 @@ class TestMle:
         assert errors[2] < 0.5 * errors[0]
 
 
+class TestChiSquareSurvival:
+    @pytest.mark.parametrize(
+        "dofs, tolerance", [(range(1, 301), 1e-12), ((997, 9_997, 99_997), 1e-9)]
+    )
+    def test_matches_scipy_chdtrc(self, dofs, tolerance):
+        from scipy.special import chdtrc, chdtri
+
+        worst = 0.0
+        for dof in dofs:
+            # from near zero through the bulk to past p = 1e-300
+            tail = chdtri(dof, 1e-300)
+            xs = np.concatenate(
+                [np.geomspace(1e-8, tail, 40), np.linspace(dof, tail, 40), [1.01 * tail]]
+            )
+            for x in xs:
+                want = chdtrc(dof, x)
+                if want >= 1e-300:
+                    got = gh.chi_square_survival(float(x), dof)
+                    worst = max(worst, abs(got - want) / want)
+        assert worst < tolerance
+
+    def test_large_dof_does_not_underflow(self):
+        assert gh.chi_square_survival(99_849.0, 99_997) == pytest.approx(0.629, abs=5e-4)
+
+    @pytest.mark.parametrize("dof", [1, 2, 13, 300])
+    def test_zero_statistic_is_exactly_one(self, dof):
+        assert gh.chi_square_survival(0.0, dof) == 1.0
+
+    @pytest.mark.parametrize("dof", [0, -3, 2.5, 13.0])
+    def test_dof_must_be_a_positive_integer(self, dof):
+        with pytest.raises(ValueError, match="dof must be an integer >= 1"):
+            gh.chi_square_survival(1.0, dof)
+
+
 class TestChiSquareGof:
     def test_too_few_bins(self):
         with pytest.raises(TooFewBins):

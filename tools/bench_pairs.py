@@ -12,10 +12,20 @@ alternates from pair to pair, so drift on the host falls on both sides
 alike.
 
 For each end-to-end metric the output holds both sides' per-pair values,
-their medians and interquartile ranges, and the number of pairs the change
-won (strictly better, in the direction BENCHMARK.json gives).  A run that
-perfbench reports as not correct is kept and marked; a side whose runs are
-all correct has ``"correct": true``.
+their medians and interquartile ranges, the number of pairs the change
+won (strictly better, in the direction BENCHMARK.json gives) and a verdict:
+
+- ``gain``: the change won at least 9 pairs in 10 and the medians differ,
+  in its favour, by more than the base's interquartile range;
+- ``regression``: the change's median is worse than the base's by more
+  than the metric's relative ``bound`` in BENCHMARK.json;
+- ``unresolved``: the base's interquartile range is wider than the bound,
+  and not every run of the change beats every run of the base;
+- ``unchanged``: otherwise.
+
+One summary row per workload is printed at the end.  A run that perfbench
+reports as not correct is kept and marked; a side whose runs are all
+correct has ``"correct": true``.
 """
 import argparse
 import json
@@ -67,20 +77,35 @@ def spread(values) -> dict:
     return {"median": median, "iqr": q3 - q1, "runs": values}
 
 
-def summarise(runs, directions) -> dict:
-    """Per-metric medians, IQRs and change wins over the pairs of one workload."""
+def verdict(base: dict, change: dict, wins: int, sign: float, bound: float) -> str:
+    """gain, regression, unresolved or unchanged; sign is +1 where lower is better."""
+    gap = sign * (base["median"] - change["median"])  # > 0: the change is better
+    if 10 * wins >= 9 * len(base["runs"]) and gap > base["iqr"]:
+        return "gain"
+    if -gap > bound * abs(base["median"]):
+        return "regression"
+    separated = max(sign * c for c in change["runs"]) < min(sign * b for b in base["runs"])
+    if base["iqr"] > bound * abs(base["median"]) and not separated:
+        return "unresolved"
+    return "unchanged"
+
+
+def summarise(runs, metrics) -> dict:
+    """Per-metric medians, IQRs, change wins and verdicts over one workload's pairs."""
     out = {}
-    for name, better in directions.items():
-        base = [pair["base"]["metrics"][name]["value"] for pair in runs]
-        change = [pair["change"]["metrics"][name]["value"] for pair in runs]
+    for metric in metrics:
+        name, better = metric["name"], metric["better"]
+        base = spread([pair["base"]["metrics"][name]["value"] for pair in runs])
+        change = spread([pair["change"]["metrics"][name]["value"] for pair in runs])
         sign = 1.0 if better == "lower" else -1.0
-        wins = sum(sign * (c - b) < 0 for b, c in zip(base, change))
+        wins = sum(sign * (c - b) < 0 for b, c in zip(base["runs"], change["runs"]))
         out[name] = {
             "better": better,
-            "base": spread(base),
-            "change": spread(change),
+            "base": base,
+            "change": change,
             "change_wins": wins,
             "pairs": len(runs),
+            "verdict": verdict(base, change, wins, sign, metric["bound"]),
         }
     return out
 
@@ -94,7 +119,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    directions = {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
     seconds = benchmark["run_seconds"]
     report = {
         "command": f"perfbench/run.py --seconds {seconds} --trace 0",
@@ -127,9 +151,14 @@ def main(argv=None) -> int:
                 "first": first,
                 "correct": {side: all(pair[side]["correct"] for pair in runs)
                             for side in ("base", "change")},
-                "metrics": summarise(runs, directions),
+                "metrics": summarise(runs, benchmark["end_to_end"]),
             }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
+    for workload, entry in report["workloads"].items():
+        print(f"{workload}: " + ", ".join(
+            f"{name} {m['verdict']} ({m['change_wins']}/{m['pairs']})"
+            for name, m in entry["metrics"].items()
+        ))
     return 0
 
 
