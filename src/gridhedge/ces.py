@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import normal
-from .errors import DegenerateVolatility, NonPositiveGeneration, TimeOutOfRange
+from .errors import DegenerateVolatility, TimeOutOfRange
 from .gbm import CorrelationMatrix, GbmParams, simulate_paths
 
 # Seam used by the validator's fault-injection mode; do not rebind elsewhere.
@@ -47,7 +47,7 @@ def terminal_payoff_ces(p_g_tf, d_c):
     """
     p = np.asarray(p_g_tf, dtype=float)
     if np.any(p <= 0):
-        raise NonPositiveGeneration("terminal generation must be positive")
+        raise ValueError("terminal generation must be positive")
     out = np.where(p >= d_c, 0.0, d_c - p)
     return float(out) if np.isscalar(p_g_tf) else out
 
@@ -89,7 +89,7 @@ def ces_allocation(p_g, spec: MicrogridSpec, t, t_f, p_b) -> CesAllocation:
     if p_b <= 0:
         raise ValueError(f"p_b must be > 0, got {p_b}")
     if np.any(np.asarray(p_g) <= 0):
-        raise NonPositiveGeneration(f"p_g must be > 0, got {p_g}")
+        raise ValueError(f"p_g must be > 0, got {p_g}")
     _check_time(t, t_f)
     if spec.gbm.sigma == 0:
         raise DegenerateVolatility("allocation requires sigma > 0")
@@ -102,7 +102,7 @@ def ces_allocation(p_g, spec: MicrogridSpec, t, t_f, p_b) -> CesAllocation:
 def ces_portfolio_value(p_g, spec: MicrogridSpec, t, t_f):
     """Portfolio power D*Phi(d+) - P*Phi(d-): a zero-rate put on generation."""
     if np.any(np.asarray(p_g) <= 0):
-        raise NonPositiveGeneration(f"p_g must be > 0, got {p_g}")
+        raise ValueError(f"p_g must be > 0, got {p_g}")
     _check_time(t, t_f)
     if spec.gbm.sigma == 0 and t != t_f:
         raise DegenerateVolatility("valuation requires sigma > 0")

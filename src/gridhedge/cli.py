@@ -14,16 +14,7 @@ from pathlib import Path
 from . import __version__
 from .ces import MicrogridSpec, ces_allocation
 from .config import load_scenario_config, write_manifest
-from .errors import (
-    GridHedgeError,
-    InfeasibleCalibration,
-    InsufficientPaths,
-    MalformedSeries,
-    NonPositiveSample,
-    SeriesTooShort,
-    TimeOutOfRange,
-    TooFewBins,
-)
+from .errors import GridHedgeError, InfeasibleCalibration, InsufficientPaths, TimeOutOfRange
 from .gbm import chi_square_gof, gbm_mle_from_returns
 from .lattice import calibrate_step_model, dynamic_allocation
 from .scenario import parse_case, run_case_study, write_results_csv
@@ -38,10 +29,7 @@ EXIT_EMPTY = 5
 
 # main() exits with the code of the first row whose types match the error
 EXIT_CODES = (
-    (
-        (MalformedSeries, NonPositiveSample, SeriesTooShort, TooFewBins, OSError, ValueError),
-        EXIT_INPUT,
-    ),
+    ((ValueError, OSError), EXIT_INPUT),
     (InfeasibleCalibration, EXIT_CALIBRATION),
     (InsufficientPaths, EXIT_EMPTY),
     (GridHedgeError, EXIT_PRECONDITION),
@@ -64,13 +52,13 @@ def _cmd_estimate(args) -> int:
     if args.interval_minutes is not None:
         expected = args.interval_minutes / 60.0
         if abs(series.dt_hours - expected) > 1e-9:
-            raise MalformedSeries(
+            raise ValueError(
                 f"file interval {series.dt_hours * 60:.6g} min "
                 f"!= requested {args.interval_minutes:.6g} min"
             )
     returns = window_log_returns(series, window)
     if returns.size < 2:
-        raise MalformedSeries("window leaves fewer than 2 log-returns")
+        raise ValueError("window leaves fewer than 2 log-returns")
     params = gbm_mle_from_returns(returns, series.dt_hours)
     print(f"samples        = {len(series)}")
     print(f"dt_hours       = {series.dt_hours:.6g}")

@@ -1,40 +1,19 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package.
+
+Bad arguments raise ``ValueError``, and the CLI exits 2 on it.  Each class
+here is a failure the CLI reports with its own exit code: 3 for an
+infeasible calibration, 5 for an empty case filter and 4 for the other
+preconditions.  ``LengthMismatch`` is also raised by the reference tree in
+``tests/reference_tree.py``.
+"""
 
 
 class GridHedgeError(Exception):
     """Base class for all package-specific errors."""
 
 
-class InvalidHorizon(GridHedgeError):
-    """Simulation horizon must be positive."""
-
-
 class DegenerateVolatility(GridHedgeError):
     """An operation requiring sigma > 0 received a zero-volatility process."""
-
-
-class NonPositiveSample(GridHedgeError):
-    """A power time series contained a value <= 0."""
-
-
-class SeriesTooShort(GridHedgeError):
-    """Too few observations to estimate drift and volatility."""
-
-
-class TooFewBins(GridHedgeError):
-    """Chi-square binning needs at least 4 bins (dof >= 1)."""
-
-
-class EmptySample(GridHedgeError):
-    """A statistical routine received an empty sample."""
-
-
-class InvalidAlpha(GridHedgeError):
-    """Significance level must lie strictly inside (0, 1)."""
-
-
-class NonPositiveGeneration(GridHedgeError):
-    """Generation state must be strictly positive."""
 
 
 class TimeOutOfRange(GridHedgeError):
@@ -74,10 +53,6 @@ class InfeasibleCalibration(GridHedgeError):
 
 class TreeTooLarge(GridHedgeError):
     """A lattice's terminal grid would exceed the node budget."""
-
-
-class MalformedSeries(GridHedgeError):
-    """Time-series CSV violates the ingestion contract (bad row identified)."""
 
 
 class InsufficientPaths(GridHedgeError):

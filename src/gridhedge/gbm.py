@@ -15,15 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from typing import NamedTuple
 
-from .errors import (
-    DegenerateVolatility,
-    DegenerateVolatilityWarning,
-    EmptySample,
-    InvalidHorizon,
-    NonPositiveSample,
-    SeriesTooShort,
-    TooFewBins,
-)
+from .errors import DegenerateVolatility, DegenerateVolatilityWarning
 from .normal import normal_ppf
 
 MEASURES = ("physical", "transformed")
@@ -128,7 +120,7 @@ def simulate_paths(
     if measure not in MEASURES:
         raise ValueError(f"measure must be one of {MEASURES}, got {measure!r}")
     if horizon <= 0:
-        raise InvalidHorizon(f"horizon must be > 0, got {horizon}")
+        raise ValueError(f"horizon must be > 0, got {horizon}")
     if n_steps < 1 or n_paths < 1:
         raise ValueError("n_steps and n_paths must be >= 1")
     if initial.shape != (len(params),):
@@ -168,7 +160,7 @@ def gbm_mle_from_returns(log_returns, dt: float) -> GbmParams:
     """
     x = np.asarray(log_returns, dtype=float)
     if x.size < 2:
-        raise SeriesTooShort(f"need at least 2 log-returns, got {x.size}")
+        raise ValueError(f"need at least 2 log-returns, got {x.size}")
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     sigma_sq = x.var(ddof=0) / dt
@@ -190,10 +182,10 @@ def estimate_gbm_mle(series, dt: float):
     """
     values = np.asarray(series, dtype=float)
     if values.size < 3:
-        raise SeriesTooShort(f"need at least 3 observations, got {values.size}")
+        raise ValueError(f"need at least 3 observations, got {values.size}")
     if np.any(values <= 0):
         bad = int(np.argmax(values <= 0))
-        raise NonPositiveSample(f"series value at index {bad} is not positive")
+        raise ValueError(f"series value at index {bad} is not positive")
     log_returns = np.diff(np.log(values))
     return gbm_mle_from_returns(log_returns, dt), log_returns
 
@@ -250,9 +242,11 @@ def chi_square_gof(
     """
     x = np.asarray(log_returns, dtype=float)
     if x.size == 0:
-        raise EmptySample("no log-returns supplied")
+        raise ValueError("no log-returns supplied")
     if n_bins < 4 or n_bins - 1 - n_estimated < 1:
-        raise TooFewBins(f"n_bins={n_bins} leaves dof < 1")
+        raise ValueError(f"n_bins={n_bins} leaves dof < 1")
+    if n_bins > x.size:  # bounds the edge array before it is allocated
+        raise ValueError(f"n_bins={n_bins} exceeds the {x.size} log-returns supplied")
     if params.sigma == 0:
         raise DegenerateVolatility("cannot bin against a zero-volatility law")
     mean = (params.mu - params.sigma**2 / 2.0) * dt

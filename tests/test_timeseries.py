@@ -2,7 +2,6 @@
 import numpy as np
 import pytest
 
-from gridhedge.errors import MalformedSeries
 from gridhedge.timeseries import (
     load_power_csv,
     parse_clock,
@@ -39,7 +38,7 @@ def test_non_uniform_interval_names_row(tmp_path):
         "2020-06-01T10:05:00,21",
         "2020-06-01T10:12:00,22",
     ]
-    with pytest.raises(MalformedSeries, match="row 4"):
+    with pytest.raises(ValueError, match="row 4"):
         load_power_csv(write_csv(tmp_path, rows))
 
 
@@ -48,28 +47,28 @@ def test_non_increasing_names_row(tmp_path):
         "2020-06-01T10:05:00,20",
         "2020-06-01T10:00:00,21",
     ]
-    with pytest.raises(MalformedSeries, match="row 3"):
+    with pytest.raises(ValueError, match="row 3"):
         load_power_csv(write_csv(tmp_path, rows))
 
 
 @pytest.mark.parametrize("bad", ["abc", "nan", "inf"])
 def test_bad_power_value_names_row(tmp_path, bad):
     values = [20.0, 20.5, bad, 20.8, 21.0]
-    with pytest.raises(MalformedSeries, match=f"^row 4: bad power value '{bad}'$"):
+    with pytest.raises(ValueError, match=f"^row 4: bad power value '{bad}'$"):
         load_power_csv(write_csv(tmp_path, five_min_rows(1, 10, 5, values)))
 
 
 def test_bad_header(tmp_path):
-    with pytest.raises(MalformedSeries, match="header"):
+    with pytest.raises(ValueError, match="header"):
         load_power_csv(write_csv(tmp_path, ["2020-06-01T10:00:00,20"], header="time,kw"))
 
 
 def test_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
-    with pytest.raises(MalformedSeries, match="no data rows"):
+    with pytest.raises(ValueError, match="no data rows"):
         load_power_csv(path)
-    with pytest.raises(MalformedSeries, match="no data rows"):
+    with pytest.raises(ValueError, match="no data rows"):
         load_power_csv(write_csv(tmp_path, []))
 
 
@@ -123,7 +122,7 @@ def test_window_covering_midnight_keeps_overnight_returns(tmp_path):
 def test_non_positive_value_inside_window_rejected(tmp_path):
     values = [20, 21, 0, 23, 24, 25]
     series = load_power_csv(write_csv(tmp_path, five_min_rows(1, 10, 6, values)))
-    with pytest.raises(MalformedSeries, match="non-positive"):
+    with pytest.raises(ValueError, match="non-positive"):
         window_log_returns(series, (parse_clock("10:00"), parse_clock("10:25")))
 
 
