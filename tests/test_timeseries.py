@@ -38,7 +38,8 @@ def test_non_uniform_interval_names_row(tmp_path):
         "2020-06-01T10:05:00,21",
         "2020-06-01T10:12:00,22",
     ]
-    with pytest.raises(ValueError, match="row 4"):
+    want = r"^row 4: non-uniform sampling interval \(420\.000s vs expected 300\.000s\)$"
+    with pytest.raises(ValueError, match=want):
         load_power_csv(write_csv(tmp_path, rows))
 
 
@@ -47,7 +48,7 @@ def test_non_increasing_names_row(tmp_path):
         "2020-06-01T10:05:00,20",
         "2020-06-01T10:00:00,21",
     ]
-    with pytest.raises(ValueError, match="row 3"):
+    with pytest.raises(ValueError, match="^row 3: timestamps not strictly increasing$"):
         load_power_csv(write_csv(tmp_path, rows))
 
 
@@ -59,16 +60,17 @@ def test_bad_power_value_names_row(tmp_path, bad):
 
 
 def test_bad_header(tmp_path):
-    with pytest.raises(ValueError, match="header"):
+    want = "^row 1: header must be 'timestamp,power_kw', got 'time,kw'$"
+    with pytest.raises(ValueError, match=want):
         load_power_csv(write_csv(tmp_path, ["2020-06-01T10:00:00,20"], header="time,kw"))
 
 
 def test_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
-    with pytest.raises(ValueError, match="no data rows"):
+    with pytest.raises(ValueError, match="^no data rows: file is empty$"):
         load_power_csv(path)
-    with pytest.raises(ValueError, match="no data rows"):
+    with pytest.raises(ValueError, match="^no data rows$"):
         load_power_csv(write_csv(tmp_path, []))
 
 
@@ -122,7 +124,7 @@ def test_window_covering_midnight_keeps_overnight_returns(tmp_path):
 def test_non_positive_value_inside_window_rejected(tmp_path):
     values = [20, 21, 0, 23, 24, 25]
     series = load_power_csv(write_csv(tmp_path, five_min_rows(1, 10, 6, values)))
-    with pytest.raises(ValueError, match="non-positive"):
+    with pytest.raises(ValueError, match="^window contains non-positive power values$"):
         window_log_returns(series, (parse_clock("10:00"), parse_clock("10:25")))
 
 

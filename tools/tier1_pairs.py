@@ -49,7 +49,9 @@ def run_once(root: Path) -> dict:
     try:
         counts = outcomes(proc.stdout)
     except ValueError:
-        raise SystemExit(f"Tier-1 did not finish in {root}:\n{proc.stdout[-2000:]}{proc.stderr}")
+        raise SystemExit(
+            f"Tier-1 did not finish in {root}:\n{proc.stdout[-2000:]}{proc.stderr}"
+        ) from None
     return {"wall_s": wall_s, "outcomes": counts}
 
 
