@@ -19,7 +19,6 @@ from .gbm import chi_square_gof, gbm_mle_from_returns
 from .lattice import calibrate_step_model, dynamic_allocation
 from .scenario import parse_case, run_case_study, write_results_csv
 from .timeseries import load_power_csv, parse_clock, window_log_returns
-from .validate import run_suite
 
 EXIT_VALIDATION = 1
 EXIT_INPUT = 2
@@ -60,13 +59,16 @@ def _cmd_estimate(args) -> int:
     if returns.size < 2:
         raise ValueError("window leaves fewer than 2 log-returns")
     params = gbm_mle_from_returns(returns, series.dt_hours)
+    # every input error is raised before the first line is printed
+    gof = None
+    if params.sigma > 0:
+        gof = chi_square_gof(returns, params, series.dt_hours, args.bins)
     print(f"samples        = {len(series)}")
     print(f"dt_hours       = {series.dt_hours:.6g}")
     print(f"log_returns    = {returns.size}")
     print(f"mu_per_hour    = {params.mu:.6g}")
     print(f"sigma_per_rth  = {params.sigma:.6g}")
-    if params.sigma > 0:
-        gof = chi_square_gof(returns, params, series.dt_hours, args.bins)
+    if gof is not None:
         print(f"chi2_statistic = {gof.statistic:.6g}")
         print(f"chi2_dof       = {gof.dof}")
         print(f"chi2_p_value   = {gof.p_value:.6g}")
@@ -152,6 +154,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    # imported here: no other command needs the validation suite
+    from .validate import run_suite
+
     results = run_suite(args.suite, inject_phi_fault=args.inject_phi_fault)
     failures = 0
     for check in results:

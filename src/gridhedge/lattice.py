@@ -191,9 +191,12 @@ class RecombiningLattice:
     FFT power), the same for every root.  With s steps left, child k (one
     step taken, up-counts up_k) is worth sum_j W_{s-1}[j] * H[j + up_k],
     where H is the terminal headroom max(D - sum_i pg_i * u_i^(2 j_i - s), 0).
-    One matrix product per block of roots replaces s rounds of backward
-    induction: the (2^n, states) child weights times a (states, roots)
-    headroom block.  The roots are the innermost axis, and a block holds at
+    Two BLAS products per block of roots replace s rounds of backward
+    induction: the (roots, n) root states times the (n, states) ladder
+    values give the terminal generation, clipped in place to a (roots,
+    states) headroom block, and that block times the transposed (2^n,
+    states) child weights gives the child values.  The roots are the
+    outermost axis, one reused buffer holds the block, and a block holds at
     most ``LATTICE_BLOCK_ELEMENTS`` headroom values, whatever the root count.
 
     The replication design of a root has rows [pg * factors_k, p_b]: the
@@ -248,32 +251,32 @@ class RecombiningLattice:
             stacked[(k,) + _branch_slices(model, k)] = reach
         return stacked.reshape(model.n_branches, -1)
 
-    def _headroom(self, pg, ladders):
-        # (states, roots) with the roots innermost; broadcasting one asset at a
-        # time needs no full-size zero grid and still sums each state's terms
-        # in asset order
-        total = ladders[0][:, None] * pg[:, 0]
-        for i in range(1, self.model.n_assets):
-            total = total[..., None, :] + ladders[i][:, None] * pg[:, i]
-        np.subtract(self.total_demand, total, out=total)
-        np.maximum(total, 0.0, out=total)
-        return total.reshape(-1, pg.shape[0])
-
     def first_level(self, pg, steps: int):
         """Root values (m,) and child values (m, 2^n) for root states pg (m, n)."""
         if not 1 <= steps <= self.max_steps:
             raise ValueError(f"steps must lie in [1, {self.max_steps}], got {steps}")
         model = self.model
+        n = model.n_assets
         weights = self._child_weights(steps)
+        # levels[i, state] = u_i^(2 j_i - steps), asset i's ladder at that
+        # terminal state, written in place one asset at a time
+        states = weights.shape[1]
+        levels = np.empty((n, states))
+        grid = levels.reshape((n,) + (steps + 1,) * n)
         j = np.arange(steps + 1)
-        ladders = [np.exp(model.log_steps[i] * (2 * j - steps)) for i in range(model.n_assets)]
+        for i in range(n):
+            ladder = np.exp(model.log_steps[i] * (2 * j - steps))
+            grid[i] = ladder.reshape((-1,) + (1,) * (n - 1 - i))
         m = pg.shape[0]
-        rows = max(1, LATTICE_BLOCK_ELEMENTS // weights.shape[1])
+        rows = max(1, min(m, LATTICE_BLOCK_ELEMENTS // states))
+        block = np.empty((rows, states))
         child_values = np.empty((m, model.n_branches))
         for lo in range(0, m, rows):
-            child_values[lo : lo + rows] = (
-                weights @ self._headroom(pg[lo : lo + rows], ladders)
-            ).T
+            headroom = block[: min(rows, m - lo)]
+            np.matmul(pg[lo : lo + rows], levels, out=headroom)
+            np.subtract(self.total_demand, headroom, out=headroom)
+            np.maximum(headroom, 0.0, out=headroom)
+            np.matmul(headroom, weights.T, out=child_values[lo : lo + rows])
         return child_values @ model.branch_probs, child_values
 
     def allocate(self, pg, steps: int, prev_a):
@@ -291,8 +294,16 @@ class RecombiningLattice:
             b = (value - np.sum(prev_a * pg, axis=1)) / self.p_b
             return value, prev_a.copy(), b, np.zeros(pg.shape[0])
         # each distinct root is valued once, so equal roots get equal bytes
-        # wherever they fall in a block
-        roots, inverse = np.unique(pg, axis=0, return_inverse=True)
+        # wherever they fall in a block; the roots come out in lexicographic
+        # row order, as np.unique(pg, axis=0) gives them
+        order = np.lexsort(pg.T[::-1])
+        ordered = pg[order]
+        new = np.empty(pg.shape[0], dtype=bool)
+        new[:1] = True
+        np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
+        roots = ordered[new]
+        inverse = np.empty(pg.shape[0], dtype=np.intp)
+        inverse[order] = np.cumsum(new) - 1
         root_value, child_values = self.first_level(roots, steps)
         scaled = child_values @ self.pinv_unit.T          # (roots, n+1)
         fit = scaled @ self.design_unit.T                 # root factors cancel

@@ -8,11 +8,12 @@ only, never across the overnight gap.
 import csv
 import math
 from dataclasses import dataclass
-from datetime import datetime, time, timezone
+from datetime import datetime, time, timedelta, timezone
 
 import numpy as np
 
 HEADER = ("timestamp", "power_kw")
+_MICROSECOND = timedelta(microseconds=1)
 
 
 @dataclass(frozen=True)
@@ -72,9 +73,11 @@ def load_power_csv(path) -> PowerSeries:
     if len(values) < 2:
         raise ValueError("no data rows: need at least 2 samples")
 
-    seconds = np.array(
-        [(t - stamps[0]).total_seconds() for t in stamps], dtype=float
-    )
+    # integer microseconds from the first stamp give both the timestamps
+    # and their float seconds, with no per-element datetime conversion
+    origin = stamps[0]
+    micros = np.array([(t - origin) // _MICROSECOND for t in stamps], dtype=np.int64)
+    seconds = micros / 1e6
     gaps = np.diff(seconds)
     if np.any(gaps <= 0):
         bad = lines[int(np.argmax(gaps <= 0)) + 1]  # later row of the pair
@@ -88,7 +91,7 @@ def load_power_csv(path) -> PowerSeries:
             f"({gaps[idx]:.3f}s vs expected {step:.3f}s)"
         )
     return PowerSeries(
-        timestamps=np.array(stamps, dtype="datetime64[us]"),
+        timestamps=np.datetime64(origin, "us") + micros.astype("timedelta64[us]"),
         values=np.asarray(values, dtype=float),
         dt_hours=step / 3600.0,
     )

@@ -118,8 +118,9 @@ class TestEstimate:
         assert err == f"error: --interval-minutes must be finite and > 0, got {float(bad):g}\n"
 
     def test_too_few_bins_exit_2(self, gbm_csv, capsys):
-        code, _, err = run_main(capsys, "estimate", str(gbm_csv), "--bins", "3")
+        code, out, err = run_main(capsys, "estimate", str(gbm_csv), "--bins", "3")
         assert code == 2
+        assert out == ""
         assert "n_bins=3" in err
 
     def test_more_bins_than_log_returns_exit_2(self, gbm_csv, capsys):
@@ -127,7 +128,7 @@ class TestEstimate:
         window = ("--window", "10:00-17:00")
         code, out, err = run_main(capsys, "estimate", str(gbm_csv), *window, "--bins", "253")
         assert code == 2
-        assert "chi2_statistic" not in out
+        assert out == ""
         assert err == "error: n_bins=253 exceeds the 252 log-returns supplied\n"
         code, out, err = run_main(capsys, "estimate", str(gbm_csv), *window, "--bins", "252")
         assert code == 0, err
@@ -508,6 +509,16 @@ def test_version_flag():
 def test_every_exported_name_resolves():
     missing = [name for name in gh.__all__ if not hasattr(gh, name)]
     assert not missing
+
+
+def test_import_does_not_load_the_validation_suite():
+    # only validate needs gridhedge.validate; every other command skips
+    # compiling and running it at start-up
+    code = "import sys, gridhedge.cli\nassert 'gridhedge.validate' not in sys.modules\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy"])

@@ -396,6 +396,68 @@ class TestBatchEngines:
         outputs = root_values.nbytes + child_values.nbytes
         assert peak <= weights + 2 * lattice.LATTICE_BLOCK_ELEMENTS * 8 + outputs
 
+    @pytest.mark.parametrize("sigmas, steps", [([0.03, 0.04], 200), ([0.03, 0.04, 0.05], 20)])
+    def test_one_root_peak_is_weights_levels_and_one_block(self, sigmas, steps):
+        # one root: the child weights, the (n, states) ladder values (n/2^n
+        # of the weights), one (1, states) headroom block and the outputs;
+        # the slack holds the per-asset ladders and small objects, far less
+        # than any second state-sized array
+        n = len(sigmas)
+        grid = make_fleet(sigmas, 0.3, [20.0, 25.0, 15.0][:n])
+        model = gh.calibrate_step_model(grid, 5.0 / steps)
+        engine = RecombiningLattice(model, grid.demands, steps, 1.0)
+        pg = grid.demands[None, :] * 1.1
+        engine.first_level(pg, steps)  # numpy caches its FFT plan on first use
+        tracemalloc.start()
+        try:
+            root_values, child_values = engine.first_level(pg, steps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        states = (steps + 1) ** n
+        weights = model.n_branches * states * 8
+        levels = n * states * 8
+        assert levels <= weights * n / 2**n
+        outputs = root_values.nbytes + child_values.nbytes
+        assert peak <= weights + levels + states * 8 + outputs + 16 * 1024
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_equal_roots_valued_once_in_unique_order(self, data):
+        # roots drawn from a few levels per grid repeat whole rows and share
+        # leading columns; with a few roots per block the copies of a root
+        # fall in different blocks, yet it is valued once, and the distinct
+        # roots reach first_level in np.unique(axis=0) order
+        n = data.draw(st.integers(1, 3))
+        steps = data.draw(st.integers(1, 4))
+        grid = make_fleet([0.03, 0.04, 0.05][:n], 0.3, [20.0, 25.0, 15.0][:n])
+        model = gh.calibrate_step_model(grid, 0.5)
+        engine = RecombiningLattice(model, grid.demands, steps, 1.0)
+        m = data.draw(st.integers(1, 40))
+        factors = data.draw(
+            st.lists(st.sampled_from([0.8, 0.95, 1.0, 1.2]), min_size=m * n, max_size=m * n)
+        )
+        pg = grid.demands * np.array(factors).reshape(m, n)
+        per_block = data.draw(st.sampled_from([1, 2, 3, 7]))
+        seen = []
+        original = engine.first_level
+
+        def spy(roots, steps):
+            seen.append(roots.copy())
+            return original(roots, steps)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lattice, "LATTICE_BLOCK_ELEMENTS", per_block * (steps + 1) ** n)
+            patch.setattr(engine, "first_level", spy)
+            outputs = engine.allocate(pg, steps, np.zeros_like(pg))
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], np.unique(pg, axis=0))
+        for out in outputs:
+            bits = np.ascontiguousarray(out).reshape(m, -1).view(np.uint64)
+            for root in seen[0]:
+                copies = bits[np.all(pg == root, axis=1)]
+                assert np.all(copies == copies[0])
+
     def test_batch_ces_reads_the_validator_phi_seam(self, monkeypatch):
         # validate --inject-phi-fault rebinds ces._normal_cdf; the batched
         # path that simulate runs must see the perturbed CDF too

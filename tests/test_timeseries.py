@@ -1,4 +1,6 @@
 """Power CSV ingestion and daily-window slicing."""
+from datetime import datetime, timezone
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,29 @@ def test_zulu_timestamps(tmp_path):
     rows = ["2020-06-01T10:00:00Z,20", "2020-06-01T10:05:00Z,21"]
     series = load_power_csv(write_csv(tmp_path, rows))
     assert len(series) == 2
+
+
+def test_timestamps_match_per_element_conversion(tmp_path):
+    # zulu, offset and naive stamps with sub-second parts, 1.5 s apart in UTC;
+    # the loader must give what converting each datetime on its own gives
+    stamps = [
+        "2020-06-01T10:00:00.123456+02:00",
+        "2020-06-01T08:00:01.623456Z",
+        "2020-06-01T08:00:03.123456",
+        "2020-06-01T10:00:04.623456+02:00",
+        "2020-06-01T07:30:06.123456-00:30",
+    ]
+    series = load_power_csv(write_csv(tmp_path, [f"{t},20" for t in stamps]))
+    utc = []
+    for text in stamps:
+        stamp = datetime.fromisoformat(text.replace("Z", "+00:00"))
+        if stamp.tzinfo is not None:
+            stamp = stamp.astimezone(timezone.utc).replace(tzinfo=None)
+        utc.append(stamp)
+    want = np.array(utc, dtype="datetime64[us]")
+    assert series.timestamps.dtype == want.dtype
+    np.testing.assert_array_equal(series.timestamps, want)
+    assert series.dt_hours == (utc[1] - utc[0]).total_seconds() / 3600.0
 
 
 def test_window_skips_overnight_gap(tmp_path):
