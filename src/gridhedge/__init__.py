@@ -15,7 +15,6 @@ from .ces import (
     ces_portfolio_value,
     ces_total_battery,
     hedge_backtest,
-    terminal_payoff_ces,
 )
 from .gbm import (
     CorrelationMatrix,
@@ -82,7 +81,6 @@ __all__ = [
     "moment_residuals",
     "run_case_study",
     "simulate_paths",
-    "terminal_payoff_ces",
     "tes_value_mc",
     "window_log_returns",
     "write_results_csv",

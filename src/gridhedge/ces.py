@@ -40,18 +40,6 @@ class CesAllocation:
     value_hat: float
 
 
-def terminal_payoff_ces(p_g_tf, d_c):
-    """Required portfolio power at the horizon: the shortfall, if any.
-
-    Generation meeting demand exactly counts as surplus (payoff 0).
-    """
-    p = np.asarray(p_g_tf, dtype=float)
-    if np.any(p <= 0):
-        raise ValueError("terminal generation must be positive")
-    out = np.where(p >= d_c, 0.0, d_c - p)
-    return float(out) if np.isscalar(p_g_tf) else out
-
-
 def _check_time(t, t_f):
     if t < 0 or t > t_f:
         raise TimeOutOfRange(f"t={t} outside [0, {t_f}]")
@@ -84,15 +72,16 @@ def ces_allocation(p_g, spec: MicrogridSpec, t, t_f, p_b) -> CesAllocation:
     """ReGU/battery policy for one microgrid at time t.
 
     At t == t_f exactly the closed form is 0/0, so the terminal rule
-    applies: full hedge (a=-1, b=D/p_b) in deficit, empty otherwise.
+    applies: full hedge (a=-1, b=D/p_b) in deficit, empty otherwise.  It
+    is the only rule that holds at sigma == 0.
     """
     if p_b <= 0:
         raise ValueError(f"p_b must be > 0, got {p_b}")
     if np.any(np.asarray(p_g) <= 0):
         raise ValueError(f"p_g must be > 0, got {p_g}")
     _check_time(t, t_f)
-    if spec.gbm.sigma == 0:
-        raise DegenerateVolatility("allocation requires sigma > 0")
+    if spec.gbm.sigma == 0 and t != t_f:
+        raise DegenerateVolatility("allocation requires sigma > 0 before t_f")
     a, b, value = _policy(p_g, spec.demand, spec.gbm.sigma, t_f - t, p_b)
     if np.isscalar(p_g):
         return CesAllocation(float(a), float(b), float(value))
@@ -100,14 +89,12 @@ def ces_allocation(p_g, spec: MicrogridSpec, t, t_f, p_b) -> CesAllocation:
 
 
 def ces_portfolio_value(p_g, spec: MicrogridSpec, t, t_f):
-    """Portfolio power D*Phi(d+) - P*Phi(d-): a zero-rate put on generation."""
-    if np.any(np.asarray(p_g) <= 0):
-        raise ValueError(f"p_g must be > 0, got {p_g}")
-    _check_time(t, t_f)
-    if spec.gbm.sigma == 0 and t != t_f:
-        raise DegenerateVolatility("valuation requires sigma > 0")
-    value = _policy(p_g, spec.demand, spec.gbm.sigma, t_f - t, 1.0)[2]
-    return float(value) if np.isscalar(p_g) else value
+    """Portfolio power D*Phi(d+) - P*Phi(d-): a zero-rate put on generation.
+
+    At t == t_f it is the terminal shortfall max(D - P, 0), where generation
+    meeting demand exactly counts as surplus.
+    """
+    return ces_allocation(p_g, spec, t, t_f, 1.0).value_hat
 
 
 def ces_total_battery(states, specs, t, t_f, p_b):
@@ -175,5 +162,5 @@ def hedge_backtest(
             gaps += (alloc.a_hat - prev_a) * state + (alloc.b_hat - prev_b) * p_b
         prev_a, prev_b = alloc.a_hat, alloc.b_hat
         value = value + alloc.a_hat * (paths[:, n + 1] - state)
-    payoff = terminal_payoff_ces(paths[:, -1], spec.demand)
+    payoff = ces_portfolio_value(paths[:, -1], spec, t_f, t_f)
     return HedgeBacktest(terminal_errors=value - payoff, financing_gaps=gaps)

@@ -3,8 +3,7 @@
 Bad arguments raise ``ValueError``, and the CLI exits 2 on it.  Each class
 here is a failure the CLI reports with its own exit code: 3 for an
 infeasible calibration, 5 for an empty case filter and 4 for the other
-preconditions.  ``LengthMismatch`` is also raised by the reference tree in
-``tests/reference_tree.py``.
+preconditions.
 """
 
 
@@ -18,10 +17,6 @@ class DegenerateVolatility(GridHedgeError):
 
 class TimeOutOfRange(GridHedgeError):
     """Evaluation time lies outside the allocation horizon."""
-
-
-class LengthMismatch(GridHedgeError):
-    """Vector arguments have inconsistent lengths."""
 
 
 class InfeasibleCalibration(GridHedgeError):

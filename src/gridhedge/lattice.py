@@ -26,7 +26,6 @@ import numpy as np
 from .errors import (
     DegenerateVolatility,
     InfeasibleCalibration,
-    LengthMismatch,
     RankDeficientWarning,
     TimeOutOfRange,
     TreeTooLarge,
@@ -329,7 +328,7 @@ def dynamic_allocation(pg_now, d_c, model: LatticeStepModel, remaining_steps: in
     prev_a = np.zeros(model.n_assets) if prev_a is None else np.asarray(prev_a, dtype=float)
     for name, vector in (("pg_now", pg_now), ("d_c", d_c), ("prev_a", prev_a)):
         if vector.shape != (model.n_assets,):
-            raise LengthMismatch(
+            raise ValueError(
                 f"{name} has shape {vector.shape}; the lattice has {model.n_assets} microgrids"
             )
     if np.any(pg_now <= 0):

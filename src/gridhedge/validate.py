@@ -17,7 +17,7 @@ import numpy as np
 from . import ces
 from .gbm import CorrelationMatrix, GbmParams, chi_square_survival, simulate_paths
 from .grid import GridEnsemble
-from .lattice import calibrate_step_model, dynamic_allocation, moment_residuals
+from .lattice import calibrate_step_model, dynamic_allocation, moment_residuals, tes_value_mc
 from .scenario import derive_seed
 from .stats import bootstrap_ci, ks_critical_value, ks_two_sample
 
@@ -126,7 +126,6 @@ def check_calibration_residuals() -> CheckResult:
 
 def check_tes_mc_agreement(seed: int = 31) -> CheckResult:
     """Lattice root value against the transformed-measure Monte Carlo oracle."""
-    from .lattice import tes_value_mc
 
     grid = _demo_grid()
     model = calibrate_step_model(grid, dt=1.0)

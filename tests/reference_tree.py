@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 
-from gridhedge.errors import GridHedgeError, LengthMismatch, RankDeficientWarning, TreeTooLarge
+from gridhedge.errors import GridHedgeError, RankDeficientWarning, TreeTooLarge
 from gridhedge.lattice import DEFAULT_NODE_BUDGET, Allocation, LatticeStepModel
 from gridhedge.scenario import CASE_GE, CASE_LT
 
@@ -45,7 +45,7 @@ def tes_terminal_payoff(p_g_tf, d_c) -> float:
     p = np.asarray(p_g_tf, dtype=float)
     d = np.asarray(d_c, dtype=float)
     if p.shape != d.shape:
-        raise LengthMismatch(f"generation {p.shape} vs demand {d.shape}")
+        raise ValueError(f"generation {p.shape} vs demand {d.shape}")
     return float(max(np.sum(d - p), 0.0))
 
 

@@ -1,31 +1,30 @@
-"""Verdicts of tools/bench_pairs.py and the Tier-1 summary of tools/tier1_pairs.py."""
+"""tools/bench_pairs.py: verdicts, the Tier-1 summary, pair order and the report's shape."""
 import importlib.util
-import sys
+import json
 from pathlib import Path
 
 import pytest
 
-TOOLS = Path(__file__).resolve().parents[1] / "tools"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def load_tool(name):
-    # registered in sys.modules so that tier1_pairs can import bench_pairs
-    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
-    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 bench_pairs = load_tool("bench_pairs")
-tier1_pairs = load_tool("tier1_pairs")
+
+
+def pairs_of(base, change):
+    return [{"base": b, "change": c} for b, c in zip(base, change)]
 
 
 def verdict_of(base, change, better="lower", bound=0.25):
-    sign = 1.0 if better == "lower" else -1.0
-    wins = sum(sign * (c - b) < 0 for b, c in zip(base, change))
-    return bench_pairs.verdict(
-        bench_pairs.spread(base), bench_pairs.spread(change), wins, sign, bound
-    )
+    entry = bench_pairs.compare(pairs_of(base, change), lambda run: run, better)
+    return bench_pairs.verdict(entry, bound)
 
 
 STEADY = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00, 1.00]
@@ -62,26 +61,92 @@ def test_verdict(base, change, better, bound, want):
     ],
 )
 def test_tier1_outcomes(stdout, want):
-    assert tier1_pairs.outcomes(stdout) == want
+    assert bench_pairs.outcomes(stdout) == want
 
 
 def test_tier1_outcomes_needs_a_summary_line():
     with pytest.raises(ValueError, match="no pytest summary line"):
-        tier1_pairs.outcomes("collecting ...\nInterrupted: 1 error during collection\n")
+        bench_pairs.outcomes("collecting ...\nInterrupted: 1 error during collection\n")
 
 
 def test_tier1_summary():
     base = [44.0, 45.0, 43.0, 46.0, 44.5, 44.0, 45.5, 43.5, 44.0, 45.0]
     change = [33.0, 34.0, 46.5, 33.5, 32.5, 33.0, 34.5, 33.0, 33.5, 34.0]
-    counts = {"base": {"failed": 2, "passed": 366}, "change": {"failed": 2, "passed": 368}}
-    runs = [
-        {side: {"wall_s": wall, "outcomes": counts[side]} for side, wall in
-         (("base", b), ("change", c))}
-        for b, c in zip(base, change)
-    ]
-    got = tier1_pairs.summarise(runs)
-    assert got["wall_s"]["base"] == {"median": 44.25, "iqr": 1.0, "runs": base}
-    assert got["wall_s"]["change"]["median"] == 33.5
-    assert got["wall_s"]["change_wins"] == 9
-    assert got["wall_s"]["pairs"] == 10
-    assert got["outcomes"] == {side: [counts[side]] * 10 for side in ("base", "change")}
+    runs = [{side: {"wall_s": wall} for side, wall in (("base", b), ("change", c))}
+            for b, c in zip(base, change)]
+    got = bench_pairs.compare(runs, lambda run: run["wall_s"])
+    assert got["base"] == {"median": 44.25, "iqr": 1.0, "runs": base}
+    assert got["change"]["median"] == 33.5
+    assert got["change_wins"] == 9
+    assert got["pairs"] == 10
+    assert got["better"] == "lower"
+
+
+def test_alternate_swaps_the_first_side_and_passes_the_pair_index():
+    calls = []
+
+    def run(root, i):
+        calls.append((root, i))
+        return f"{root}{i}"
+
+    runs, first = bench_pairs.alternate({"base": "B", "change": "C"}, run, "fake")
+    assert bench_pairs.PAIRS == 10
+    assert first == ["base", "change"] * 5
+    assert calls == [call for i in range(10)
+                     for call in ([("B", i), ("C", i)] if i % 2 == 0 else [("C", i), ("B", i)])]
+    assert runs == [{"base": f"B{i}", "change": f"C{i}"} for i in range(10)]
+
+
+def key_paths(tree, prefix=()):
+    """The paths of every dict key in tree; lists are leaves."""
+    if not isinstance(tree, dict):
+        return set()
+    return set().union(*({prefix + (k,)} | key_paths(v, prefix + (k,)) for k, v in tree.items()))
+
+
+@pytest.fixture
+def stubbed(monkeypatch):
+    """bench_pairs with git, export and both runners replaced by instant fakes."""
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seeds = []
+
+    def perfbench(root, workload, seed, seconds):
+        seeds.append((root.name, workload, seed))
+        value = 1.0 if root.name == "base" else 0.9
+        return {"correct": True, "metrics": {
+            m["name"]: {"value": value} for m in benchmark["end_to_end"]}}
+
+    monkeypatch.setattr(bench_pairs, "git", lambda *args, **kw: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: dest)
+    monkeypatch.setattr(bench_pairs, "run_once", perfbench)
+    monkeypatch.setattr(bench_pairs, "run_tier1", lambda root: {
+        "wall_s": 30.0, "outcomes": {"failed": 2, "passed": 377}})
+    return seeds
+
+
+def test_main_writes_the_keys_of_bench_20(stubbed, tmp_path, capsys):
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--base", "a", "--change", "b", "--seed", "40",
+                             "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert key_paths(report) == key_paths(json.loads((ROOT / "BENCH_20.json").read_text()))
+    for workload, entry in report["workloads"].items():
+        assert entry["seeds"] == list(range(40, 50))
+        for side in ("base", "change"):
+            assert [seed for root, w, seed in stubbed if (root, w) == (side, workload)] == \
+                entry["seeds"]
+    assert report["tier1"]["outcomes"]["change"] == [{"failed": 2, "passed": 377}] * 10
+    assert report["tier1"]["first"] == ["base", "change"] * 5
+    assert "tier1: wall_s 30.0 -> 30.0 s" in capsys.readouterr().out
+
+
+def test_missing_out_directory_exits_2_before_any_export(monkeypatch, tmp_path, capsys):
+    def export(rev, dest):
+        raise AssertionError("exported")
+
+    monkeypatch.setattr(bench_pairs, "export", export)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--base", "a", "--change", "b", "--seed", "1",
+                          "--out", str(tmp_path / "missing" / "BENCH.json")])
+    assert exc.value.code == 2
+    assert f"directory {tmp_path / 'missing'} does not exist" in capsys.readouterr().err

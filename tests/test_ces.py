@@ -124,7 +124,7 @@ class TestPortfolioValue:
         # value at tau = 1e-8 converges to the terminal payoff pointwise
         for p in np.linspace(12.0, 30.0, 25):
             near = gh.ces_portfolio_value(p, SPEC1, 5.0 - 1e-8, 5.0)
-            want = gh.terminal_payoff_ces(p, 20.0)
+            want = gh.ces_portfolio_value(p, SPEC1, 5.0, 5.0)
             assert abs(near - want) <= 1e-6 * 20.0
 
     def test_pde_residual(self):
@@ -155,15 +155,36 @@ class TestMicrogridSpec:
             gh.MicrogridSpec(demand, gh.GbmParams(0.0, 0.03))
 
 
+def terminal_payoff(p, demand, sigma=0.03):
+    """ces_portfolio_value at t == t_f: the terminal rule."""
+    spec = gh.MicrogridSpec(demand=demand, gbm=gh.GbmParams(0.0, sigma))
+    return gh.ces_portfolio_value(p, spec, 5.0, 5.0)
+
+
 class TestTerminalPayoff:
     def test_cases(self):
-        assert gh.terminal_payoff_ces(25.0, 20.0) == 0.0
-        assert gh.terminal_payoff_ces(20.0, 20.0) == 0.0  # boundary -> surplus
-        assert gh.terminal_payoff_ces(15.0, 25.0) == 10.0
+        assert terminal_payoff(25.0, 20.0) == 0.0
+        assert terminal_payoff(20.0, 20.0) == 0.0  # boundary -> surplus
+        assert terminal_payoff(15.0, 25.0) == 10.0
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError, match="^terminal generation must be positive$"):
-            gh.terminal_payoff_ces(0.0, 20.0)
+        with pytest.raises(ValueError, match="^p_g must be > 0, got 0.0$"):
+            terminal_payoff(0.0, 20.0)
+
+    def test_zero_sigma_has_only_the_terminal_rule(self):
+        spec = gh.MicrogridSpec(demand=20.0, gbm=gh.GbmParams(0.0, 0.0))
+        p = np.array([15.0, np.nextafter(20.0, 0.0), 20.0, 25.0])
+        want = np.array([5.0, 20.0 - np.nextafter(20.0, 0.0), 0.0, 0.0])
+        np.testing.assert_array_equal(gh.ces_portfolio_value(p, spec, 5.0, 5.0), want)
+        alloc = gh.ces_allocation(p, spec, 5.0, 5.0, 2.0)
+        np.testing.assert_array_equal(alloc.a_hat, [-1.0, -1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(alloc.b_hat, [10.0, 10.0, 0.0, 0.0])
+        np.testing.assert_array_equal(alloc.value_hat, want)
+        for t in (0.0, np.nextafter(5.0, 0.0)):
+            with pytest.raises(DegenerateVolatility, match="^allocation requires sigma > 0"):
+                gh.ces_portfolio_value(p, spec, t, 5.0)
+            with pytest.raises(DegenerateVolatility, match="^allocation requires sigma > 0"):
+                gh.ces_allocation(p, spec, t, 5.0, 2.0)
 
 
 class TestTotalBattery:

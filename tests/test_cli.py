@@ -454,7 +454,6 @@ EXPECTED_EXIT_CODES = {
     "InsufficientPaths": cli.EXIT_EMPTY,
     "DegenerateVolatility": cli.EXIT_PRECONDITION,
     "TimeOutOfRange": cli.EXIT_PRECONDITION,
-    "LengthMismatch": cli.EXIT_PRECONDITION,
     "TreeTooLarge": cli.EXIT_PRECONDITION,
 }
 

@@ -1,4 +1,4 @@
-"""Paired perfbench runs of a base revision against a change, as BENCH_<n>.json.
+"""Paired perfbench and Tier-1 runs of a base revision against a change, as BENCH_<n>.json.
 
 Usage, from the root of a checkout::
 
@@ -6,14 +6,16 @@ Usage, from the root of a checkout::
 
 Both revisions are exported with ``git archive`` into a temporary
 directory.  For each workload in BENCHMARK.json the script runs ``PAIRS``
-pairs of ``perfbench/run.py --trace 0``, one on each side, one process at a
-time.  Pair i uses seed ``--seed`` + i, and the side that runs first
-alternates from pair to pair, so drift on the host falls on both sides
-alike.
+pairs of ``perfbench/run.py --trace 0``, pair i with seed ``--seed`` + i;
+then ``PAIRS`` pairs of ROADMAP.md's Tier-1 command in the same trees,
+last, so that no test artifact can reach perfbench's inputs.  One process
+runs at a time, and the side that runs first alternates from pair to pair,
+so drift on the host falls on both sides alike.
 
-For each end-to-end metric the output holds both sides' per-pair values,
-their medians and interquartile ranges, the number of pairs the change
-won (strictly better, in the direction BENCHMARK.json gives) and a verdict:
+For each end-to-end metric, and for the Tier-1 wall time, the output holds
+both sides' per-pair values, their medians and interquartile ranges and the
+number of pairs the change won (strictly better, in the direction
+BENCHMARK.json gives).  Each metric also gets a verdict:
 
 - ``gain``: the change won at least 9 pairs in 10 and the medians differ,
   in its favour, by more than the base's interquartile range;
@@ -23,12 +25,14 @@ won (strictly better, in the direction BENCHMARK.json gives) and a verdict:
   and not every run of the change beats every run of the base;
 - ``unchanged``: otherwise.
 
-One summary row per workload is printed at the end.  A run that perfbench
-reports as not correct is kept and marked; a side whose runs are all
-correct has ``"correct": true``.
+A side whose perfbench runs are all correct has ``"correct": true``.  The
+``tier1`` section keeps each run's outcome counts from the pytest summary
+line (``passed``, ``failed``, ...).
 """
 import argparse
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
@@ -38,8 +42,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Pairs per workload: the fewest from which a gain may be claimed.
+# Pairs per workload and for Tier-1: the fewest from which a gain may be claimed.
 PAIRS = 10
+SIDES = ("base", "change")
+
+# the Tier-1 command of ROADMAP.md, after the interpreter
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 def git(*args, cwd=ROOT) -> str:
@@ -72,15 +80,66 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
+def outcomes(stdout: str) -> dict:
+    """Outcome counts of pytest's summary line, e.g. {"failed": 2, "passed": 366}."""
+    for line in reversed(stdout.splitlines()):
+        if re.search(r"\d+ (passed|failed|errors?)\b.* in ", line):
+            return {word: int(n) for n, word in re.findall(r"(\d+) ([a-z]+)", line)}
+    raise ValueError("no pytest summary line in the output")
+
+
+def run_tier1(root: Path) -> dict:
+    """One Tier-1 run in root: its wall time and outcome counts."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, ["src", os.environ.get("PYTHONPATH")]))}
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=root, env=env,
+                          capture_output=True, text=True)
+    wall_s = time.monotonic() - start
+    try:
+        counts = outcomes(proc.stdout)
+    except ValueError:
+        raise SystemExit(
+            f"Tier-1 did not finish in {root}:\n{proc.stdout[-2000:]}{proc.stderr}"
+        ) from None
+    return {"wall_s": wall_s, "outcomes": counts}
+
+
+def alternate(roots: dict, run, label: str):
+    """PAIRS pairs of run(root, i), base first in even pairs; the pairs and who ran first."""
+    runs, first = [], []
+    for i in range(PAIRS):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        pair = {}
+        for side in order:
+            start = time.monotonic()
+            pair[side] = run(roots[side], i)
+            print(f"{label} pair {i} {side}: {time.monotonic() - start:.1f} s", flush=True)
+        runs.append(pair)
+        first.append(order[0])
+    return runs, first
+
+
 def spread(values) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "iqr": q3 - q1, "runs": values}
 
 
-def verdict(base: dict, change: dict, wins: int, sign: float, bound: float) -> str:
-    """gain, regression, unresolved or unchanged; sign is +1 where lower is better."""
+def compare(runs, value, better="lower") -> dict:
+    """Both sides' spread of value(run) over the pairs, and the pairs the change won."""
+    base, change = (spread([value(pair[side]) for pair in runs]) for side in SIDES)
+    sign = 1.0 if better == "lower" else -1.0
+    wins = sum(sign * (c - b) < 0 for b, c in zip(base["runs"], change["runs"]))
+    return {"better": better, "base": base, "change": change,
+            "change_wins": wins, "pairs": len(runs)}
+
+
+def verdict(entry: dict, bound: float) -> str:
+    """gain, regression, unresolved or unchanged, for one compare() entry."""
+    base, change = entry["base"], entry["change"]
+    sign = 1.0 if entry["better"] == "lower" else -1.0
     gap = sign * (base["median"] - change["median"])  # > 0: the change is better
-    if 10 * wins >= 9 * len(base["runs"]) and gap > base["iqr"]:
+    if 10 * entry["change_wins"] >= 9 * len(base["runs"]) and gap > base["iqr"]:
         return "gain"
     if -gap > bound * abs(base["median"]):
         return "regression"
@@ -91,23 +150,21 @@ def verdict(base: dict, change: dict, wins: int, sign: float, bound: float) -> s
 
 
 def summarise(runs, metrics) -> dict:
-    """Per-metric medians, IQRs, change wins and verdicts over one workload's pairs."""
+    """Per-metric spreads, change wins and verdicts over one workload's pairs."""
     out = {}
     for metric in metrics:
-        name, better = metric["name"], metric["better"]
-        base = spread([pair["base"]["metrics"][name]["value"] for pair in runs])
-        change = spread([pair["change"]["metrics"][name]["value"] for pair in runs])
-        sign = 1.0 if better == "lower" else -1.0
-        wins = sum(sign * (c - b) < 0 for b, c in zip(base["runs"], change["runs"]))
-        out[name] = {
-            "better": better,
-            "base": base,
-            "change": change,
-            "change_wins": wins,
-            "pairs": len(runs),
-            "verdict": verdict(base, change, wins, sign, metric["bound"]),
-        }
+        name = metric["name"]
+        entry = compare(runs, lambda run: run["metrics"][name]["value"], metric["better"])
+        out[name] = {**entry, "verdict": verdict(entry, metric["bound"])}
     return out
+
+
+def out_path(text: str) -> Path:
+    """--out, refused before any run when its directory does not exist."""
+    path = Path(text)
+    if not path.parent.is_dir():
+        raise argparse.ArgumentTypeError(f"directory {path.parent} does not exist")
+    return path
 
 
 def main(argv=None) -> int:
@@ -115,50 +172,42 @@ def main(argv=None) -> int:
     parser.add_argument("--base", required=True, help="base git revision")
     parser.add_argument("--change", required=True, help="change git revision")
     parser.add_argument("--seed", required=True, type=int, help="seed of the first pair")
-    parser.add_argument("--out", required=True, type=Path)
+    parser.add_argument("--out", required=True, type=out_path)
     args = parser.parse_args(argv)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
-    report = {
-        "command": f"perfbench/run.py --seconds {seconds} --trace 0",
-        "base": {"rev": args.base, "commit": git("rev-parse", args.base)},
-        "change": {"rev": args.change, "commit": git("rev-parse", args.change)},
-        "pairs": PAIRS,
-        "workloads": {},
-    }
+    revs = {side: {"rev": rev, "commit": git("rev-parse", rev)}
+            for side, rev in zip(SIDES, (args.base, args.change))}
+    report = {"command": f"perfbench/run.py --seconds {seconds} --trace 0",
+              **revs, "pairs": PAIRS, "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        roots = {side: export(rev, Path(tmp) / side)
-                 for side, rev in (("base", args.base), ("change", args.change))}
+        roots = {side: export(revs[side]["rev"], Path(tmp) / side) for side in SIDES}
         for workload in (entry["name"] for entry in benchmark["workloads"]):
-            runs, seeds, first = [], [], []
-            for i in range(PAIRS):
-                seed = args.seed + i
-                order = ("base", "change") if i % 2 == 0 else ("change", "base")
-                pair = {}
-                for side in order:
-                    start = time.monotonic()
-                    pair[side] = run_once(roots[side], workload, seed, seconds)
-                    print(f"{workload} pair {i} seed {seed} {side}: "
-                          f"wall_s {pair[side]['metrics']['wall_s']['value']:.4g} "
-                          f"correct {pair[side]['correct']} "
-                          f"({time.monotonic() - start:.0f} s)", flush=True)
-                runs.append(pair)
-                seeds.append(seed)
-                first.append(order[0])
+            runs, first = alternate(
+                roots, lambda root, i: run_once(root, workload, args.seed + i, seconds), workload)
             report["workloads"][workload] = {
-                "seeds": seeds,
+                "seeds": [args.seed + i for i in range(PAIRS)],
                 "first": first,
-                "correct": {side: all(pair[side]["correct"] for pair in runs)
-                            for side in ("base", "change")},
+                "correct": {side: all(pair[side]["correct"] for pair in runs) for side in SIDES},
                 "metrics": summarise(runs, benchmark["end_to_end"]),
             }
+        runs, first = alternate(roots, lambda root, i: run_tier1(root), "tier1")
+    report["tier1"] = {
+        "command": "PYTHONPATH=src python " + " ".join(TIER1),
+        **revs,
+        "first": first,
+        "wall_s": compare(runs, lambda run: run["wall_s"]),
+        "outcomes": {side: [pair[side]["outcomes"] for pair in runs] for side in SIDES},
+    }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     for workload, entry in report["workloads"].items():
-        print(f"{workload}: " + ", ".join(
+        print(f"{workload}: correct {entry['correct']}, " + ", ".join(
             f"{name} {m['verdict']} ({m['change_wins']}/{m['pairs']})"
-            for name, m in entry["metrics"].items()
-        ))
+            for name, m in entry["metrics"].items()))
+    wall = report["tier1"]["wall_s"]
+    print(f"tier1: wall_s {wall['base']['median']:.1f} -> {wall['change']['median']:.1f} s "
+          f"(change won {wall['change_wins']}/{wall['pairs']})")
     return 0
 
 
