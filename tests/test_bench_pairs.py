@@ -108,20 +108,23 @@ def key_paths(tree, prefix=()):
 def stubbed(monkeypatch):
     """bench_pairs with git, export and both runners replaced by instant fakes."""
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seeds = []
+    calls = []
 
     def perfbench(root, workload, seed, seconds):
-        seeds.append((root.name, workload, seed))
+        calls.append((root.name, workload, seed))
         value = 1.0 if root.name == "base" else 0.9
         return {"correct": True, "metrics": {
             m["name"]: {"value": value} for m in benchmark["end_to_end"]}}
 
+    def tier1(root):
+        calls.append((root.name, "tier1", None))
+        return {"wall_s": 30.0, "outcomes": {"failed": 2, "passed": 377}}
+
     monkeypatch.setattr(bench_pairs, "git", lambda *args, **kw: "0" * 40)
     monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: dest)
     monkeypatch.setattr(bench_pairs, "run_once", perfbench)
-    monkeypatch.setattr(bench_pairs, "run_tier1", lambda root: {
-        "wall_s": 30.0, "outcomes": {"failed": 2, "passed": 377}})
-    return seeds
+    monkeypatch.setattr(bench_pairs, "run_tier1", tier1)
+    return calls
 
 
 def test_main_writes_the_keys_of_bench_20(stubbed, tmp_path, capsys):
@@ -135,6 +138,8 @@ def test_main_writes_the_keys_of_bench_20(stubbed, tmp_path, capsys):
         for side in ("base", "change"):
             assert [seed for root, w, seed in stubbed if (root, w) == (side, workload)] == \
                 entry["seeds"]
+    # Tier-1 runs last, after every workload
+    assert [w for _, w, _ in stubbed[-20:]] == ["tier1"] * 20
     assert report["tier1"]["outcomes"]["change"] == [{"failed": 2, "passed": 377}] * 10
     assert report["tier1"]["first"] == ["base", "change"] * 5
     assert "tier1: wall_s 30.0 -> 30.0 s" in capsys.readouterr().out
