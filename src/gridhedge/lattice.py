@@ -209,11 +209,21 @@ class RecombiningLattice:
     """
 
     def __init__(self, model: LatticeStepModel, d_c, max_steps: int, p_b: float):
-        nodes = (max_steps + 1) ** model.n_assets
+        n = model.n_assets
+        nodes = (max_steps + 1) ** n
         if nodes > DEFAULT_NODE_BUDGET:
+            # bisect for the largest grid side whose n-th power fits, in integers
+            side, too_big = 1, max_steps + 1
+            while too_big - side > 1:
+                mid = (side + too_big) // 2
+                if mid**n <= DEFAULT_NODE_BUDGET:
+                    side = mid
+                else:
+                    too_big = mid
             raise TreeTooLarge(
-                f"{max_steps + 1}^{model.n_assets} = {nodes} terminal states "
-                f"exceed the node budget {DEFAULT_NODE_BUDGET}"
+                f"{max_steps + 1}^{n} = {nodes} terminal states "
+                f"exceed the node budget {DEFAULT_NODE_BUDGET}; set rebalance_steps "
+                f"to at most {side - 1}, the most a {n}-grid lattice fits"
             )
         if p_b <= 0:
             raise ValueError(f"p_b must be > 0, got {p_b}")

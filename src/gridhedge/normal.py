@@ -7,12 +7,11 @@ catastrophically).  Both functions use the standard library only, so
 importing this module does not load scipy.
 """
 import math
-from statistics import NormalDist
+from functools import cache
 
 import numpy as np
 
 _SQRT2 = np.sqrt(2.0)
-_inv_cdf = np.frompyfunc(NormalDist().inv_cdf, 1, 1)
 
 
 def normal_cdf(x):
@@ -22,6 +21,18 @@ def normal_cdf(x):
     return 0.5 * erfc.reshape(z.shape)
 
 
+@cache
+def _inv_cdf():
+    """NormalDist().inv_cdf as a ufunc, built on first use.
+
+    Only ``estimate``'s chi-square bins need it, so the other commands skip
+    importing ``statistics`` (about 4.5 ms of start-up after numpy).
+    """
+    from statistics import NormalDist
+
+    return np.frompyfunc(NormalDist().inv_cdf, 1, 1)
+
+
 def normal_ppf(q):
     """Inverse of ``normal_cdf`` for 0 < q < 1 (equal-probability binning)."""
-    return np.asarray(_inv_cdf(np.asarray(q, dtype=float)), dtype=float)
+    return np.asarray(_inv_cdf()(np.asarray(q, dtype=float)), dtype=float)

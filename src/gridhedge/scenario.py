@@ -164,9 +164,18 @@ def _collect_paths(config: ScenarioConfig):
     examined = 0
     while n_collected < config.n_paths:
         if examined >= config.max_simulated_paths:
+            if n_collected:
+                # ceil(1.25 * n_paths / (n_collected / examined)), in integers
+                cap = -(-5 * config.n_paths * examined // (4 * n_collected))
+                advice = (
+                    f"raise max_simulated_paths to {cap} "
+                    "(n_paths over the accept ratio, plus 25%)"
+                )
+            else:
+                advice = "no path matched, so no max_simulated_paths can be estimated"
             raise InsufficientPaths(
                 f"case filter {format_case(case)!r} matched only "
-                f"{n_collected}/{config.n_paths} of {examined} simulated paths"
+                f"{n_collected}/{config.n_paths} of {examined} simulated paths; {advice}"
             )
         values = simulate_paths(
             grid.params,

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior through subprocess invocations and in-process main()."""
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -28,9 +29,17 @@ n_resamples     = 200
 max_simulated_paths = 40000
 """
 
-# child processes import the gridhedge under test, whether installed or not
+THREE_GRID_CFG = (
+    DEMO_CFG.replace("0.006, 0.005", "0.006, 0.005, 0.004")
+    .replace("0.03, 0.04", "0.03, 0.04, 0.05")
+    .replace("20, 25", "20, 25, 15")
+)
+
+# child processes import the gridhedge under test, whether installed or not,
+# and buffer stdout as they would by default, so output that cli.run failed
+# to flush would be lost
 CHILD_ENV = {
-    **os.environ,
+    **{key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"},
     "PYTHONPATH": os.pathsep.join(
         filter(None, [str(Path(gh.__file__).parents[1]), os.environ.get("PYTHONPATH")])
     ),
@@ -175,25 +184,14 @@ class TestAllocate:
 
     def test_oversized_lattice_exit_4(self, tmp_path, capsys):
         config = tmp_path / "deep.cfg"
-        config.write_text(
-            DEMO_CFG.replace("0.006, 0.005", "0.006, 0.005, 0.004")
-            .replace("0.03, 0.04", "0.03, 0.04, 0.05")
-            .replace("correlation     = 0.6", "correlation     = 0.3")
-            .replace("20, 25", "20, 25, 15")
-            .replace("rebalance_steps = 5", "rebalance_steps = 250")
-        )
+        config.write_text(THREE_GRID_CFG + "correlation = 0.3\nrebalance_steps = 250\n")
         code, _, err = run_main(capsys, "allocate", str(config), "--mode", "tes")
         assert code == 4
         assert "exceed the node budget" in err
 
     def test_correlations_infeasible_as_dt_vanishes_exit_3(self, tmp_path, capsys):
         config = tmp_path / "anti.cfg"
-        config.write_text(
-            DEMO_CFG.replace("0.006, 0.005", "0.006, 0.005, 0.004")
-            .replace("0.03, 0.04", "0.03, 0.04, 0.05")
-            .replace("correlation     = 0.6", "correlation     = -0.45")
-            .replace("20, 25", "20, 25, 15")
-        )
+        config.write_text(THREE_GRID_CFG + "correlation = -0.45\n")
         code, _, err = run_main(capsys, "allocate", str(config), "--mode", "tes")
         assert code == EXIT_CALIBRATION
         assert "no moment-matched lattice" in err
@@ -273,7 +271,20 @@ class TestSimulate:
         )
         assert code == 5
         assert "lt,lt" in err
+        assert "no max_simulated_paths can be estimated" in err
 
+    def test_empty_bucket_advice_works_when_applied(self, tmp_path, capsys):
+        config = tmp_path / "capped.cfg"
+        argv = ["simulate", str(config), "--case-filter", "ge,lt", "--out", str(tmp_path / "out")]
+        config.write_text(DEMO_CFG + "max_simulated_paths = 300\n")
+        code, _, err = run_main(capsys, *argv)
+        assert code == 5
+        assert err.startswith("error: case filter 'ge,lt' matched only ")
+        cap = re.search(r"raise max_simulated_paths to (\d+) ", err)[1]
+        # block seeds depend only on the block index, so this rerun is deterministic
+        config.write_text(DEMO_CFG + f"max_simulated_paths = {cap}\n")
+        code, _, err = run_main(capsys, *argv)
+        assert code == 0, err
 
     def test_non_finite_demand_exit_2(self, tmp_path, capsys):
         config = tmp_path / "nan.cfg"
@@ -493,16 +504,60 @@ class TestValidate:
         assert "FAIL\tces_closed_form_vs_independent_cdf" in out
 
 
-def test_version_flag():
-    # the one run of the python -m gridhedge entry point
+# one config, argument list and exit code per way out of the gridhedge
+# command; "{cfg}" and "{out}" stand for the config file and an output directory
+ENTRY_POINT_CASES = {
+    "success": (DEMO_CFG, ["allocate", "{cfg}", "--mode", "ces"], 0),
+    "bad_config_key": (DEMO_CFG + "n_resample = 5\n", ["allocate", "{cfg}", "--mode", "ces"], 2),
+    "usage_error": (DEMO_CFG, ["allocate", "{cfg}", "--mode", "cs"], 2),
+    "version": (DEMO_CFG, ["--version"], 0),
+    "infeasible_calibration": (
+        THREE_GRID_CFG + "correlation = -0.45\n", ["allocate", "{cfg}", "--mode", "tes"], 3
+    ),
+    "tree_too_large": (
+        THREE_GRID_CFG + "rebalance_steps = 250\n", ["allocate", "{cfg}", "--mode", "tes"], 4
+    ),
+    "insufficient_paths": (
+        DEMO_CFG + "initial_kw = 2000, 2500\nmax_simulated_paths = 300\n",
+        ["simulate", "{cfg}", "--case-filter", "lt,lt", "--out", "{out}"],
+        5,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(ENTRY_POINT_CASES))
+def test_entry_point_matches_main(case, tmp_path, capsys):
+    # python -m gridhedge leaves through cli.run, which skips the interpreter's
+    # teardown; its exit code, stdout and stderr must still be main's
+    text, template, want = ENTRY_POINT_CASES[case]
+    config = tmp_path / "case.cfg"
+    config.write_text(text)
+    argv = [arg.format(cfg=config, out=tmp_path / "out") for arg in template]
     proc = subprocess.run(
-        [sys.executable, "-m", "gridhedge", "--version"],
-        capture_output=True,
-        text=True,
-        env=CHILD_ENV,
+        [sys.executable, "-m", "gridhedge", *argv], capture_output=True, text=True, env=CHILD_ENV
     )
-    assert proc.returncode == 0
-    assert "gridhedge" in proc.stdout
+    try:
+        code = cli.main(argv)
+    except SystemExit as stop:  # argparse ends --version and usage errors so
+        code = stop.code
+    streams = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, streams.out, streams.err)
+    assert code == want
+    assert streams.out or streams.err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+def test_unflushable_output_exit_120(demo_config):
+    # stdout is block-buffered, so the write first fails at cli.run's flush:
+    # one error line, Python's own code 120, no traceback
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gridhedge", "allocate", str(demo_config), "--mode", "ces"],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=CHILD_ENV,
+        )
+    assert proc.returncode == 120
+    assert proc.stderr.startswith("error: cannot write output: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_every_exported_name_resolves():
@@ -520,20 +575,12 @@ def test_import_does_not_load_the_validation_suite():
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("module", ["scipy.stats", "scipy"])
-def test_import_does_not_load_scipy_stats(module, gbm_csv, demo_config, tmp_path):
-    # scipy.stats costs about a second of start-up for every command, and
-    # scipy.special another 0.3 s; only validate loads scipy, for its oracles.
-    # The import alone, then each production command run in turn, loads none.
-    commands = [
-        [],
-        ["estimate", str(gbm_csv)],
-        ["allocate", str(demo_config), "--mode", "tes"],
-        ["simulate", str(demo_config), "--paths", "10", "--out", str(tmp_path / "out")],
-    ]
+def assert_never_loaded(module, commands):
+    """In one fresh process, import gridhedge.cli, then run each command
+    through main; after each step no part of module may be loaded."""
     code = (
         "import sys, gridhedge.cli\n"
-        f"for argv in {commands!r}:\n"
+        f"for argv in [[], *{commands!r}]:\n"
         "    assert not argv or gridhedge.cli.main(argv) == 0, argv\n"
         f"    loaded = [m for m in sys.modules if m == {module!r} or m.startswith({module!r} + '.')]\n"
         "    assert not loaded, (argv, loaded)\n"
@@ -542,3 +589,24 @@ def test_import_does_not_load_scipy_stats(module, gbm_csv, demo_config, tmp_path
         [sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy"])
+def test_import_does_not_load_scipy_stats(module, gbm_csv, demo_config, tmp_path):
+    # scipy.stats costs about a second of start-up for every command, and
+    # scipy.special another 0.3 s; only validate loads scipy, for its oracles.
+    assert_never_loaded(module, [
+        ["estimate", str(gbm_csv)],
+        ["allocate", str(demo_config), "--mode", "tes"],
+        ["simulate", str(demo_config), "--paths", "10", "--out", str(tmp_path / "out")],
+    ])
+
+
+def test_only_estimate_loads_statistics(demo_config, tmp_path):
+    # statistics costs about 5 ms of start-up; only estimate's chi-square
+    # bins use it, through normal_ppf
+    assert_never_loaded("statistics", [
+        ["allocate", str(demo_config), "--mode", "ces"],
+        ["allocate", str(demo_config), "--mode", "tes"],
+        ["simulate", str(demo_config), "--paths", "10", "--out", str(tmp_path / "out")],
+    ])

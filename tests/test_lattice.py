@@ -8,6 +8,7 @@ weights (scipy.stats).
 """
 import itertools
 import math
+import re
 import tracemalloc
 from collections import namedtuple
 
@@ -485,6 +486,19 @@ class TestEngines:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000  # one 251^3 grid would be 126 MB
+
+    @pytest.mark.parametrize("sigmas, fits", [([0.03, 0.04], 3161), ([0.03, 0.04, 0.05], 214)])
+    def test_refusal_names_the_most_steps_that_fit(self, sigmas, fits):
+        # construction allocates no lattice, so the advice is cheap to check
+        model = gh.calibrate_step_model(make_grid(sigmas, 0.3), 0.01)
+        demands = [20.0] * len(sigmas)
+        with pytest.raises(TreeTooLarge, match="terminal states exceed the node budget") as refused:
+            RecombiningLattice(model, demands, 2 * fits, 1.0)
+        advice = re.search(r"set rebalance_steps to at most (\d+),", str(refused.value))
+        assert int(advice[1]) == fits
+        RecombiningLattice(model, demands, fits, 1.0)
+        with pytest.raises(TreeTooLarge):
+            RecombiningLattice(model, demands, fits + 1, 1.0)
 
     def test_single_asset_replication_exact_everywhere(self):
         grid = make_grid([0.03], demands=np.array([20.0]))
