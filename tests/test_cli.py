@@ -188,6 +188,7 @@ class TestAllocate:
         code, _, err = run_main(capsys, "allocate", str(config), "--mode", "tes")
         assert code == 4
         assert "exceed the node budget" in err
+        assert "set rebalance_steps to at most 214," in err
 
     def test_correlations_infeasible_as_dt_vanishes_exit_3(self, tmp_path, capsys):
         config = tmp_path / "anti.cfg"
@@ -603,7 +604,7 @@ def test_import_does_not_load_scipy_stats(module, gbm_csv, demo_config, tmp_path
 
 
 def test_only_estimate_loads_statistics(demo_config, tmp_path):
-    # statistics costs about 5 ms of start-up; only estimate's chi-square
+    # statistics costs about 4.5 ms of start-up; only estimate's chi-square
     # bins use it, through normal_ppf
     assert_never_loaded("statistics", [
         ["allocate", str(demo_config), "--mode", "ces"],
