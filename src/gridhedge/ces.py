@@ -13,7 +13,7 @@ import numpy as np
 
 from . import normal
 from .errors import DegenerateVolatility, TimeOutOfRange
-from .gbm import CorrelationMatrix, GbmParams, simulate_paths
+from .gbm import GbmParams
 
 # Seam used by the validator's fault-injection mode; do not rebind elsewhere.
 _normal_cdf = normal.normal_cdf
@@ -112,54 +112,35 @@ class HedgeBacktest:
     """Discretized replication experiment along physical-measure paths."""
 
     terminal_errors: np.ndarray     # hedged portfolio minus terminal payoff, kW
-    financing_gaps: np.ndarray      # sum over rebalances of da*P + db*P_b, kW
+    financing_gaps: np.ndarray      # sum over rebalances of da*P + db (P_b = 1), kW
 
 
-def hedge_backtest(
-    spec: MicrogridSpec,
-    p0: float,
-    t_f: float,
-    n_steps: int,
-    n_paths: int,
-    seed: int,
-    p_b: float = 1.0,
-    paths: np.ndarray = None,
-) -> HedgeBacktest:
-    """Rebalance the closed-form policy at n_steps points along GBM paths.
+def hedge_backtest(spec: MicrogridSpec, paths, t_f: float) -> HedgeBacktest:
+    """Rebalance the closed-form policy at every time point of the paths.
 
-    The portfolio starts at the closed-form value and holds the formula ReGU
-    weight over each interval; battery absorbs rebalancing.  Also accumulates
-    the financing gap of taking *both* holdings from the formulas, which the
-    rated-power-conservation constraint drives to zero as dt -> 0.
+    ``paths`` is an (n_paths, n_steps + 1) array of generation on an even
+    grid over [0, t_f], such as ``simulate_paths(...)[:, :, 0]``.  Each
+    portfolio starts at the closed-form value of its path's first point and
+    holds the formula ReGU weight over each interval; battery absorbs
+    rebalancing.  Also accumulates the financing gap of taking *both*
+    holdings from the formulas, which the rated-power-conservation
+    constraint drives to zero as dt -> 0.
     """
-    if paths is None:
-        paths = simulate_paths(
-            [spec.gbm],
-            CorrelationMatrix.identity(1),
-            np.array([p0]),
-            horizon=t_f,
-            n_steps=n_steps,
-            n_paths=n_paths,
-            seed=seed,
-            measure="physical",
-        )[:, :, 0]
-    else:
-        paths = np.asarray(paths, dtype=float)
-        if paths.shape[1] != n_steps + 1:
-            raise ValueError(f"paths must have {n_steps + 1} time points")
-        if not np.allclose(paths[:, 0], p0):
-            raise ValueError("supplied paths do not start at p0")
-    dt = t_f / n_steps
-    times = dt * np.arange(n_steps + 1)
+    paths = np.asarray(paths, dtype=float)
+    if paths.ndim != 2 or paths.shape[1] < 2:
+        raise ValueError(f"paths must be 2-D with >= 2 time points, got shape {paths.shape}")
+    n_steps = paths.shape[1] - 1
+    times = (t_f / n_steps) * np.arange(n_steps + 1)
 
-    value = np.full(paths.shape[0], ces_portfolio_value(p0, spec, 0.0, t_f))
+    value = ces_portfolio_value(paths[:, 0], spec, 0.0, t_f)
     prev_a = prev_b = None
     gaps = np.zeros(paths.shape[0])
     for n in range(n_steps):
         state = paths[:, n]
-        alloc = ces_allocation(state, spec, times[n], t_f, p_b)
+        # battery units of 1 kW, so b_hat is the battery power D*Phi(d+)
+        alloc = ces_allocation(state, spec, times[n], t_f, 1.0)
         if n > 0:
-            gaps += (alloc.a_hat - prev_a) * state + (alloc.b_hat - prev_b) * p_b
+            gaps += (alloc.a_hat - prev_a) * state + (alloc.b_hat - prev_b)
         prev_a, prev_b = alloc.a_hat, alloc.b_hat
         value = value + alloc.a_hat * (paths[:, n + 1] - state)
     payoff = ces_portfolio_value(paths[:, -1], spec, t_f, t_f)

@@ -103,8 +103,13 @@ def _cmd_allocate(args) -> int:
         dt = t_f / config.rebalance_steps
         steps_done = t / dt
         if abs(steps_done - round(steps_done)) > 1e-9:
+            # the grid times either side of t that fall before the horizon,
+            # each printed as its shortest exact decimal
+            below = math.floor(steps_done)
+            near = [k * dt for k in (below, below + 1) if k < config.rebalance_steps]
             raise TimeOutOfRange(
-                f"time out of range: tes allocation rebalances every {dt:g} h"
+                f"time out of range: tes allocation rebalances every {dt:g} h; use --time "
+                + " or ".join(str(time).removesuffix(".0") for time in near)
             )
         remaining = config.rebalance_steps - int(round(steps_done))
         model = calibrate_step_model(grid, dt)

@@ -212,14 +212,11 @@ class RecombiningLattice:
         n = model.n_assets
         nodes = (max_steps + 1) ** n
         if nodes > DEFAULT_NODE_BUDGET:
-            # bisect for the largest grid side whose n-th power fits, in integers
-            side, too_big = 1, max_steps + 1
-            while too_big - side > 1:
-                mid = (side + too_big) // 2
-                if mid**n <= DEFAULT_NODE_BUDGET:
-                    side = mid
-                else:
-                    too_big = mid
+            # the largest grid side whose n-th power fits: the rounded float
+            # root is that side or one above it, which the integer test corrects
+            side = round(DEFAULT_NODE_BUDGET ** (1 / n))
+            while side**n > DEFAULT_NODE_BUDGET:
+                side -= 1
             raise TreeTooLarge(
                 f"{max_steps + 1}^{n} = {nodes} terminal states "
                 f"exceed the node budget {DEFAULT_NODE_BUDGET}; set rebalance_steps "

@@ -7,7 +7,6 @@ catastrophically).  Both functions use the standard library only, so
 importing this module does not load scipy.
 """
 import math
-from functools import cache
 
 import numpy as np
 
@@ -21,18 +20,13 @@ def normal_cdf(x):
     return 0.5 * erfc.reshape(z.shape)
 
 
-@cache
-def _inv_cdf():
-    """NormalDist().inv_cdf as a ufunc, built on first use.
+def normal_ppf(q):
+    """Inverse of ``normal_cdf`` for 0 < q < 1 (equal-probability binning).
 
-    Only ``estimate``'s chi-square bins need it, so the other commands skip
-    importing ``statistics`` (about 4.5 ms of start-up after numpy).
+    Only ``estimate``'s chi-square bins need it, so ``statistics`` (about
+    4.5 ms of start-up after numpy) is imported here, not at module level.
     """
     from statistics import NormalDist
 
-    return np.frompyfunc(NormalDist().inv_cdf, 1, 1)
-
-
-def normal_ppf(q):
-    """Inverse of ``normal_cdf`` for 0 < q < 1 (equal-probability binning)."""
-    return np.asarray(_inv_cdf()(np.asarray(q, dtype=float)), dtype=float)
+    inv_cdf = np.frompyfunc(NormalDist().inv_cdf, 1, 1)
+    return np.asarray(inv_cdf(np.asarray(q, dtype=float)), dtype=float)

@@ -313,7 +313,7 @@ def test_criterion_8_hedging_replication():
     fine = ens[:, :, 0]
     rms = {}
     for n_steps, paths in ((100, fine[:, ::10]), (1_000, fine)):
-        result = gh.hedge_backtest(spec, 20.0, 5.0, n_steps, 10_000, seed=0, paths=paths)
+        result = gh.hedge_backtest(spec, paths, 5.0)
         rms[n_steps] = float(np.sqrt(np.mean(result.terminal_errors**2)))
     elapsed = time.perf_counter() - start
     ok = rms[1_000] < rms[100] / 3.0 and elapsed < 120.0

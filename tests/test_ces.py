@@ -209,12 +209,21 @@ class TestTotalBattery:
         )
 
 
+def physical_paths(spec, p0, t_f, n_steps, n_paths, seed):
+    """(n_paths, n_steps + 1) GBM paths of one grid under the physical measure."""
+    return gh.simulate_paths(
+        [spec.gbm], gh.CorrelationMatrix.identity(1), np.array([p0]),
+        horizon=t_f, n_steps=n_steps, n_paths=n_paths, seed=seed,
+    )[:, :, 0]
+
+
 class TestHedging:
     def test_financing_gap_shrinks_half_order(self):
         # sum of da*P + db*P_b over rebalances: RMS ~ sqrt(dt)
         rms = []
         for n_steps in (50, 200, 800):
-            result = gh.hedge_backtest(SPEC1, 20.0, 5.0, n_steps, 1_000, seed=404)
+            paths = physical_paths(SPEC1, 20.0, 5.0, n_steps, 1_000, seed=404)
+            result = gh.hedge_backtest(SPEC1, paths, 5.0)
             rms.append(np.sqrt(np.mean(result.financing_gaps**2)))
         assert rms[1] < 0.62 * rms[0]
         assert rms[2] < 0.62 * rms[1]
@@ -222,6 +231,28 @@ class TestHedging:
     def test_terminal_replication_improves(self):
         rms = []
         for n_steps in (100, 1_000):
-            result = gh.hedge_backtest(SPEC1, 20.0, 5.0, n_steps, 4_000, seed=505)
+            paths = physical_paths(SPEC1, 20.0, 5.0, n_steps, 4_000, seed=505)
+            result = gh.hedge_backtest(SPEC1, paths, 5.0)
             rms.append(np.sqrt(np.mean(result.terminal_errors**2)))
         assert rms[1] < rms[0] / 2.5
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.floats(5.0, 40.0), st.floats(5.0, 40.0),
+        st.integers(1, 30), st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_path_sets_hedge_as_separate_runs(self, p_one, p_two, n_steps, seed):
+        # each path is hedged on its own: stacking two sets with different
+        # start values changes no byte of either set's result
+        first = physical_paths(SPEC1, p_one, 5.0, n_steps, 7, seed)
+        second = physical_paths(SPEC1, p_two, 5.0, n_steps, 5, seed + 1)
+        both = gh.hedge_backtest(SPEC1, np.vstack([first, second]), 5.0)
+        apart = [gh.hedge_backtest(SPEC1, paths, 5.0) for paths in (first, second)]
+        for field in ("terminal_errors", "financing_gaps"):
+            joined = np.concatenate([getattr(r, field) for r in apart])
+            assert getattr(both, field).tobytes() == joined.tobytes()
+
+    @pytest.mark.parametrize("shape", [(11,), (4, 1), (4, 0), (2, 3, 1)])
+    def test_paths_must_be_a_matrix_of_two_or_more_times(self, shape):
+        with pytest.raises(ValueError, match="paths must be"):
+            gh.hedge_backtest(SPEC1, np.full(shape, 20.0), 5.0)

@@ -205,6 +205,26 @@ class TestAllocate:
         assert code == 4
         assert "time out of range" in err
 
+    @pytest.mark.parametrize("steps, time, advised", [
+        (5, "2.5", ["2", "3"]),
+        (5, "4.5", ["4"]),
+        (3, "2", ["1.6666666666666667", "3.3333333333333335"]),
+        (7, "0.1", ["0", "0.7142857142857143"]),
+    ])
+    def test_off_grid_time_advice_works(self, tmp_path, capsys, steps, time, advised):
+        config = tmp_path / "steps.cfg"
+        config.write_text(DEMO_CFG + f"rebalance_steps = {steps}\n")
+        code, _, err = run_main(capsys, "allocate", str(config), "--mode", "tes", "--time", time)
+        assert code == 4
+        assert f"time out of range: tes allocation rebalances every {5 / steps:g} h; " in err
+        suggested = re.search(r"; use --time (.+)$", err.strip())[1].split(" or ")
+        assert suggested == advised
+        for valid in suggested:
+            code, _, err = run_main(
+                capsys, "allocate", str(config), "--mode", "tes", "--time", valid
+            )
+            assert code == 0, err
+
 
 class TestSimulate:
     def test_minimal_run(self, demo_config, tmp_path, capsys):

@@ -487,7 +487,9 @@ class TestEngines:
             tracemalloc.stop()
         assert peak < 1_000_000  # one 251^3 grid would be 126 MB
 
-    @pytest.mark.parametrize("sigmas, fits", [([0.03, 0.04], 3161), ([0.03, 0.04, 0.05], 214)])
+    @pytest.mark.parametrize("sigmas, fits", [
+        ([0.03, 0.04], 3161), ([0.03, 0.04, 0.05], 214), ([0.03, 0.04, 0.05, 0.06], 55),
+    ])
     def test_refusal_names_the_most_steps_that_fit(self, sigmas, fits):
         # construction allocates no lattice, so the advice is cheap to check
         model = gh.calibrate_step_model(make_grid(sigmas, 0.3), 0.01)
