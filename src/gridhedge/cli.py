@@ -112,7 +112,7 @@ def _cmd_allocate(args) -> int:
                 + " or ".join(str(time).removesuffix(".0") for time in near)
             )
         remaining = config.rebalance_steps - int(round(steps_done))
-        model = calibrate_step_model(grid, dt)
+        model = calibrate_step_model(grid, dt, horizon=t_f)
         value, alloc = dynamic_allocation(
             pg, grid.demands, model, remaining, None, grid.battery_unit_kw
         )

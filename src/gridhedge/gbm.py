@@ -144,11 +144,20 @@ def simulate_paths(
     # identical (seed, shape) give bit-identical paths on every platform
     gen = np.random.Generator(np.random.Philox(key=seed))
     z = gen.standard_normal((n_paths, n_steps, len(params)))
-    increments = drift + (z @ corr.factor.T) * sigma * np.sqrt(dt)
-    log_paths = np.cumsum(increments, axis=1) + np.log(initial)
+    # drift + (z @ factor.T) * sigma * sqrt(dt), cumulated, offset by the
+    # log of initial and exponentiated: the same operations in the same
+    # order, in place in one buffer, with the draws freed after the product
+    log_paths = z @ corr.factor.T
+    del z
+    log_paths *= sigma
+    log_paths *= np.sqrt(dt)
+    np.add(drift, log_paths, out=log_paths)
+    np.cumsum(log_paths, axis=1, out=log_paths)
+    log_paths += np.log(initial)
+    np.exp(log_paths, out=log_paths)
     values = np.empty((n_paths, n_steps + 1, len(params)))
     values[:, 0, :] = initial
-    values[:, 1:, :] = np.exp(log_paths)
+    values[:, 1:, :] = log_paths
     return values
 
 

@@ -36,6 +36,16 @@ from .grid import GridEnsemble
 DEFAULT_NODE_BUDGET = 10_000_000
 
 
+def max_lattice_steps(n_assets: int) -> int:
+    """The most steps whose (steps + 1)^n_assets terminal states fit the node budget."""
+    # the largest grid side whose n-th power fits: the rounded float root is
+    # that side or one above it, which the integer test corrects
+    side = round(DEFAULT_NODE_BUDGET ** (1 / n_assets))
+    while side**n_assets > DEFAULT_NODE_BUDGET:
+        side -= 1
+    return side - 1
+
+
 # ---------------------------------------------------------------------------
 # Step-model calibration
 # ---------------------------------------------------------------------------
@@ -87,7 +97,17 @@ def _walsh(signs, first, pairs):
     return probs / (1 << signs.shape[1])
 
 
-def calibrate_step_model(grid: GridEnsemble, dt: float) -> LatticeStepModel:
+def _branch_probs(grid: GridEnsemble, signs, dt: float):
+    """(h, probs, bad): log steps, branch probabilities and the branches outside [0, 1]."""
+    sigmas = grid.sigmas
+    s = sigmas**2 * dt
+    h = np.sqrt(s + (s / 2.0) ** 2)
+    pairs = grid.corr.rho * sigmas[:, None] * sigmas * dt / (h[:, None] * h)
+    probs = _walsh(signs, -s / (2.0 * h), pairs)
+    return h, probs, (probs < -1e-15) | (probs > 1 + 1e-15)
+
+
+def calibrate_step_model(grid: GridEnsemble, dt: float, horizon=None) -> LatticeStepModel:
     """Solve movement factors and branch probabilities for one time step.
 
     One closed form serves every number of assets (Boyle, Evnine & Gibbs
@@ -98,25 +118,26 @@ def calibrate_step_model(grid: GridEnsemble, dt: float) -> LatticeStepModel:
     moment equations exactly; for three or more assets, where they leave
     the probabilities underdetermined, it is the completion with every
     higher-order interaction zero.
+
+    dt is ``horizon`` / rebalance_steps (horizon defaults to dt, one step).
+    When a finer step could restore a branch to [0, 1], the refusal names
+    the fewest rebalance_steps over the horizon that calibrate, found by
+    trying every count up to the most the node budget fits in turn, since
+    feasibility need not be monotone in the step count.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     sigmas = grid.sigmas
     if np.any(sigmas == 0):
         raise DegenerateVolatility("lattice calibration requires sigma > 0")
-    s = sigmas**2 * dt
-    h = np.sqrt(s + (s / 2.0) ** 2)
-    rho = grid.corr.rho
     mask = branch_up_mask(grid.n_microgrids)
     signs = np.where(mask, 1.0, -1.0)
-    pairs = rho * sigmas[:, None] * sigmas * dt / (h[:, None] * h)
-    probs = _walsh(signs, -s / (2.0 * h), pairs)
-    bad = (probs < -1e-15) | (probs > 1 + 1e-15)
+    h, probs, bad = _branch_probs(grid, signs, dt)
     if np.any(bad):
         # as dt -> 0, m -> 0 and c -> rho; when that limit is negative, or
         # zero and approached from below as -(sum_i e_ki sigma_i)*sqrt(dt)/2^(n+1),
         # no finer time step can restore feasibility
-        limits = _walsh(signs, np.zeros(grid.n_microgrids), rho)
+        limits = _walsh(signs, np.zeros(grid.n_microgrids), grid.corr.rho)
         hopeless = (limits < 0) | ((np.abs(limits) <= 1e-15) & (signs @ sigmas > 0))
         if np.any(hopeless):
             k = int(np.argmin(np.where(hopeless, limits, np.inf)))
@@ -124,7 +145,15 @@ def calibrate_step_model(grid: GridEnsemble, dt: float) -> LatticeStepModel:
                 branch=k, probability=float(probs[k]), dt=dt, limit=float(limits[k])
             )
         k = int(np.argmax(bad))
-        raise InfeasibleCalibration(branch=k, probability=float(probs[k]), dt=dt)
+        horizon = dt if horizon is None else horizon
+        counts = range(1, max_lattice_steps(grid.n_microgrids) + 1)
+        steps = next(
+            (n for n in counts if not np.any(_branch_probs(grid, signs, horizon / n)[2])), None
+        )
+        raise InfeasibleCalibration(
+            branch=k, probability=float(probs[k]), dt=dt, horizon=horizon, steps=steps,
+            most=counts[-1],
+        )
     return LatticeStepModel(
         n_assets=grid.n_microgrids,
         dt=dt,
@@ -212,15 +241,10 @@ class RecombiningLattice:
         n = model.n_assets
         nodes = (max_steps + 1) ** n
         if nodes > DEFAULT_NODE_BUDGET:
-            # the largest grid side whose n-th power fits: the rounded float
-            # root is that side or one above it, which the integer test corrects
-            side = round(DEFAULT_NODE_BUDGET ** (1 / n))
-            while side**n > DEFAULT_NODE_BUDGET:
-                side -= 1
             raise TreeTooLarge(
                 f"{max_steps + 1}^{n} = {nodes} terminal states "
                 f"exceed the node budget {DEFAULT_NODE_BUDGET}; set rebalance_steps "
-                f"to at most {side - 1}, the most a {n}-grid lattice fits"
+                f"to at most {max_lattice_steps(n)}, the most a {n}-grid lattice fits"
             )
         if p_b <= 0:
             raise ValueError(f"p_b must be > 0, got {p_b}")

@@ -243,7 +243,7 @@ def run_case_study(config: ScenarioConfig) -> CaseResult:
     # dt is constant, so one model and one engine serve every rebalance
     # time; an infeasible or oversized lattice fails before any path is
     # simulated
-    model = calibrate_step_model(grid, dt)
+    model = calibrate_step_model(grid, dt, horizon=config.horizon_hours)
     engine = RecombiningLattice(model, grid.demands, config.rebalance_steps, p_b)
     paths, counts = _collect_paths(config)
     m = paths.shape[0]

@@ -50,14 +50,58 @@ def ks_critical_value(n: int, m: int, alpha: float) -> float:
     return float(coefficient * np.sqrt((n + m) / (n * m)))
 
 
-# Elements per block of resample counts.  One float64 block (at most 16 MiB) is
+# Elements per block of resample counts.  One float64 block (at most 4 MiB) is
 # reused for every block, which bounds the bootstrap's working memory
 # whatever the number of resamples; the results do not depend on it.
-RESAMPLE_BLOCK_ELEMENTS = 1 << 21
+RESAMPLE_BLOCK_ELEMENTS = 1 << 19
 
 # Elements per draw of row indices: small enough that a draw and its counts
 # stay in cache; the results do not depend on it.
 _DRAW_ELEMENTS = 1 << 16
+
+
+class _RowIndices:
+    """Uniform integers in [0, m) from one SFC64 stream, n at a time.
+
+    Successive ``draw`` calls return, in order, exactly the values of one
+    ``Generator(SFC64(seed)).integers(0, m, size)`` call whose size is their
+    total: numpy's bounded draw (Lemire 2019, "Fast Random Integer
+    Generation in an Interval"), one vector step for all candidates.  Each
+    raw 64-bit word gives two 32-bit candidates u, low half first; u gives
+    (u * m) >> 32 unless the low half of u * m is below 2**32 % m, in which
+    case numpy rejects it and tries the next.  A value left over by one draw
+    starts the next.  Needs 2 <= m < 2**32, numpy's 32-bit path.
+    """
+
+    def __init__(self, seed, m: int):
+        if not 2 <= m < 1 << 32:
+            raise ValueError(f"m must be in [2, 2**32), got {m}")
+        self._bits = np.random.SFC64(seed)
+        self._m = m
+        self._threshold = (1 << 32) % m
+        self._buffer = np.empty(0, dtype=np.uint64)
+        self._spare = np.empty(0, dtype=np.uint64)
+
+    def draw(self, n: int) -> np.ndarray:
+        """The next n values, as an int64 view that the next draw overwrites."""
+        if self._buffer.size <= n:
+            self._buffer = np.empty(n + 1, dtype=np.uint64)
+        filled = self._spare.size
+        self._buffer[:filled] = self._spare
+        while filled < n:
+            words = self._bits.random_raw((n - filled + 1) // 2)
+            u = words.astype("<u8", copy=False).view("<u4")
+            product = self._buffer[filled : filled + u.size]
+            np.multiply(u, np.uint64(self._m), out=product)
+            product >>= 32
+            low = u * np.uint32(self._m)  # the low half of u * m
+            if low.min() < self._threshold:
+                kept = product[low >= self._threshold]
+                product[: kept.size] = kept
+                product = product[: kept.size]
+            filled += product.size
+        self._spare = self._buffer[n:filled].copy()
+        return self._buffer[:n].view(np.int64)
 
 
 def _exact_parts(x, m: int):
@@ -94,24 +138,29 @@ def _count_means(counts, parts):
 def resampled_means(x, n_resamples: int, seed):
     """Column means of x and of n_resamples bootstrap resamples of its rows.
 
-    x is (m, k); returns (means, resampled), the (k,) column means and the
-    (n_resamples, k) resampled means.  Resample r takes its m row indices
-    from row r of ``Generator(SFC64(seed)).integers(0, m,
-    size=(n_resamples, m))``, drawn a few rows at a time.  Each draw is
-    counted per row with one ``bincount`` and written into one reused float
-    count block, and the means are a BLAS product of each block with the
-    columns.  Draws of consecutive rows use up the stream exactly as one draw
-    of all rows does, and the product is exact (see ``_exact_parts``), so the
-    means are bit-identical whatever the block size, draw size, BLAS kernel
-    or thread count.
+    x is (m, k) and finite; returns (means, resampled), the (k,) column
+    means and the (n_resamples, k) resampled means.  Resample r takes its m
+    row indices from row r of ``Generator(SFC64(seed)).integers(0, m,
+    size=(n_resamples, m))``, computed by ``_RowIndices`` from the raw SFC64
+    words a few rows at a time.  Each draw is counted per row with one
+    ``bincount`` and written into one reused float count block, and the
+    means are a BLAS product of each block with the columns.  Draws of
+    consecutive rows use up the stream exactly as one draw of all rows does,
+    and the product is exact (see ``_exact_parts``), so the means are
+    bit-identical whatever the block size, draw size, BLAS kernel or thread
+    count.
 
     The point means are the same exact product with every count 1, so a
     column that is constant over the rows has its point mean in every
     resample; it is filled with that value and left out of the product.
     When every column is constant, which includes m == 1, nothing is drawn.
+    A NaN or infinite entry raises ValueError: it has no exact parts.
     """
     x = np.asarray(x, dtype=float)
     m, k = x.shape
+    nonfinite = x.size - np.count_nonzero(np.isfinite(x))
+    if nonfinite:
+        raise ValueError(f"sample must be finite; NaN or inf entries: {nonfinite} of {x.size}")
     parts = _exact_parts(x, m)
     means = _count_means(np.ones((1, m)), parts)[0]
     resampled = np.tile(means, (n_resamples, 1))
@@ -119,7 +168,7 @@ def resampled_means(x, n_resamples: int, seed):
     if varying.size == 0:
         return means, resampled
     parts = parts[:, np.concatenate([varying, varying + k])]
-    rng = np.random.Generator(np.random.SFC64(seed))
+    indices = _RowIndices(seed, m)
     block = max(1, RESAMPLE_BLOCK_ELEMENTS // m)
     draw = max(1, _DRAW_ELEMENTS // m)
     counts = np.empty((min(block, n_resamples), m))
@@ -128,7 +177,7 @@ def resampled_means(x, n_resamples: int, seed):
         take = min(block, n_resamples - start)
         for lo in range(0, take, draw):
             rows = min(draw, take - lo)
-            idx = rng.integers(0, m, size=(rows, m))
+            idx = indices.draw(rows * m).reshape(rows, m)
             idx += offsets[:rows]
             counts[lo : lo + rows] = np.bincount(idx.ravel(), minlength=rows * m).reshape(rows, m)
         resampled[start : start + take, varying] = _count_means(counts[:take], parts)

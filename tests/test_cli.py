@@ -198,6 +198,30 @@ class TestAllocate:
         assert "no moment-matched lattice" in err
         assert "smaller" not in err
 
+    def test_step_count_advice_works_when_applied(self, tmp_path, capsys):
+        # refused at 5 and 10 steps; 14 is the fewest that calibrate
+        config = tmp_path / "fine.cfg"
+        base = DEMO_CFG.replace("0.03, 0.04", "0.3, 0.04") + "correlation = -0.9\n"
+        commands = (
+            ["allocate", str(config), "--mode", "tes"],
+            ["simulate", str(config), "--out", str(tmp_path / "out")],
+        )
+        for steps in (5, 10):
+            config.write_text(base + f"rebalance_steps = {steps}\n")
+            for argv in commands:
+                code, _, err = run_main(capsys, *argv)
+                assert code == EXIT_CALIBRATION
+                advice = re.fullmatch(
+                    r"error: branch \d+ probability \S+ outside \[0, 1\]; set rebalance_steps "
+                    r"to (\d+) \(dt = \S+ h\), the fewest that calibrate over 5 h\n",
+                    err,
+                )
+                assert advice[1] == "14"
+        config.write_text(base + f"rebalance_steps = {advice[1]}\n")
+        for argv in commands:
+            code, _, err = run_main(capsys, *argv)
+            assert code == 0, err
+
     def test_time_out_of_range_exit_4(self, demo_config, capsys):
         code, _, err = run_main(
             capsys, "allocate", str(demo_config), "--mode", "tes", "--time", "5"

@@ -174,11 +174,57 @@ class TestCalibration:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
     def test_infeasible_raises_with_suggestion(self):
-        with pytest.raises(InfeasibleCalibration, match="smaller"):
+        with pytest.raises(InfeasibleCalibration, match="; set rebalance_steps to 5 "):
             gh.calibrate_step_model(make_grid([0.1, 0.01], 0.98), 1.0)
         # shrinking dt restores feasibility
         model = gh.calibrate_step_model(make_grid([0.1, 0.01], 0.98), 0.01)
         assert np.all(model.branch_probs >= 0)
+
+    @pytest.mark.parametrize("steps", [5, 10])
+    def test_suggestion_is_the_fewest_steps_that_calibrate(self, steps):
+        grid = make_grid([0.3, 0.04], -0.9)
+        with pytest.raises(InfeasibleCalibration) as info:
+            gh.calibrate_step_model(grid, 5.0 / steps, horizon=5.0)
+        assert str(info.value).startswith("branch 0 probability ")
+        assert str(info.value).endswith(
+            "outside [0, 1]; set rebalance_steps to 14 (dt = 0.357143 h), "
+            "the fewest that calibrate over 5 h"
+        )
+        assert (info.value.key, info.value.value) == ("rebalance_steps", 14)
+        # every count below the suggestion is refused, so it is the fewest
+        for fewer in range(1, 14):
+            with pytest.raises(InfeasibleCalibration):
+                gh.calibrate_step_model(grid, 5.0 / fewer)
+        model = gh.calibrate_step_model(grid, 5.0 / 14)
+        assert np.all((model.branch_probs >= 0) & (model.branch_probs <= 1))
+
+    def test_suggestion_is_not_assumed_monotone(self, monkeypatch):
+        # a calibration that fails at every count except 7 and 9, refused at
+        # 8, gets 7: a search up from the refused count would give 9
+        from gridhedge import lattice
+
+        branch_probs = lattice._branch_probs
+
+        def patchy(grid, signs, dt):
+            h, probs, bad = branch_probs(grid, signs, dt)
+            return h, probs, bad | (round(3.0 / dt) not in (7, 9))
+
+        monkeypatch.setattr(lattice, "_branch_probs", patchy)
+        with pytest.raises(InfeasibleCalibration, match="rebalance_steps to 7 ") as info:
+            gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 3.0 / 8, horizon=3.0)
+        assert info.value.value == 7
+
+    def test_no_step_count_under_the_budget_calibrates(self):
+        # the limit (1 - 0.99999) / 4 is positive, but only a step far finer
+        # than 5 h / 3161 reaches it
+        grid = make_grid([0.3, 0.04], -0.99999)
+        with pytest.raises(InfeasibleCalibration) as info:
+            gh.calibrate_step_model(grid, 1.0, horizon=5.0)
+        assert str(info.value).endswith(
+            "; no rebalance_steps up to 3161, the most the node budget fits, "
+            "calibrates over 5 h"
+        )
+        assert (info.value.key, info.value.value) == ("rebalance_steps", None)
 
     def test_infeasible_as_dt_vanishes_says_so(self):
         # three equal anti-correlations: branch 0 tends to

@@ -183,6 +183,9 @@ class TestResampledMeans:
         assert stats.resampled_means(x, 150, 6)[1].tobytes() == want
 
     def test_working_memory_is_one_count_block(self):
+        # the exact parts (twice x), one 4 MiB count block, the outputs and
+        # at most four draw-sized arrays (index buffer, raw words, low
+        # halves, bincount); traced 9.2 MiB, 20.7 MiB with a 16 MiB block
         x = philox(3).standard_normal((10_000, 24))
         tracemalloc.start()
         try:
@@ -190,4 +193,76 @@ class TestResampledMeans:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 28 * 2**20
+        outputs = 8 * (1_000 + 1) * 24
+        assert peak < 2 * x.nbytes + 4 * 2**20 + outputs + 4 * 8 * 2**16
+
+    @pytest.mark.parametrize("entries, count", [
+        ({(3, 1): np.nan}, 1),
+        ({(0, 0): np.inf, (9, 2): -np.inf, (4, 0): np.nan}, 3),
+    ])
+    def test_non_finite_entries_refused(self, entries, count):
+        x = philox(7).standard_normal((10, 3))
+        for at, value in entries.items():
+            x[at] = value
+        message = rf"^sample must be finite; NaN or inf entries: {count} of 30$"
+        with pytest.raises(ValueError, match=message):
+            stats.resampled_means(x, 100, 1)
+        column = x[:, next(iter(entries))[1]]
+        with pytest.raises(ValueError, match=r"^sample must be finite; NaN or inf entries: "):
+            gh.bootstrap_ci(column, n_resamples=100, seed=1)
+
+
+class TestRowIndices:
+    @pytest.mark.parametrize(
+        "m", [2, 3, 7, 257, 10_000, 65_537, 2**31 + 1, 2**32 - 1]
+    )
+    def test_matches_generator_integers(self, m):
+        # odd takes leave a half-word for the next one
+        takes = [1, 3, 2, 7, 1_000, 5, 4_096, 1, 333]
+        indices = stats._RowIndices(11, m)
+        got = np.concatenate([indices.draw(n).copy() for n in takes])
+        want = np.random.Generator(np.random.SFC64(11)).integers(0, m, size=sum(takes))
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("m", [2**31 + 1, 3 * 2**30 + 1])
+    def test_takes_that_end_on_a_rejection(self, m):
+        # numpy rejects half-word u when the low half of u * m is below
+        # 2**32 % m: about half of them at 2**31 + 1, a third at 3 * 2**30 + 1.
+        # Each take here ends on the last value before a rejected half-word.
+        half = np.random.SFC64(12).random_raw(2_000).astype("<u8").view("<u4")
+        accepted = half.astype(object) * m % 2**32 >= 2**32 % m
+        rejected = np.flatnonzero(~accepted)
+        ends = np.unique(np.cumsum(accepted)[rejected[rejected > 0] - 1])[:80]
+        takes = np.diff(ends, prepend=0)
+        assert takes.min() >= 1 and (takes % 2).any() and (takes % 2 == 0).any()
+        indices = stats._RowIndices(12, m)
+        got = np.concatenate([indices.draw(int(n)).copy() for n in takes])
+        want = np.random.Generator(np.random.SFC64(12)).integers(0, m, size=ends[-1])
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("m", [2**31 + 1, 3 * 2**30 + 1, 10_000 + 1])
+    def test_candidate_at_the_threshold_is_kept(self, monkeypatch, m):
+        # SFC64's first word is a + b + counter, so a state of (u, 0, 0, 0)
+        # yields u first; u * m then has a low half of exactly 2**32 % m,
+        # the smallest that numpy keeps
+        u = (2**32 % m) * pow(m, -1, 2**32) % 2**32
+        sfc64 = np.random.SFC64
+
+        def from_u(seed):
+            bits = sfc64(seed)
+            bits.state = {**bits.state, "state": {"state": np.array([u, 0, 0, 0], np.uint64)}}
+            return bits
+
+        monkeypatch.setattr(np.random, "SFC64", from_u)
+        got = stats._RowIndices(0, m).draw(9).copy()
+        want = np.random.Generator(from_u(0)).integers(0, m, size=9)
+        assert got[0] == u * m >> 32
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("m", [2**32, 2**32 + 1, 2**40])
+    def test_bound_beyond_32_bits_refused_before_drawing(self, monkeypatch, m):
+        # numpy switches to a 64-bit draw there; such an x would need 32 GiB
+        monkeypatch.setattr(np.random, "SFC64", None)  # a draw would raise
+        with pytest.raises(ValueError, match=rf"^m must be in \[2, 2\*\*32\), got {m}$"):
+            stats._RowIndices(0, m)
