@@ -92,9 +92,10 @@ class _RowIndices:
             words = self._bits.random_raw((n - filled + 1) // 2)
             u = words.astype("<u8", copy=False).view("<u4")
             product = self._buffer[filled : filled + u.size]
-            np.multiply(u, np.uint64(self._m), out=product)
+            # dtype fixes each loop's width under every numpy promotion rule
+            np.multiply(u, self._m, out=product, dtype=np.uint64)
             product >>= 32
-            low = u * np.uint32(self._m)  # the low half of u * m
+            low = np.multiply(u, self._m, dtype=np.uint32)  # the low half of u * m
             if low.min() < self._threshold:
                 kept = product[low >= self._threshold]
                 product[: kept.size] = kept
