@@ -40,11 +40,6 @@ class CesAllocation:
     value_hat: float
 
 
-def _check_time(t, t_f):
-    if t < 0 or t > t_f:
-        raise TimeOutOfRange(f"t={t} outside [0, {t_f}]")
-
-
 def _policy(p_g, demand, sigma, tau, p_b):
     """The closed-form policy, elementwise: returns (a, b, value).
 
@@ -79,7 +74,8 @@ def ces_allocation(p_g, spec: MicrogridSpec, t, t_f, p_b) -> CesAllocation:
         raise ValueError(f"p_b must be > 0, got {p_b}")
     if np.any(np.asarray(p_g) <= 0):
         raise ValueError(f"p_g must be > 0, got {p_g}")
-    _check_time(t, t_f)
+    if t < 0 or t > t_f:
+        raise TimeOutOfRange(f"t={t} outside [0, {t_f}]")
     if spec.gbm.sigma == 0 and t != t_f:
         raise DegenerateVolatility("allocation requires sigma > 0 before t_f")
     a, b, value = _policy(p_g, spec.demand, spec.gbm.sigma, t_f - t, p_b)

@@ -102,16 +102,18 @@ def _cmd_allocate(args) -> int:
     else:
         dt = t_f / config.rebalance_steps
         steps_done = t / dt
-        if abs(steps_done - round(steps_done)) > 1e-9:
+        snapped = round(steps_done)
+        # a time that snaps to the horizon has no step left to allocate
+        if abs(steps_done - snapped) > 1e-9 or snapped == config.rebalance_steps:
             # the grid times either side of t that fall before the horizon,
             # each printed as its shortest exact decimal
-            below = math.floor(steps_done)
+            below = min(math.floor(steps_done), config.rebalance_steps - 1)
             near = [k * dt for k in (below, below + 1) if k < config.rebalance_steps]
             raise TimeOutOfRange(
                 f"time out of range: tes allocation rebalances every {dt:g} h; use --time "
                 + " or ".join(str(time).removesuffix(".0") for time in near)
             )
-        remaining = config.rebalance_steps - int(round(steps_done))
+        remaining = config.rebalance_steps - snapped
         model = calibrate_step_model(grid, dt, horizon=t_f)
         value, alloc = dynamic_allocation(
             pg, grid.demands, model, remaining, None, grid.battery_unit_kw

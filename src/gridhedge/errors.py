@@ -22,40 +22,18 @@ class TimeOutOfRange(GridHedgeError):
 class InfeasibleCalibration(GridHedgeError):
     """Lattice calibration produced a branch probability outside [0, 1].
 
-    Carries the offending branch index.  As dt -> 0 branch probabilities
-    approach (1 + sum_{i<j} s_i s_j rho_ij) / 2**n_assets.  When that limit
-    is negative, or zero and approached from below, it is passed as
-    ``limit`` and no finer time step helps.  Otherwise ``key`` is
-    "rebalance_steps" and ``value`` the fewest steps over ``horizon`` that
-    calibrate, or None when no count up to ``most``, the most the node
-    budget fits, does.
+    Carries the offending ``branch``.  When no finer time step helps,
+    ``limit`` is that branch's probability as dt -> 0; otherwise ``key`` is
+    "rebalance_steps" and ``value`` the fewest steps that calibrate, or None
+    when no count the node budget fits does.
     """
 
-    def __init__(self, branch, probability, dt, limit=None, horizon=None, steps=None, most=None):
+    def __init__(self, message, branch, limit=None, key=None, value=None):
+        super().__init__(message)
         self.branch = branch
-        self.probability = probability
-        self.dt = dt
         self.limit = limit
-        self.key = None if limit is not None else "rebalance_steps"
-        self.value = steps
-        if limit is not None:
-            advice = (
-                f"it tends to {limit:.6g} as dt -> 0: these correlations admit no "
-                "moment-matched lattice at any fine time step, so refining dt cannot help"
-            )
-        elif steps is None:
-            advice = (
-                f"no rebalance_steps up to {most}, the most the node budget fits, "
-                f"calibrates over {horizon:g} h"
-            )
-        else:
-            advice = (
-                f"set rebalance_steps to {steps} (dt = {horizon / steps:g} h), "
-                f"the fewest that calibrate over {horizon:g} h"
-            )
-        super().__init__(
-            f"branch {branch} probability {probability:.6g} outside [0, 1]; {advice}"
-        )
+        self.key = key
+        self.value = value
 
 
 class TreeTooLarge(GridHedgeError):

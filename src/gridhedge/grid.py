@@ -19,6 +19,8 @@ class GridEnsemble:
         demands = np.asarray(self.demands, dtype=float)
         object.__setattr__(self, "demands", demands)
         object.__setattr__(self, "params", tuple(self.params))
+        if not self.params:
+            raise ValueError("a fleet needs at least one microgrid, got none")
         if self.corr.n != len(self.params) or demands.shape != (len(self.params),):
             raise ValueError("params, correlation and demands sizes disagree")
         if not np.all(np.isfinite(demands) & (demands > 0)):

@@ -139,21 +139,30 @@ def calibrate_step_model(grid: GridEnsemble, dt: float, horizon=None) -> Lattice
         # no finer time step can restore feasibility
         limits = _walsh(signs, np.zeros(grid.n_microgrids), grid.corr.rho)
         hopeless = (limits < 0) | ((np.abs(limits) <= 1e-15) & (signs @ sigmas > 0))
-        if np.any(hopeless):
-            k = int(np.argmin(np.where(hopeless, limits, np.inf)))
+        k = int(np.argmin(np.where(hopeless, limits, np.inf)) if hopeless.any() else bad.argmax())
+        refused = f"branch {k} probability {probs[k]:.6g} outside [0, 1]; "
+        if hopeless[k]:
             raise InfeasibleCalibration(
-                branch=k, probability=float(probs[k]), dt=dt, limit=float(limits[k])
+                refused + f"it tends to {limits[k]:.6g} as dt -> 0: these correlations admit no "
+                "moment-matched lattice at any fine time step, so refining dt cannot help",
+                k, limit=float(limits[k]),
             )
-        k = int(np.argmax(bad))
         horizon = dt if horizon is None else horizon
         counts = range(1, max_lattice_steps(grid.n_microgrids) + 1)
         steps = next(
             (n for n in counts if not np.any(_branch_probs(grid, signs, horizon / n)[2])), None
         )
-        raise InfeasibleCalibration(
-            branch=k, probability=float(probs[k]), dt=dt, horizon=horizon, steps=steps,
-            most=counts[-1],
-        )
+        if steps is None:
+            advice = (
+                f"no rebalance_steps up to {counts[-1]}, the most the node budget fits, "
+                f"calibrates over {horizon:g} h"
+            )
+        else:
+            advice = (
+                f"set rebalance_steps to {steps} (dt = {horizon / steps:g} h), "
+                f"the fewest that calibrate over {horizon:g} h"
+            )
+        raise InfeasibleCalibration(refused + advice, k, key="rebalance_steps", value=steps)
     return LatticeStepModel(
         n_assets=grid.n_microgrids,
         dt=dt,

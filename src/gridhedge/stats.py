@@ -112,18 +112,24 @@ def _exact_parts(x, m: int):
     with at most ``53 - bit_length(m)`` significant bits, so a product with
     nonnegative integer counts that sum to m never rounds, in any summation
     order.  Only bits below 2**-(2 * bits) of the column's largest magnitude
-    are dropped.  Returns the (m, 2k) array [high parts, low parts].
+    are dropped.  Returns the (m, 2k) array [high parts, low parts]; both
+    levels are written into it in place.
     """
     bits = 53 - int(m).bit_length()
     _, exponent = np.frexp(np.max(np.abs(x), axis=0))
-    parts = []
+    k = x.shape[1]
+    parts = np.empty((x.shape[0], 2 * k))
+    high, low = parts[:, :k], parts[:, k:]
     rest = x
-    for level in (1, 2):
+    for level, part in ((1, high), (2, low)):
         quantum = np.ldexp(1.0, np.maximum(exponent - level * bits, -1074))
-        part = np.round(rest / quantum) * quantum
-        parts.append(part)
-        rest = rest - part
-    return np.hstack(parts)
+        np.divide(rest, quantum, out=part)
+        np.round(part, out=part)
+        part *= quantum
+        if level == 1:
+            # the second level splits the remainder, held in the low half
+            rest = np.subtract(x, high, out=low)
+    return parts
 
 
 def _count_means(counts, parts):

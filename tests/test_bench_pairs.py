@@ -121,7 +121,14 @@ def stubbed(monkeypatch):
         return {"wall_s": 30.0, "outcomes": {"failed": 2, "passed": 377}}
 
     monkeypatch.setattr(bench_pairs, "git", lambda *args, **kw: "0" * 40)
-    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: dest)
+    def export(rev, dest):
+        # the base tree has one line more under src/ than the change
+        package = dest / "src" / "pkg"
+        package.mkdir(parents=True)
+        (package / "mod.py").write_text("a\nb\n" if dest.name == "base" else "a\n")
+        return dest
+
+    monkeypatch.setattr(bench_pairs, "export", export)
     monkeypatch.setattr(bench_pairs, "run_once", perfbench)
     monkeypatch.setattr(bench_pairs, "run_tier1", tier1)
     return calls
@@ -132,7 +139,11 @@ def test_main_writes_the_keys_of_bench_20(stubbed, tmp_path, capsys):
     assert bench_pairs.main(["--base", "a", "--change", "b", "--seed", "40",
                              "--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    assert key_paths(report) == key_paths(json.loads((ROOT / "BENCH_20.json").read_text()))
+    # BENCH_20's keys, and each side's line count under src/
+    src_lines = {("src_lines",), ("src_lines", "base"), ("src_lines", "change")}
+    assert key_paths(report) == \
+        key_paths(json.loads((ROOT / "BENCH_20.json").read_text())) | src_lines
+    assert report["src_lines"] == {"base": 2, "change": 1}
     for workload, entry in report["workloads"].items():
         assert entry["seeds"] == list(range(40, 50))
         for side in ("base", "change"):
@@ -142,7 +153,18 @@ def test_main_writes_the_keys_of_bench_20(stubbed, tmp_path, capsys):
     assert [w for _, w, _ in stubbed[-20:]] == ["tier1"] * 20
     assert report["tier1"]["outcomes"]["change"] == [{"failed": 2, "passed": 377}] * 10
     assert report["tier1"]["first"] == ["base", "change"] * 5
-    assert "tier1: wall_s 30.0 -> 30.0 s" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "src: 2 -> 1 lines (-1)" in out
+    assert "tier1: wall_s 30.0 -> 30.0 s" in out
+
+
+def test_src_lines_counts_every_file_under_src_as_wc_does(tmp_path):
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "a.py").write_text("x\ny\n")
+    (tmp_path / "src" / "pkg" / "data.txt").write_text("1\n2\n3\n")
+    (tmp_path / "src" / "b.py").write_text("no final newline")
+    (tmp_path / "README.md").write_text("outside src\n")
+    assert bench_pairs.src_lines(tmp_path) == 5
 
 
 def test_missing_out_directory_exits_2_before_any_export(monkeypatch, tmp_path, capsys):

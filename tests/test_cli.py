@@ -234,6 +234,10 @@ class TestAllocate:
         (5, "4.5", ["4"]),
         (3, "2", ["1.6666666666666667", "3.3333333333333335"]),
         (7, "0.1", ["0", "0.7142857142857143"]),
+        # within the grid tolerance of the horizon, where no step is left
+        (5, "4.9999999999", ["4"]),
+        # the float just below the horizon divides to exactly 39 steps
+        (39, "4.999999999999999", ["4.871794871794871"]),
     ])
     def test_off_grid_time_advice_works(self, tmp_path, capsys, steps, time, advised):
         config = tmp_path / "steps.cfg"
@@ -561,6 +565,14 @@ ENTRY_POINT_CASES = {
     ),
     "tree_too_large": (
         THREE_GRID_CFG + "rebalance_steps = 250\n", ["allocate", "{cfg}", "--mode", "tes"], 4
+    ),
+    "empty_fleet": (
+        DEMO_CFG + "mu =\nsigma =\ndemand_kw =\ninitial_kw =\n",
+        ["allocate", "{cfg}", "--mode", "tes"],
+        2,
+    ),
+    "time_snaps_to_horizon": (
+        DEMO_CFG, ["allocate", "{cfg}", "--mode", "tes", "--time", "4.9999999999"], 4
     ),
     "insufficient_paths": (
         DEMO_CFG + "initial_kw = 2000, 2500\nmax_simulated_paths = 300\n",

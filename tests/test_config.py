@@ -75,6 +75,13 @@ def test_mismatched_lengths(tmp_path):
         load_scenario_config(write(tmp_path, broken))
 
 
+def test_empty_fleet_rejected(tmp_path):
+    # every per-grid list empty: no microgrid to allocate, simulate or hedge
+    empty = DEMO + "mu =\nsigma =\ndemand_kw =\ninitial_kw =\n"
+    with pytest.raises(ValueError, match="^a fleet needs at least one microgrid, got none$"):
+        load_scenario_config(write(tmp_path, empty))
+
+
 def test_unknown_keys_rejected(tmp_path):
     text = DEMO + "n_resample = 5\ncase_filtr = ge, lt\n"
     with pytest.raises(ValueError, match="config has unknown keys: n_resample, case_filtr$"):

@@ -183,11 +183,10 @@ class TestResampledMeans:
         assert stats.resampled_means(x, 150, 6)[1].tobytes() == want
 
     def test_working_memory_is_one_count_block(self):
-        # Two phases each peak near 9.2 MiB traced (20.7 MiB with a 16 MiB
-        # block).  _exact_parts holds two parts, the last remainder and their
-        # stacked copy: 5 * x.nbytes, 9.16 MiB.  The count phase holds the
-        # parts (2 * x.nbytes), one 4 MiB count block, the outputs and the
-        # draw's index buffer, raw words, low halves and bincount: 9.25 MiB.
+        # The count phase peaks at 9.25 MiB traced (20.7 MiB with a 16 MiB
+        # block): the parts (2 * x.nbytes), one 4 MiB count block, the
+        # outputs and the draw's index buffer, raw words, low halves and
+        # bincount.  _exact_parts before it peaks at 3.85 MiB.
         # Its bound takes four 8-byte arrays of _DRAW_ELEMENTS for the draw,
         # 2 MiB against the 1.4 MiB drawn here; that 0.6 MiB is the slack,
         # which also covers the copy a rejected candidate makes.
@@ -200,7 +199,34 @@ class TestResampledMeans:
             tracemalloc.stop()
         outputs = 8 * (1_000 + 1) * 24
         draw_arrays = 4 * 8 * stats._DRAW_ELEMENTS
-        assert peak < max(5 * x.nbytes, 2 * x.nbytes + 4 * 2**20 + outputs + draw_arrays)
+        assert peak < 2 * x.nbytes + 4 * 2**20 + outputs + draw_arrays
+
+    @pytest.mark.parametrize("shape", [(10_000, 24), (7, 3), (1_000, 84)])
+    def test_exact_parts_are_the_two_level_split(self, shape):
+        # each level rounds what is left to its column quantum, as written
+        # out here, for column scales from 1e-300 to 1e300
+        rng = philox(17)
+        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 301, size=shape[1])
+        m = shape[0]
+        bits = 53 - m.bit_length()
+        exponent = np.frexp(np.abs(x).max(axis=0))[1]
+        high_q, low_q = (np.ldexp(1.0, np.maximum(exponent - level * bits, -1074))
+                         for level in (1, 2))
+        high = np.round(x / high_q) * high_q
+        low = np.round((x - high) / low_q) * low_q
+        assert stats._exact_parts(x, m).tobytes() == np.hstack([high, low]).tobytes()
+
+    def test_exact_parts_peak_is_the_split_and_one_sample(self):
+        # 3.85 MiB traced on the case-study shape, against 9.16 MiB when
+        # each level and their stacked copy were separate arrays
+        x = philox(3).standard_normal((10_000, 24))
+        tracemalloc.start()
+        try:
+            parts = stats._exact_parts(x, x.shape[0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= parts.nbytes + x.nbytes
 
     @pytest.mark.parametrize("entries, count", [
         ({(3, 1): np.nan}, 1),

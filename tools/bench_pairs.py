@@ -27,7 +27,8 @@ BENCHMARK.json gives).  Each metric also gets a verdict:
 
 A side whose perfbench runs are all correct has ``"correct": true``.  The
 ``tier1`` section keeps each run's outcome counts from the pytest summary
-line (``passed``, ``failed``, ...).
+line (``passed``, ``failed``, ...), and ``src_lines`` each side's line count
+under ``src/``, so a size change comes from the same trees as the timings.
 """
 import argparse
 import json
@@ -65,6 +66,12 @@ def export(rev: str, dest: Path) -> Path:
     if archive.wait() != 0:
         raise SystemExit(f"git archive {rev} failed")
     return dest
+
+
+def src_lines(root: Path) -> int:
+    """Lines of every file under root/src, counted as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (root / "src").rglob("*")
+               if path.is_file())
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -183,6 +190,7 @@ def main(argv=None) -> int:
               **revs, "pairs": PAIRS, "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         roots = {side: export(revs[side]["rev"], Path(tmp) / side) for side in SIDES}
+        report["src_lines"] = {side: src_lines(roots[side]) for side in SIDES}
         for workload in (entry["name"] for entry in benchmark["workloads"]):
             runs, first = alternate(
                 roots, lambda root, i: run_once(root, workload, args.seed + i, seconds), workload)
@@ -205,6 +213,9 @@ def main(argv=None) -> int:
         print(f"{workload}: correct {entry['correct']}, " + ", ".join(
             f"{name} {m['verdict']} ({m['change_wins']}/{m['pairs']})"
             for name, m in entry["metrics"].items()))
+    lines = report["src_lines"]
+    print(f"src: {lines['base']} -> {lines['change']} lines "
+          f"({lines['change'] - lines['base']:+d})")
     wall = report["tier1"]["wall_s"]
     print(f"tier1: wall_s {wall['base']['median']:.1f} -> {wall['change']['median']:.1f} s "
           f"(change won {wall['change_wins']}/{wall['pairs']})")
