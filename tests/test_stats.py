@@ -217,8 +217,8 @@ class TestResampledMeans:
         assert stats._exact_parts(x, m).tobytes() == np.hstack([high, low]).tobytes()
 
     def test_exact_parts_peak_is_the_split_and_one_sample(self):
-        # 3.85 MiB traced on the case-study shape, against 9.16 MiB when
-        # each level and their stacked copy were separate arrays
+        # both levels are written into the returned split: 3.85 MiB traced on
+        # the case-study shape, of which the split is 3.66 MiB
         x = philox(3).standard_normal((10_000, 24))
         tracemalloc.start()
         try:
