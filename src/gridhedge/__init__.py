@@ -5,83 +5,61 @@ demand at a future time while its renewable generation diffuses.  Per-grid
 operation has a closed-form hedge (``ces``); pooled operation is valued and
 allocated on a moment-matched multi-asset lattice (``lattice``); ``scenario``
 reproduces hourly-rebalancing case studies and their statistics.
+
+Each public name is imported from its module on first use, so a command
+loads only the modules it runs.
 """
+import importlib
+
 __version__ = "0.2.0"
 
-from .ces import (
-    CesAllocation,
-    MicrogridSpec,
-    ces_allocation,
-    ces_portfolio_value,
-    ces_total_battery,
-    hedge_backtest,
-)
-from .gbm import (
-    CorrelationMatrix,
-    GbmParams,
-    GofResult,
-    chi_square_gof,
-    chi_square_survival,
-    estimate_gbm_mle,
-    gbm_mle_from_returns,
-    simulate_paths,
-)
-from .grid import GridEnsemble
-from .lattice import (
-    Allocation,
-    LatticeStepModel,
-    calibrate_step_model,
-    dynamic_allocation,
-    moment_residuals,
-    tes_value_mc,
-)
-from .scenario import (
-    CaseResult,
-    ScenarioConfig,
-    battery_savings,
-    run_case_study,
-    write_results_csv,
-)
-from .stats import (
-    BootstrapCi,
-    bootstrap_ci,
-    ks_critical_value,
-    ks_two_sample,
-)
-from .timeseries import PowerSeries, load_power_csv, window_log_returns
+# public name -> the module that defines it
+_EXPORTS = {
+    "CesAllocation": "ces",
+    "MicrogridSpec": "ces",
+    "ces_allocation": "ces",
+    "ces_portfolio_value": "ces",
+    "ces_total_battery": "ces",
+    "hedge_backtest": "ces",
+    "ScenarioConfig": "config",
+    "CorrelationMatrix": "gbm",
+    "GbmParams": "gbm",
+    "GofResult": "gbm",
+    "chi_square_gof": "gbm",
+    "chi_square_survival": "gbm",
+    "estimate_gbm_mle": "gbm",
+    "gbm_mle_from_returns": "gbm",
+    "simulate_paths": "gbm",
+    "GridEnsemble": "grid",
+    "Allocation": "lattice",
+    "LatticeStepModel": "lattice",
+    "calibrate_step_model": "lattice",
+    "dynamic_allocation": "lattice",
+    "moment_residuals": "lattice",
+    "tes_value_mc": "lattice",
+    "CaseResult": "scenario",
+    "battery_savings": "scenario",
+    "run_case_study": "scenario",
+    "write_results_csv": "scenario",
+    "BootstrapCi": "stats",
+    "bootstrap_ci": "stats",
+    "ks_critical_value": "stats",
+    "ks_two_sample": "stats",
+    "PowerSeries": "timeseries",
+    "load_power_csv": "timeseries",
+    "window_log_returns": "timeseries",
+}
 
-__all__ = [
-    "Allocation",
-    "BootstrapCi",
-    "CaseResult",
-    "CesAllocation",
-    "CorrelationMatrix",
-    "GbmParams",
-    "GofResult",
-    "GridEnsemble",
-    "LatticeStepModel",
-    "MicrogridSpec",
-    "PowerSeries",
-    "ScenarioConfig",
-    "battery_savings",
-    "bootstrap_ci",
-    "calibrate_step_model",
-    "ces_allocation",
-    "ces_portfolio_value",
-    "ces_total_battery",
-    "chi_square_gof",
-    "chi_square_survival",
-    "dynamic_allocation",
-    "estimate_gbm_mle",
-    "gbm_mle_from_returns",
-    "hedge_backtest",
-    "ks_critical_value",
-    "ks_two_sample",
-    "load_power_csv",
-    "moment_residuals",
-    "run_case_study",
-    "simulate_paths",
-    "tes_value_mc",
-    "window_log_returns",
-    "write_results_csv",
-]
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

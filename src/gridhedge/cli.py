@@ -4,21 +4,14 @@ Exit codes: 0 success, 1 validation failure, 2 input error, 3 calibration
 infeasible, 4 precondition violation, 5 empty result.
 """
 import argparse
+import importlib
 import math
 import os
 import shlex
 import sys
-from dataclasses import replace
-from pathlib import Path
 
 from . import __version__
-from .ces import MicrogridSpec, ces_allocation
-from .config import load_scenario_config, write_manifest
 from .errors import GridHedgeError, InfeasibleCalibration, InsufficientPaths, TimeOutOfRange
-from .gbm import chi_square_gof, gbm_mle_from_returns
-from .lattice import calibrate_step_model, dynamic_allocation
-from .scenario import parse_case, run_case_study, write_results_csv
-from .timeseries import load_power_csv, parse_clock, window_log_returns
 
 EXIT_VALIDATION = 1
 EXIT_INPUT = 2
@@ -34,13 +27,43 @@ EXIT_CODES = (
     (GridHedgeError, EXIT_PRECONDITION),
 )
 
+# Each layer a command runs -> its module, imported on the command's first
+# use (PEP 562), so a command loads only the modules it runs.  Commands call
+# them as attributes of this module, so a wrapper set on the module
+# (perfbench/traced.py times each layer this way) is what runs.
+_LAYERS = {
+    "load_scenario_config": "config",
+    "write_manifest": "config",
+    "run_case_study": "scenario",
+    "write_results_csv": "scenario",
+    "gbm_mle_from_returns": "gbm",
+    "chi_square_gof": "gbm",
+    "load_power_csv": "timeseries",
+    "ces_allocation": "ces",
+    "calibrate_step_model": "lattice",
+    "dynamic_allocation": "lattice",
+}
+
+
+def __getattr__(name):
+    if name not in _LAYERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAYERS[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+_here = sys.modules[__name__]
+
 
 def _cmd_estimate(args) -> int:
+    from .timeseries import parse_clock, window_log_returns
+
     if args.interval_minutes is not None and not 0 < args.interval_minutes < math.inf:
         raise ValueError(
             f"--interval-minutes must be finite and > 0, got {args.interval_minutes:g}"
         )
-    series = load_power_csv(args.input)
+    series = _here.load_power_csv(args.input)
     window = None
     if args.window:
         try:
@@ -58,11 +81,11 @@ def _cmd_estimate(args) -> int:
     returns = window_log_returns(series, window)
     if returns.size < 2:
         raise ValueError("window leaves fewer than 2 log-returns")
-    params = gbm_mle_from_returns(returns, series.dt_hours)
+    params = _here.gbm_mle_from_returns(returns, series.dt_hours)
     # every input error is raised before the first line is printed
     gof = None
     if params.sigma > 0:
-        gof = chi_square_gof(returns, params, series.dt_hours, args.bins)
+        gof = _here.chi_square_gof(returns, params, series.dt_hours, args.bins)
     print(f"samples        = {len(series)}")
     print(f"dt_hours       = {series.dt_hours:.6g}")
     print(f"log_returns    = {returns.size}")
@@ -78,7 +101,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_allocate(args) -> int:
-    config = load_scenario_config(args.config)
+    config = _here.load_scenario_config(args.config)
     grid = config.grid
     t = args.time
     t_f = config.horizon_hours
@@ -86,11 +109,13 @@ def _cmd_allocate(args) -> int:
         raise TimeOutOfRange(f"time out of range: need 0 <= t < {t_f}, got {t}")
     pg = config.initial_kw
     if args.mode == "ces":
+        from .ces import MicrogridSpec
+
         total_b = 0.0
         total_v = 0.0
         for i, (p, d, g) in enumerate(zip(pg, grid.demands, grid.params), start=1):
             spec = MicrogridSpec(demand=d, gbm=g)
-            alloc = ces_allocation(p, spec, t, t_f, grid.battery_unit_kw)
+            alloc = _here.ces_allocation(p, spec, t, t_f, grid.battery_unit_kw)
             total_b += alloc.b_hat
             total_v += alloc.value_hat
             print(
@@ -114,8 +139,8 @@ def _cmd_allocate(args) -> int:
                 + " or ".join(str(time).removesuffix(".0") for time in near)
             )
         remaining = config.rebalance_steps - snapped
-        model = calibrate_step_model(grid, dt, horizon=t_f)
-        value, alloc = dynamic_allocation(
+        model = _here.calibrate_step_model(grid, dt, horizon=t_f)
+        value, alloc = _here.dynamic_allocation(
             pg, grid.demands, model, remaining, None, grid.battery_unit_kw
         )
         for i, a in enumerate(alloc.a, start=1):
@@ -127,7 +152,12 @@ def _cmd_allocate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    config = load_scenario_config(args.config)
+    from dataclasses import replace
+    from pathlib import Path
+
+    from .config import parse_case
+
+    config = _here.load_scenario_config(args.config)
     case = None if args.case_filter is None else parse_case(args.case_filter)
     overrides = {"n_paths": args.paths, "seed": args.seed, "case_filter": case}
     config = replace(config, **{key: v for key, v in overrides.items() if v is not None})
@@ -137,14 +167,14 @@ def _cmd_simulate(args) -> int:
     made = [path for path in (out, *out.parents) if not os.path.lexists(path)]
     os.makedirs(args.out, exist_ok=True)
     try:
-        result = run_case_study(config)
+        result = _here.run_case_study(config)
     except BaseException:
         for path in made:
             os.rmdir(path)
         raise
     results_path = os.path.join(args.out, "results.csv")
-    write_results_csv(result, results_path)
-    write_manifest(
+    _here.write_results_csv(result, results_path)
+    _here.write_manifest(
         os.path.join(args.out, "manifest.txt"),
         command=args.command_line,
         config=config,

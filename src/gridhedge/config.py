@@ -1,4 +1,5 @@
-"""Flat key=value scenario configuration files and run manifests.
+"""Scenario configurations: the ``ScenarioConfig`` record, its flat
+key=value files, terminal-case labels and run manifests.
 
 Five keys build the GridEnsemble (mu, sigma, correlation, demand_kw,
 battery_unit_kw); every other key is the ScenarioConfig field of its name,
@@ -21,14 +22,70 @@ correlation matrix writes its rows separated by semicolons.  Example::
 """
 import os
 from contextlib import contextmanager
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timezone
 
 import numpy as np
 
 from .gbm import CorrelationMatrix, GbmParams
 from .grid import GridEnsemble
-from .scenario import ScenarioConfig, format_case, parse_case
+
+CASE_GE = "ge"
+CASE_LT = "lt"
+
+
+def format_case(label) -> str:
+    return ",".join(label)
+
+
+def parse_case(text: str):
+    parts = tuple(part.strip().lower() for part in text.split(","))
+    for part in parts:
+        if part not in (CASE_GE, CASE_LT):
+            raise ValueError(f"case filter entries must be 'ge' or 'lt', got {part!r}")
+    return parts
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    grid: GridEnsemble
+    initial_kw: np.ndarray
+    horizon_hours: float
+    rebalance_steps: int
+    n_paths: int
+    seed: int
+    case_filter: "tuple[str, ...] | None" = None
+    n_resamples: int = 10_000
+    max_simulated_paths: int = 2_000_000
+
+    def __post_init__(self):
+        object.__setattr__(self, "initial_kw", np.asarray(self.initial_kw, dtype=float))
+        for name in ("rebalance_steps", "n_paths", "n_resamples", "max_simulated_paths"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0 <= self.seed <= 0xFFFFFFFF:
+            # derive_seed keeps 32 bits of the root seed; wider seeds would alias
+            raise ValueError(f"seed must be in [0, 4294967295], got {self.seed}")
+        if self.max_simulated_paths < self.n_paths:
+            raise ValueError(
+                f"max_simulated_paths ({self.max_simulated_paths}) must be >= n_paths "
+                f"({self.n_paths}): fewer simulated paths can never yield n_paths kept paths"
+            )
+        if not np.all(np.isfinite(self.initial_kw) & (self.initial_kw > 0)):
+            raise ValueError(f"initial_kw must be finite and > 0, got {self.initial_kw}")
+        if self.initial_kw.shape != (self.grid.n_microgrids,):
+            raise ValueError("initial_kw must supply one value per microgrid")
+        horizon = self.horizon_hours
+        if not (np.isfinite(horizon) and horizon > 0):
+            raise ValueError(f"horizon_hours must be finite and > 0, got {horizon}")
+        case = self.case_filter
+        if case is not None and (
+            len(case) != self.grid.n_microgrids or not set(case) <= {CASE_GE, CASE_LT}
+        ):
+            raise ValueError(
+                f"case_filter needs one 'ge' or 'lt' entry per microgrid "
+                f"({self.grid.n_microgrids}), got {format_case(case)!r}"
+            )
 
 
 def parse_flat_file(path) -> "dict[str, str]":

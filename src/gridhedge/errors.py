@@ -25,7 +25,9 @@ class InfeasibleCalibration(GridHedgeError):
     Carries the offending ``branch``.  When no finer time step helps,
     ``limit`` is that branch's probability as dt -> 0; otherwise ``key`` is
     "rebalance_steps" and ``value`` the fewest steps that calibrate, or None
-    when no count the node budget fits does.
+    when no count the node budget fits does.  A time step so long that the
+    log step overflows has no offending branch: ``branch`` is None and
+    ``key`` is "horizon_hours".
     """
 
     def __init__(self, message, branch, limit=None, key=None, value=None):

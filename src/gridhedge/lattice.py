@@ -98,13 +98,19 @@ def _walsh(signs, first, pairs):
 
 
 def _branch_probs(grid: GridEnsemble, signs, dt: float):
-    """(h, probs, bad): log steps, branch probabilities and the branches outside [0, 1]."""
+    """(h, probs, bad): log steps, branch probabilities and the branches outside [0, 1].
+
+    A step so long that a log step overflows marks every branch bad, as
+    does a NaN probability.
+    """
     sigmas = grid.sigmas
-    s = sigmas**2 * dt
-    h = np.sqrt(s + (s / 2.0) ** 2)
-    pairs = grid.corr.rho * sigmas[:, None] * sigmas * dt / (h[:, None] * h)
-    probs = _walsh(signs, -s / (2.0 * h), pairs)
-    return h, probs, (probs < -1e-15) | (probs > 1 + 1e-15)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = sigmas**2 * dt
+        h = np.sqrt(s + (s / 2.0) ** 2)
+        pairs = grid.corr.rho * sigmas[:, None] * sigmas * dt / (h[:, None] * h)
+        probs = _walsh(signs, -s / (2.0 * h), pairs)
+    inside = (probs >= -1e-15) & (probs <= 1 + 1e-15) & np.isfinite(h).all()
+    return h, probs, ~inside
 
 
 def calibrate_step_model(grid: GridEnsemble, dt: float, horizon=None) -> LatticeStepModel:
@@ -133,6 +139,13 @@ def calibrate_step_model(grid: GridEnsemble, dt: float, horizon=None) -> Lattice
     mask = branch_up_mask(grid.n_microgrids)
     signs = np.where(mask, 1.0, -1.0)
     h, probs, bad = _branch_probs(grid, signs, dt)
+    if not np.isfinite(h).all():
+        # (sigma^2*dt/2)^2 overflowed, which leaves NaN probabilities or
+        # exactly 1/2^n ones, which no bounds test would refuse
+        raise InfeasibleCalibration(
+            f"a time step of {dt:g} h overflows the lattice's log step; lower horizon_hours",
+            None, key="horizon_hours",
+        )
     if np.any(bad):
         # as dt -> 0, m -> 0 and c -> rho; when that limit is negative, or
         # zero and approached from below as -(sum_i e_ki sigma_i)*sqrt(dt)/2^(n+1),

@@ -12,17 +12,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ces import _policy
+# config owns the scenario record and the case labels; parse_case is
+# imported here too, so every case helper is still importable from scenario
+from .config import CASE_GE, CASE_LT, ScenarioConfig, format_case, parse_case  # noqa: F401
 from .errors import InsufficientPaths
-from .grid import GridEnsemble
 from .lattice import calibrate_step_model, RecombiningLattice
 # perfbench/traced.py times the pooled lattice by wrapping the method
 # through this name; it is the same class, so the wrap reaches every caller
 from .lattice import RecombiningLattice as _BatchLattice  # noqa: F401
 from .gbm import simulate_paths
 from .stats import BootstrapCi, percentile_ci, resampled_means
-
-CASE_GE = "ge"
-CASE_LT = "lt"
 
 
 def derive_seed(root_seed: int, *path) -> int:
@@ -38,18 +37,6 @@ def derive_seed(root_seed: int, *path) -> int:
     for word in state:
         out = (out << 32) | int(word)
     return out
-
-
-def format_case(label) -> str:
-    return ",".join(label)
-
-
-def parse_case(text: str):
-    parts = tuple(part.strip().lower() for part in text.split(","))
-    for part in parts:
-        if part not in (CASE_GE, CASE_LT):
-            raise ValueError(f"case filter entries must be 'ge' or 'lt', got {part!r}")
-    return parts
 
 
 def _savings_ratio(tes, ces):
@@ -69,48 +56,6 @@ def battery_savings(tes_b, ces_b):
         raise ValueError("series must be aligned")
     series = _savings_ratio(tes, ces)
     return series, float(series.mean())
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    grid: GridEnsemble
-    initial_kw: np.ndarray
-    horizon_hours: float
-    rebalance_steps: int
-    n_paths: int
-    seed: int
-    case_filter: "tuple[str, ...] | None" = None
-    n_resamples: int = 10_000
-    max_simulated_paths: int = 2_000_000
-
-    def __post_init__(self):
-        object.__setattr__(self, "initial_kw", np.asarray(self.initial_kw, dtype=float))
-        for name in ("rebalance_steps", "n_paths", "n_resamples", "max_simulated_paths"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0 <= self.seed <= 0xFFFFFFFF:
-            # derive_seed keeps 32 bits of the root seed; wider seeds would alias
-            raise ValueError(f"seed must be in [0, 4294967295], got {self.seed}")
-        if self.max_simulated_paths < self.n_paths:
-            raise ValueError(
-                f"max_simulated_paths ({self.max_simulated_paths}) must be >= n_paths "
-                f"({self.n_paths}): fewer simulated paths can never yield n_paths kept paths"
-            )
-        if not np.all(np.isfinite(self.initial_kw) & (self.initial_kw > 0)):
-            raise ValueError(f"initial_kw must be finite and > 0, got {self.initial_kw}")
-        if self.initial_kw.shape != (self.grid.n_microgrids,):
-            raise ValueError("initial_kw must supply one value per microgrid")
-        horizon = self.horizon_hours
-        if not (np.isfinite(horizon) and horizon > 0):
-            raise ValueError(f"horizon_hours must be finite and > 0, got {horizon}")
-        case = self.case_filter
-        if case is not None and (
-            len(case) != self.grid.n_microgrids or not set(case) <= {CASE_GE, CASE_LT}
-        ):
-            raise ValueError(
-                f"case_filter needs one 'ge' or 'lt' entry per microgrid "
-                f"({self.grid.n_microgrids}), got {format_case(case)!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -177,16 +122,22 @@ def _collect_paths(config: ScenarioConfig):
                 f"case filter {format_case(case)!r} matched only "
                 f"{n_collected}/{config.n_paths} of {examined} simulated paths; {advice}"
             )
-        values = simulate_paths(
-            grid.params,
-            grid.corr,
-            config.initial_kw,
-            horizon=config.horizon_hours,
-            n_steps=config.rebalance_steps,
-            n_paths=min(take, config.max_simulated_paths - examined),
-            seed=derive_seed(config.seed, "paths", examined // take),
-            measure="physical",
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = simulate_paths(
+                grid.params,
+                grid.corr,
+                config.initial_kw,
+                horizon=config.horizon_hours,
+                n_steps=config.rebalance_steps,
+                n_paths=min(take, config.max_simulated_paths - examined),
+                seed=derive_seed(config.seed, "paths", examined // take),
+                measure="physical",
+            )
+        if not np.isfinite(values).all():
+            raise ValueError(
+                "simulated generation overflows to inf or NaN; lower mu, sigma "
+                "or horizon_hours"
+            )
         examined += values.shape[0]
         codes = (values[:, -1, :] >= grid.demands) @ bits
         tally += np.bincount(codes, minlength=tally.size)

@@ -7,7 +7,8 @@ lattice value against a Monte Carlo oracle.  The stats suite checks the KS
 threshold, its rejection-rate calibration, the chi-square survival anchor
 and the survival function against scipy's chdtrc, and bootstrap interval
 width.  scipy is imported inside the checks that use it, so importing this
-module (as the CLI does) does not load scipy.
+module does not load scipy.  scipy is the optional ``validate`` extra:
+without it ``run_suite`` raises ValueError before any check runs.
 """
 import math
 from dataclasses import dataclass
@@ -241,6 +242,13 @@ def run_suite(suite: str, inject_phi_fault: bool = False):
     The fault injection rebinds the module-level CDF seam used by the
     closed-form allocator, which a healthy oracle check must detect.
     """
+    try:
+        import scipy.special  # noqa: F401  (each suite has a scipy oracle)
+    except ImportError:
+        raise ValueError(
+            "validate compares against scipy, which is not installed; "
+            "install the extra with: pip install 'gridhedge[validate]'"
+        ) from None
     checks = {
         "oracle": ORACLE_CHECKS,
         "stats": STATS_CHECKS,

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior through subprocess invocations and in-process main()."""
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -344,6 +345,23 @@ class TestSimulate:
         assert "demand_kw must be finite" in err
         assert not (out / "results.csv").exists()
 
+    def test_overflowing_paths_named_exit_2(self, tmp_path, capsys):
+        # exp(1e5 per hour) overflows while the paths are simulated; the
+        # refusal names the keys to lower, before any bootstrap or warning
+        config = tmp_path / "fast.cfg"
+        config.write_text(DEMO_CFG.replace("0.006, 0.005", "1e5, 1e-5"))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_main(
+                capsys, "simulate", str(config), "--paths", "50", "--case-filter", "ge,ge",
+                "--out", str(out),
+            )
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert all(key in err for key in ("mu", "sigma", "horizon_hours")), err
+        assert not out.exists()
+
     def test_zero_resamples_exit_2(self, tmp_path, capsys):
         config = tmp_path / "zero.cfg"
         config.write_text(DEMO_CFG + "n_resamples = 0\n")
@@ -535,6 +553,28 @@ def test_every_error_class_has_a_chosen_exit_code():
     assert cli.EXIT_CODES[0] == ((ValueError, OSError), cli.EXIT_INPUT)
 
 
+@pytest.mark.parametrize("horizon", ["1e200", "1e308"])
+@pytest.mark.parametrize("command", ["allocate", "simulate"])
+def test_overflowing_horizon_exit_3_promptly(tmp_path, command, horizon):
+    # a step so long that the lattice's log step overflows used to calibrate,
+    # and the lattice then never left its pseudoinverse
+    config = tmp_path / "long.cfg"
+    config.write_text(DEMO_CFG.replace("horizon_hours   = 5", f"horizon_hours   = {horizon}"))
+    out = tmp_path / "out"
+    argv = {
+        "allocate": ["allocate", str(config), "--mode", "tes"],
+        "simulate": ["simulate", str(config), "--out", str(out)],
+    }[command]
+    proc = subprocess.run(
+        [sys.executable, "-m", "gridhedge", *argv],
+        capture_output=True, text=True, env=CHILD_ENV, timeout=10,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "horizon_hours" in proc.stderr
+    assert not out.exists()
+
+
 class TestValidate:
     def test_oracle_suite_passes(self, capsys):
         code, out, err = run_main(capsys, "validate", "--suite", "oracle")
@@ -551,6 +591,25 @@ class TestValidate:
         code, out, _ = run_main(capsys, "validate", "--suite", "oracle", "--inject-phi-fault")
         assert code == 1
         assert "FAIL\tces_closed_form_vs_independent_cdf" in out
+
+    @pytest.mark.parametrize("suite", ["oracle", "stats", "all"])
+    def test_without_scipy_names_the_extra_exit_2(self, suite):
+        # scipy is the validate extra; a process that cannot import it gets
+        # one error line before any check runs, and no traceback
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            f"sys.argv = ['gridhedge', 'validate', '--suite', {suite!r}]\n"
+            "from gridhedge.cli import run\n"
+            "run()\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "gridhedge[validate]" in proc.stderr
 
 
 # one config, argument list and exit code per way out of the gridhedge
@@ -618,8 +677,53 @@ def test_unflushable_output_exit_120(demo_config):
 
 
 def test_every_exported_name_resolves():
-    missing = [name for name in gh.__all__ if not hasattr(gh, name)]
-    assert not missing
+    # the package imports each name on first use; it must hand out the one
+    # object its defining module holds, also through a star import
+    namespace = {}
+    exec("from gridhedge import *", namespace)
+    for name in gh.__all__:
+        value = getattr(gh, name)
+        assert value is getattr(sys.modules[value.__module__], name), name
+        assert namespace[name] is value, name
+    assert gh.ScenarioConfig.__module__ == "gridhedge.config"
+    with pytest.raises(AttributeError):
+        gh.no_such_name  # noqa: B018
+
+
+# every layer perfbench/traced.py wraps on cli, and a command that runs it
+TRACED_LAYERS = {
+    "load_scenario_config": ["allocate", "{cfg}", "--mode", "tes"],
+    "calibrate_step_model": ["allocate", "{cfg}", "--mode", "tes"],
+    "dynamic_allocation": ["allocate", "{cfg}", "--mode", "tes"],
+    "ces_allocation": ["allocate", "{cfg}", "--mode", "ces"],
+    "load_power_csv": ["estimate", "{csv}"],
+    "gbm_mle_from_returns": ["estimate", "{csv}"],
+    "chi_square_gof": ["estimate", "{csv}"],
+    "run_case_study": ["simulate", "{cfg}", "--paths", "10", "--out", "{out}"],
+    "write_results_csv": ["simulate", "{cfg}", "--paths", "10", "--out", "{out}"],
+    "write_manifest": ["simulate", "{cfg}", "--paths", "10", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("layer", list(TRACED_LAYERS))
+def test_a_wrapped_layer_is_what_runs(layer, demo_config, gbm_csv, tmp_path, capsys, monkeypatch):
+    # perfbench/traced.py times a layer by setting a wrapper on cli; a
+    # command that imported the layer itself would bypass the wrapper and
+    # leave the layer's span empty
+    calls = []
+    real = getattr(cli, layer)
+
+    def spy(*args, **kwargs):
+        calls.append(layer)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, layer, spy)
+    argv = [
+        a.format(cfg=demo_config, csv=gbm_csv, out=tmp_path / "out") for a in TRACED_LAYERS[layer]
+    ]
+    code, _, err = run_main(capsys, *argv)
+    assert code == 0, err
+    assert calls, f"{layer} ran around the wrapper"
 
 
 def test_import_does_not_load_the_validation_suite():
@@ -632,14 +736,23 @@ def test_import_does_not_load_the_validation_suite():
     assert proc.returncode == 0, proc.stderr
 
 
-def assert_never_loaded(module, commands):
+def assert_never_loaded(module, commands, exit_code=0):
     """In one fresh process, import gridhedge.cli, then run each command
-    through main; after each step no part of module may be loaded."""
+    through main, which must end with exit_code; after each step no part of
+    module (one name, or a tuple of names) may be loaded."""
+    never = (module,) if isinstance(module, str) else tuple(module)
     code = (
         "import sys, gridhedge.cli\n"
+        f"never = {never!r}\n"
         f"for argv in [[], *{commands!r}]:\n"
-        "    assert not argv or gridhedge.cli.main(argv) == 0, argv\n"
-        f"    loaded = [m for m in sys.modules if m == {module!r} or m.startswith({module!r} + '.')]\n"
+        "    if argv:\n"
+        "        try:\n"
+        "            code = gridhedge.cli.main(argv)\n"
+        "        except SystemExit as stop:  # argparse ends --version and usage errors\n"
+        "            code = stop.code\n"
+        f"        assert code == {exit_code!r}, (argv, code)\n"
+        "    loaded = [m for m in sys.modules\n"
+        "              if m in never or m.startswith(tuple(n + '.' for n in never))]\n"
         "    assert not loaded, (argv, loaded)\n"
     )
     proc = subprocess.run(
@@ -667,3 +780,35 @@ def test_only_estimate_loads_statistics(demo_config, tmp_path):
         ["allocate", str(demo_config), "--mode", "tes"],
         ["simulate", str(demo_config), "--paths", "10", "--out", str(tmp_path / "out")],
     ])
+
+
+def layers(*names):
+    return tuple(f"gridhedge.{name}" for name in names)
+
+
+# numpy and every gridhedge module but the two that cli imports at start-up
+NOT_AT_START = ("numpy", *layers(*(
+    info.name for info in pkgutil.iter_modules(gh.__path__)
+    if info.name not in ("cli", "errors", "__main__")
+)))
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, never",
+    [
+        (["--version"], 0, NOT_AT_START),
+        (["allocate", "{cfg}"], 2, NOT_AT_START),
+        (["estimate", "{csv}"], 0, layers("config", "ces", "grid", "lattice", "scenario", "stats")),
+        (["allocate", "{cfg}", "--mode", "ces"], 0,
+         layers("lattice", "scenario", "stats", "timeseries")),
+        (["allocate", "{cfg}", "--mode", "tes"], 0,
+         layers("ces", "scenario", "stats", "timeseries")),
+    ],
+    ids=["version", "usage_error", "estimate", "allocate_ces", "allocate_tes"],
+)
+def test_each_command_loads_only_what_it_runs(argv, exit_code, never, demo_config, gbm_csv):
+    # start-up is most of a short command: --version and a usage error need
+    # neither numpy nor any layer, and each command skips the layers of the
+    # others (simulate and validate load them all)
+    argv = [a.format(cfg=demo_config, csv=gbm_csv) for a in argv]
+    assert_never_loaded(never, [argv], exit_code)

@@ -10,6 +10,7 @@ import itertools
 import math
 import re
 import tracemalloc
+import warnings
 from collections import namedtuple
 
 import numpy as np
@@ -224,6 +225,24 @@ class TestCalibration:
             "; no rebalance_steps up to 3161, the most the node budget fits, "
             "calibrates over 5 h"
         )
+        assert (info.value.key, info.value.value) == ("rebalance_steps", None)
+
+    @pytest.mark.parametrize("dt, horizon", [(2e199, 1e200), (2e307, 1e308)])
+    def test_overflowing_log_step_names_the_horizon(self, dt, horizon):
+        # (sigma^2*dt/2)^2 overflows, so h is inf and every probability is
+        # 1/4 or NaN; accepted, such a model hung the lattice's pseudoinverse
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InfeasibleCalibration, match="lower horizon_hours$") as info:
+                gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), dt, horizon=horizon)
+        error = info.value
+        assert (error.branch, error.key, error.value) == (None, "horizon_hours", None)
+
+    def test_step_count_advice_skips_overflowing_counts(self):
+        # one step over 1e158 h overflows the log step; advising
+        # rebalance_steps = 1 would have sent the caller to that overflow
+        with pytest.raises(InfeasibleCalibration) as info:
+            gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 1e155, horizon=1e158)
         assert (info.value.key, info.value.value) == ("rebalance_steps", None)
 
     def test_infeasible_as_dt_vanishes_says_so(self):
