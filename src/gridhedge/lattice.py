@@ -227,6 +227,17 @@ class Allocation:
 LATTICE_BLOCK_ELEMENTS = 2**16
 
 
+def first_level_bytes(n_assets: int, steps: int) -> int:
+    """Most bytes ``RecombiningLattice.first_level`` holds at ``steps``, outputs aside.
+
+    The child weights and ladder values, (2^n + n) state-sized arrays; up
+    to two more for the FFT that builds the weights; and one headroom
+    block, which holds at most one grid or LATTICE_BLOCK_ELEMENTS values.
+    """
+    states = (steps + 1) ** n_assets
+    return 8 * (states * ((1 << n_assets) + n_assets + 2) + max(states, LATTICE_BLOCK_ELEMENTS))
+
+
 def _branch_slices(model, branch):
     """Per-asset slice of a grid one step longer that branch's move lands on."""
     return tuple(slice(1, None) if up else slice(0, -1) for up in model.up_mask[branch])

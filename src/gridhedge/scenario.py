@@ -16,12 +16,17 @@ from .ces import _policy
 # imported here too, so every case helper is still importable from scenario
 from .config import CASE_GE, CASE_LT, ScenarioConfig, format_case, parse_case  # noqa: F401
 from .errors import InsufficientPaths
-from .lattice import calibrate_step_model, RecombiningLattice
+from .lattice import calibrate_step_model, first_level_bytes, RecombiningLattice
 # perfbench/traced.py times the pooled lattice by wrapping the method
 # through this name; it is the same class, so the wrap reaches every caller
 from .lattice import RecombiningLattice as _BatchLattice  # noqa: F401
 from .gbm import simulate_paths
-from .stats import BootstrapCi, percentile_ci, resampled_means
+from .stats import BootstrapCi, percentile_ci, resampled_means, resampled_means_bytes
+
+# The most memory a case study may take, in bytes (2 GiB).  A config whose
+# estimate (case_study_bytes) exceeds it is refused before any path is
+# simulated.
+DEFAULT_MEMORY_BUDGET = 2 * 2**30
 
 
 def derive_seed(root_seed: int, *path) -> int:
@@ -89,6 +94,11 @@ def _batch_ces(pg, demands, sigmas, tau, p_b):
 # Case study driver
 # ---------------------------------------------------------------------------
 
+def _block_paths(config: ScenarioConfig) -> int:
+    """Paths per simulated block: n_paths, and at least 20 000 under a case filter."""
+    return config.n_paths if config.case_filter is None else max(config.n_paths, 20_000)
+
+
 def _collect_paths(config: ScenarioConfig):
     """Simulate physical blocks until the case bucket holds n_paths paths.
 
@@ -102,7 +112,7 @@ def _collect_paths(config: ScenarioConfig):
     bits = 1 << np.arange(grid.n_microgrids - 1, -1, -1)
     case = config.case_filter
     wanted = None if case is None else (np.array(case) == CASE_GE) @ bits
-    take = config.n_paths if case is None else max(config.n_paths, 20_000)
+    take = _block_paths(config)
     tally = np.zeros(1 << grid.n_microgrids, dtype=np.int64)
     collected = []
     n_collected = 0
@@ -168,13 +178,75 @@ def _bootstrap_time_metrics(samples, n_resamples, seed):
     to a BootstrapCi over time; overall is the BootstrapCi of the time
     average of savings_pct.
     """
-    means, resampled = resampled_means(np.hstack(list(samples.values())), n_resamples, seed)
+    means, resampled = resampled_means(list(samples.values()), n_resamples, seed)
     points = dict(zip(samples, np.split(means, len(samples))))
     draws = dict(zip(samples, np.split(resampled, len(samples), axis=1)))
     points["savings_pct"], point_overall = battery_savings(points["b_tes"], points["b_ces"])
     draws["savings_pct"] = _savings_ratio(draws["b_tes"], draws["b_ces"])
     series = {name: percentile_ci(points[name], draws[name]) for name in points}
     return series, percentile_ci(point_overall, draws["savings_pct"].mean(axis=1))
+
+
+def case_study_bytes(config: ScenarioConfig) -> int:
+    """An upper estimate of ``run_case_study``'s peak memory, in bytes.
+
+    The run has three phases, and the estimate is the largest of them:
+    - collecting: one simulation block twice over (its draws and paths, or
+      its paths and their kept copy) beside the paths kept so far, or the
+      kept paths and their joined copy;
+    - rebalancing: the kept paths and one temporary of their size (for
+      their moments), the four metric arrays, the lattice at its deepest
+      and the loop's per-path arrays;
+    - the bootstrap: the metric arrays, ``resampled_means``' working memory
+      and the savings and percentile temporaries, which take at most as
+      much as the resampled means.
+    """
+    n = config.grid.n_microgrids
+    n_times = config.rebalance_steps + 1
+    m = config.n_paths
+    block = _block_paths(config)
+    # a filtered run may keep up to one block beyond n_paths before it cuts
+    kept = m if config.case_filter is None else m + block
+    path = 8 * n_times * n
+    table = 4 * 8 * m * n_times
+    collecting = path * max(2 * block + m, 2 * kept)
+    # per path: the lattice's child values and fits, the sort of the roots
+    # and the per-grid policy's temporaries
+    loop = 8 * m * (4 * (1 << n) + 10 * n + 16)
+    rebalancing = 2 * kept * path + table + first_level_bytes(n, config.rebalance_steps) + loop
+    k = 4 * n_times
+    resampled = 8 * config.n_resamples * k
+    bootstrap = table + resampled_means_bytes(m, k, config.n_resamples) + resampled
+    return max(collecting, rebalancing, bootstrap)
+
+
+def _kept_path_metrics(config: ScenarioConfig, engine: RecombiningLattice, times):
+    """Collect the kept paths and rebalance along each one at every time.
+
+    Returns (samples, pg_mean, pg_std, counts): samples maps b_tes, b_ces,
+    v_tes and v_ces to (m, n_times) arrays, one row per path, as the
+    bootstrap resamples whole paths; pg_mean and pg_std are the paths'
+    (n_times, n_microgrids) moments, and counts is the case tally.  The
+    paths and the loop's arrays are freed on return, so the bootstrap holds
+    the sample once.
+    """
+    grid = config.grid
+    sigmas = grid.sigmas
+    p_b = grid.battery_unit_kw
+    paths, counts = _collect_paths(config)
+    m = paths.shape[0]
+    b_tes, b_ces, v_tes, v_ces = np.zeros((4, m, times.size))
+    prev_a = np.zeros((m, grid.n_microgrids))
+    for n in range(times.size):
+        pg = paths[:, n, :]
+        tau = config.horizon_hours - times[n]
+        steps = config.rebalance_steps - n
+        b_ces[:, n], v_ces[:, n] = _batch_ces(pg, grid.demands, sigmas, tau, p_b)
+        value, a, b, _ = engine.allocate(pg, steps, prev_a)
+        v_tes[:, n], b_tes[:, n] = value, b
+        prev_a = a
+    samples = {"b_tes": b_tes, "b_ces": b_ces, "v_tes": v_tes, "v_ces": v_ces}
+    return samples, paths.mean(axis=0), paths.std(axis=0), counts
 
 
 def run_case_study(config: ScenarioConfig) -> CaseResult:
@@ -186,43 +258,32 @@ def run_case_study(config: ScenarioConfig) -> CaseResult:
     weights are kept and battery makes up the terminal portfolio.
     """
     grid = config.grid
-    n_times = config.rebalance_steps + 1
     dt = config.horizon_hours / config.rebalance_steps
-    times = dt * np.arange(n_times)
-    sigmas = grid.sigmas
-    p_b = grid.battery_unit_kw
+    times = dt * np.arange(config.rebalance_steps + 1)
     # dt is constant, so one model and one engine serve every rebalance
     # time; an infeasible or oversized lattice fails before any path is
-    # simulated
+    # simulated, and so does a run that would overrun the memory budget
     model = calibrate_step_model(grid, dt, horizon=config.horizon_hours)
-    engine = RecombiningLattice(model, grid.demands, config.rebalance_steps, p_b)
-    paths, counts = _collect_paths(config)
-    m = paths.shape[0]
-
-    # one row per path, as the bootstrap resamples whole paths
-    b_tes, b_ces, v_tes, v_ces = np.zeros((4, m, n_times))
-    prev_a = np.zeros((m, grid.n_microgrids))
-    for n in range(n_times):
-        pg = paths[:, n, :]
-        tau = config.horizon_hours - times[n]
-        steps = config.rebalance_steps - n
-        b_ces[:, n], v_ces[:, n] = _batch_ces(pg, grid.demands, sigmas, tau, p_b)
-        value, a, b, _ = engine.allocate(pg, steps, prev_a)
-        v_tes[:, n], b_tes[:, n] = value, b
-        prev_a = a
-
+    engine = RecombiningLattice(model, grid.demands, config.rebalance_steps, grid.battery_unit_kw)
+    need = case_study_bytes(config)
+    if need > DEFAULT_MEMORY_BUDGET:
+        raise ValueError(
+            f"the case study needs an estimated {-(-need >> 20):,} MiB, over the "
+            f"{DEFAULT_MEMORY_BUDGET >> 20:,} MiB memory budget; lower n_paths "
+            f"({config.n_paths}), rebalance_steps ({config.rebalance_steps}) or "
+            f"n_resamples ({config.n_resamples})"
+        )
+    samples, pg_mean, pg_std, counts = _kept_path_metrics(config, engine, times)
     metrics, savings = _bootstrap_time_metrics(
-        {"b_tes": b_tes, "b_ces": b_ces, "v_tes": v_tes, "v_ces": v_ces},
-        config.n_resamples,
-        derive_seed(config.seed, "bootstrap"),
+        samples, config.n_resamples, derive_seed(config.seed, "bootstrap")
     )
     return CaseResult(
         times=times,
         case=config.case_filter,
-        n_paths=m,
+        n_paths=len(samples["b_tes"]),
         metrics=metrics,
-        pg_mean=paths.mean(axis=0),
-        pg_std=paths.std(axis=0),
+        pg_mean=pg_mean,
+        pg_std=pg_std,
         case_counts=counts,
         overall_savings=savings,
     )

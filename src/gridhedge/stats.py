@@ -14,8 +14,29 @@ class BootstrapCi:
 
 
 def percentile_ci(mean, resampled, tail: float = 0.025) -> BootstrapCi:
-    """mean with the tail and 1 - tail quantiles of resampled along axis 0."""
-    lo, hi = np.quantile(resampled, [tail, 1.0 - tail], axis=0)
+    """mean with the tail and 1 - tail quantiles of resampled along axis 0.
+
+    The quantiles are numpy's default linear ones (Hyndman & Fan type 7),
+    read from one partition with numpy's indices and two-sided lerp, so
+    they equal ``np.quantile(resampled, [tail, 1 - tail], axis=0)`` bit for
+    bit without its ``np.unique``, which loads ``numpy.ma``.
+    """
+    resampled = np.asarray(resampled, dtype=float)
+    n = resampled.shape[0]
+    position = (n - 1) * np.array([tail, 1.0 - tail])
+    below = np.floor(position)
+    above = below + 1
+    # a position at or past the last index reads the last value, as -1
+    last = position >= n - 1
+    below[last] = above[last] = -1
+    t = (position - below).reshape((2,) + (1,) * (resampled.ndim - 1))
+    below, above = below.astype(np.intp), above.astype(np.intp)
+    ordered = np.partition(resampled, sorted({0, -1, *below.tolist(), *above.tolist()}), axis=0)
+    low, high = ordered[below], ordered[above]
+    span = high - low
+    ends = low + span * t
+    np.subtract(high, span * (1 - t), out=ends, where=t >= 0.5)
+    lo, hi = ends
     return BootstrapCi(mean=mean, lo=lo, hi=hi)
 
 
@@ -105,51 +126,71 @@ class _RowIndices:
         return self._buffer[:n].view(np.int64)
 
 
-def _exact_parts(x, m: int):
-    """Split each column of x into two addends whose count sums are exact.
+def _exact_parts(columns, m: int):
+    """Split each column into two addends whose count sums are exact.
 
-    Each addend is an integer multiple of a per-column power-of-two quantum,
-    with at most ``53 - bit_length(m)`` significant bits, so a product with
-    nonnegative integer counts that sum to m never rounds, in any summation
-    order.  Only bits below 2**-(2 * bits) of the column's largest magnitude
-    are dropped.  Returns the (m, 2k) array [high parts, low parts]; both
-    levels are written into it in place.
+    columns are k equal-length 1-D arrays (``x.T`` gives those of a 2-D x).
+    Each addend is an integer multiple of a per-column power-of-two
+    quantum, with at most ``53 - bit_length(m)`` significant bits, so a
+    product with nonnegative integer counts that sum to m never rounds, in
+    any summation order.  Only bits below 2**-(2 * bits) of the column's
+    largest magnitude are dropped.  Returns the (rows, 2k) array [high
+    parts, low parts]; both levels of each column are written into it in
+    place.
     """
     bits = 53 - int(m).bit_length()
-    _, exponent = np.frexp(np.max(np.abs(x), axis=0))
-    k = x.shape[1]
-    parts = np.empty((x.shape[0], 2 * k))
-    high, low = parts[:, :k], parts[:, k:]
-    rest = x
-    for level, part in ((1, high), (2, low)):
-        quantum = np.ldexp(1.0, np.maximum(exponent - level * bits, -1074))
-        np.divide(rest, quantum, out=part)
-        np.round(part, out=part)
-        part *= quantum
-        if level == 1:
-            # the second level splits the remainder, held in the low half
-            rest = np.subtract(x, high, out=low)
+    k = len(columns)
+    parts = np.empty((len(columns[0]), 2 * k))
+    for j, column in enumerate(columns):
+        high, low = parts[:, j], parts[:, k + j]
+        _, exponent = np.frexp(np.max(np.abs(column)))
+        rest = column
+        for level, part in ((1, high), (2, low)):
+            quantum = np.ldexp(1.0, max(exponent - level * bits, -1074))
+            np.divide(rest, quantum, out=part)
+            np.round(part, out=part)
+            part *= quantum
+            if level == 1:
+                # the second level splits the remainder, held in the low half
+                rest = np.subtract(column, high, out=low)
     return parts
 
 
-def _count_means(counts, parts):
-    """Means of x weighted by (r, m) row counts that each sum to m.
+def _count_means(counts, parts, m: int):
+    """Means over m rows weighted by (r, rows) counts that each sum to m.
 
-    parts are x's exact parts, so every count product is exact.
+    parts are the columns' exact parts, so every count product is exact.
     """
     sums = counts @ parts
     k = parts.shape[1] // 2
-    return (sums[:, :k] + sums[:, k:]) / parts.shape[0]
+    return (sums[:, :k] + sums[:, k:]) / m
+
+
+def resampled_means_bytes(m: int, k: int, n_resamples: int) -> int:
+    """Most bytes ``resampled_means`` holds for an (m, k) sample, the sample aside.
+
+    The split of every column, the resampled means, one count block and
+    its product with the split (the two part sums and two temporaries of
+    its means), and four 8-byte arrays of one draw (its indices, raw words,
+    low halves and bincount).  A one-row sample is constant in every
+    column, so it holds only the resampled means.
+    """
+    if m == 1:
+        return 8 * n_resamples * k
+    block = min(max(1, RESAMPLE_BLOCK_ELEMENTS // m), n_resamples)
+    draw = min(max(1, _DRAW_ELEMENTS // m), block)
+    return 8 * (2 * m * k + n_resamples * k + block * (m + 4 * k) + 4 * draw * m)
 
 
 def resampled_means(x, n_resamples: int, seed):
     """Column means of x and of n_resamples bootstrap resamples of its rows.
 
-    x is (m, k) and finite; returns (means, resampled), the (k,) column
-    means and the (n_resamples, k) resampled means.  Resample r takes its m
-    row indices from row r of ``Generator(SFC64(seed)).integers(0, m,
-    size=(n_resamples, m))``, computed by ``_RowIndices`` from the raw SFC64
-    words a few rows at a time.  Each draw is counted per row with one
+    x is the (m, k) sample: one array, or a list of (m, k_i) column blocks
+    read in order as one and never joined.  Returns (means, resampled), the
+    (k,) column means and the (n_resamples, k) resampled means.  Resample r
+    takes its m row indices from row r of ``Generator(SFC64(seed)).integers(0,
+    m, size=(n_resamples, m))``, computed by ``_RowIndices`` from the raw
+    SFC64 words a few rows at a time.  Each draw is counted per row with one
     ``bincount`` and written into one reused float count block, and the
     means are a BLAS product of each block with the columns.  Draws of
     consecutive rows use up the stream exactly as one draw of all rows does,
@@ -157,24 +198,32 @@ def resampled_means(x, n_resamples: int, seed):
     bit-identical whatever the block size, draw size, BLAS kernel or thread
     count.
 
-    The point means are the same exact product with every count 1, so a
-    column that is constant over the rows has its point mean in every
-    resample; it is filled with that value and left out of the product.
-    When every column is constant, which includes m == 1, nothing is drawn.
-    A NaN or infinite entry raises ValueError: it has no exact parts.
+    A column that is constant over the rows has its point mean in every
+    resample, so only the varying columns are split and counted.  A
+    constant column's rows share one split, so its point mean is its first
+    row's split counted m times: the same exact product as every row
+    counted once.  When every column is constant, which includes m == 1,
+    nothing is drawn.  A NaN or infinite entry raises ValueError: it has no
+    exact parts.
     """
-    x = np.asarray(x, dtype=float)
-    m, k = x.shape
-    nonfinite = x.size - np.count_nonzero(np.isfinite(x))
+    blocks = x if isinstance(x, list) else [x]
+    columns = [column for block in blocks for column in np.asarray(block, dtype=float).T]
+    m, k = columns[0].size, len(columns)
+    nonfinite = sum(m - np.count_nonzero(np.isfinite(column)) for column in columns)
     if nonfinite:
-        raise ValueError(f"sample must be finite; NaN or inf entries: {nonfinite} of {x.size}")
-    parts = _exact_parts(x, m)
-    means = _count_means(np.ones((1, m)), parts)[0]
-    resampled = np.tile(means, (n_resamples, 1))
-    varying = np.flatnonzero(np.any(x != x[:1], axis=0))
+        raise ValueError(f"sample must be finite; NaN or inf entries: {nonfinite} of {m * k}")
+    constant = np.array([not np.any(column != column[0]) for column in columns])
+    varying = np.flatnonzero(~constant)
+    means = np.empty(k)
+    resampled = np.empty((n_resamples, k))
+    if constant.any():
+        first = _exact_parts([columns[j][:1] for j in np.flatnonzero(constant)], m)
+        means[constant] = _count_means(np.full((1, 1), float(m)), first, m)[0]
+        resampled[:, constant] = means[constant]
     if varying.size == 0:
         return means, resampled
-    parts = parts[:, np.concatenate([varying, varying + k])]
+    parts = _exact_parts([columns[j] for j in varying], m)
+    means[varying] = _count_means(np.ones((1, m)), parts, m)[0]
     indices = _RowIndices(seed, m)
     block = max(1, RESAMPLE_BLOCK_ELEMENTS // m)
     draw = max(1, _DRAW_ELEMENTS // m)
@@ -187,7 +236,7 @@ def resampled_means(x, n_resamples: int, seed):
             idx = indices.draw(rows * m).reshape(rows, m)
             idx += offsets[:rows]
             counts[lo : lo + rows] = np.bincount(idx.ravel(), minlength=rows * m).reshape(rows, m)
-        resampled[start : start + take, varying] = _count_means(counts[:take], parts)
+        resampled[start : start + take, varying] = _count_means(counts[:take], parts, m)
     return means, resampled
 
 

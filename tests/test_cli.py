@@ -362,6 +362,28 @@ class TestSimulate:
         assert all(key in err for key in ("mu", "sigma", "horizon_hours")), err
         assert not out.exists()
 
+    @pytest.mark.parametrize("paths", [None, "100"], ids=["config", "paths_option"])
+    def test_memory_over_budget_exit_2_before_the_run(self, tmp_path, paths):
+        # 2**32 resamples need about 1.5 TiB; the refusal comes before any
+        # path is simulated, where it used to end the whole run in a
+        # MemoryError from np.tile, exit 1 and a traceback
+        config = tmp_path / "huge.cfg"
+        config.write_text(DEMO_CFG.replace("n_resamples     = 200", "n_resamples = 4294967296"))
+        out = tmp_path / "out"
+        argv = ["simulate", str(config), "--out", str(out)]
+        if paths is not None:
+            argv += ["--paths", paths]
+        proc = subprocess.run(
+            [sys.executable, "-m", "gridhedge", *argv],
+            capture_output=True, text=True, env=CHILD_ENV, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "memory budget" in proc.stderr and "MiB" in proc.stderr
+        for key in ("n_paths", "rebalance_steps", "n_resamples (4294967296)"):
+            assert key in proc.stderr
+        assert not out.exists()
+
     def test_zero_resamples_exit_2(self, tmp_path, capsys):
         config = tmp_path / "zero.cfg"
         config.write_text(DEMO_CFG + "n_resamples = 0\n")
@@ -779,6 +801,16 @@ def test_only_estimate_loads_statistics(demo_config, tmp_path):
         ["allocate", str(demo_config), "--mode", "ces"],
         ["allocate", str(demo_config), "--mode", "tes"],
         ["simulate", str(demo_config), "--paths", "10", "--out", str(tmp_path / "out")],
+    ])
+
+
+def test_no_command_loads_numpy_ma(gbm_csv, demo_config, tmp_path):
+    # numpy.ma costs about 17 ms and 1.2 MB; np.quantile loaded it through
+    # np.unique, and percentile_ci now reads its quantiles without either
+    assert_never_loaded("numpy.ma", [
+        ["simulate", str(demo_config), "--out", str(tmp_path / "out")],
+        ["allocate", str(demo_config), "--mode", "tes"],
+        ["estimate", str(gbm_csv)],
     ])
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import gridhedge as gh
-from gridhedge import ces, cli, lattice
+from gridhedge import ces, cli, lattice, stats
 from gridhedge.errors import (
     InfeasibleCalibration,
     InsufficientPaths,
@@ -532,3 +532,84 @@ class TestBatchEngines:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+
+class TestMemoryBudget:
+    @staticmethod
+    def traced_peak(config):
+        gh.run_case_study(config)  # numpy loads its FFT module on first use
+        tracemalloc.start()
+        try:
+            gh.run_case_study(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    @pytest.mark.parametrize(
+        "sigmas, case, n_paths, steps, n_resamples",
+        [
+            ([0.03, 0.04], ("ge", "lt"), 2_000, 5, 500),
+            ([0.03, 0.04, 0.05], None, 1_000, 20, 200),
+            ([0.03, 0.04], None, 1, 5, 1_000),
+        ],
+        ids=["two_grids_ge_lt", "three_grids_all", "one_path"],
+    )
+    def test_estimate_bounds_the_traced_peak(self, sigmas, case, n_paths, steps, n_resamples):
+        # an upper estimate, and not so loose that it refuses what would fit
+        n = len(sigmas)
+        config = gh.ScenarioConfig(
+            grid=make_fleet(sigmas, 0.3, [20.0, 25.0, 15.0][:n]),
+            initial_kw=np.array([20.0, 25.0, 15.0][:n]),
+            horizon_hours=5.0,
+            rebalance_steps=steps,
+            n_paths=n_paths,
+            seed=4,
+            case_filter=case,
+            n_resamples=n_resamples,
+        )
+        peak = self.traced_peak(config)
+        estimate = scenario.case_study_bytes(config)
+        assert peak <= estimate <= 3 * peak
+
+    def test_bootstrap_holds_one_copy_of_the_sample(self, demo_grid):
+        # the count phase is the peak: the four metric arrays once, the split
+        # of their columns, the resampled means, one count block and its
+        # product with the split, and the draw's four arrays.  A joined copy
+        # of the metric arrays (2.6 MB) would overrun it: the traced peak is
+        # 14.3 MB against this 16.1 MB bound.
+        config = make_config(
+            demo_grid, case_filter=None, n_paths=2_000, rebalance_steps=40, n_resamples=500
+        )
+        peak = self.traced_peak(config)
+        m, k = 2_000, 4 * 41
+        metrics = 8 * m * k
+        split = 2 * metrics
+        resampled = 8 * 500 * k
+        block = min(stats.RESAMPLE_BLOCK_ELEMENTS // m, 500)
+        count_block = 8 * block * m
+        # the product's two part sums and two temporaries of their means
+        product = 4 * 8 * block * k
+        draw_arrays = 4 * 8 * stats._DRAW_ELEMENTS
+        assert peak <= metrics + split + resampled + count_block + product + draw_arrays
+
+    def test_over_budget_refused_before_any_allocation(self, demo_grid):
+        config = make_config(demo_grid, n_resamples=2**32)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"memory budget; lower n_paths \(1500\)"):
+                gh.run_case_study(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_budget_bounds_a_run_that_fits(self, demo_grid, monkeypatch):
+        # the refusal compares the estimate with the budget, nothing else
+        config = make_config(demo_grid, n_paths=300, n_resamples=150)
+        need = scenario.case_study_bytes(config)
+        monkeypatch.setattr(scenario, "DEFAULT_MEMORY_BUDGET", need)
+        gh.run_case_study(config)
+        monkeypatch.setattr(scenario, "DEFAULT_MEMORY_BUDGET", need - 1)
+        with pytest.raises(ValueError, match="memory budget"):
+            gh.run_case_study(config)

@@ -129,6 +129,24 @@ def philox(seed):
     return np.random.Generator(np.random.Philox(key=seed))
 
 
+@pytest.mark.parametrize("k", [1, 5])
+@pytest.mark.parametrize("tail", [0.025, 0.05, 0.5])
+@pytest.mark.parametrize("n", [1, 2, 7, 200, 10_000])
+def test_percentile_ends_are_numpy_quantiles(n, tail, k):
+    # the same bytes as np.quantile's linear method, ties, signed zeros and
+    # 1-D input included
+    resampled = philox(n + k).standard_normal((n, k))
+    resampled[::3] = np.round(resampled[::3])
+    resampled[1::7] = -0.0
+    for sample in (resampled, resampled[:, 0]):
+        ci = stats.percentile_ci(1.5, sample, tail)
+        want = np.quantile(sample, [tail, 1.0 - tail], axis=0)
+        assert np.asarray(ci.lo).tobytes() == want[0].tobytes()
+        assert np.asarray(ci.hi).tobytes() == want[1].tobytes()
+        assert type(ci.lo) is type(want[0])
+        assert ci.mean == 1.5
+
+
 class TestResampledMeans:
     # m = 257 is odd, so consecutive draws share a 64-bit word
     @pytest.mark.parametrize("m", [1, 2, 257, 1_000])
@@ -183,23 +201,38 @@ class TestResampledMeans:
         assert stats.resampled_means(x, 150, 6)[1].tobytes() == want
 
     def test_working_memory_is_one_count_block(self):
-        # The count phase peaks at 9.25 MiB traced (20.7 MiB with a 16 MiB
-        # block): the parts (2 * x.nbytes), one 4 MiB count block, the
-        # outputs and the draw's index buffer, raw words, low halves and
-        # bincount.  _exact_parts before it peaks at 3.85 MiB.
-        # Its bound takes four 8-byte arrays of _DRAW_ELEMENTS for the draw,
-        # 2 MiB against the 1.4 MiB drawn here; that 0.6 MiB is the slack,
-        # which also covers the copy a rejected candidate makes.
-        x = philox(3).standard_normal((10_000, 24))
-        tracemalloc.start()
-        try:
-            stats.resampled_means(x, 1_000, 5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        outputs = 8 * (1_000 + 1) * 24
-        draw_arrays = 4 * 8 * stats._DRAW_ELEMENTS
-        assert peak < 2 * x.nbytes + 4 * 2**20 + outputs + draw_arrays
+        # The count phase peaks at 9.25 MiB traced with every column varying
+        # (20.7 MiB with a 16 MiB block), and at 8.49 MiB with 5 constant
+        # columns of 24: the split of the varying columns (2 * 8 bytes per
+        # entry), one 4 MiB count block, the outputs and the draw's index
+        # buffer, raw words, low halves and bincount.  A constant column is
+        # neither split nor counted.  _exact_parts before it peaks at
+        # 3.74 MiB.  Its bound takes four 8-byte arrays of _DRAW_ELEMENTS for
+        # the draw, 2 MiB against the 1.4 MiB drawn here; that 0.6 MiB is the
+        # slack, which also covers the copy a rejected candidate makes.
+        for constant in (0, 5):
+            x = philox(3).standard_normal((10_000, 24))
+            x[:, :constant] = np.arange(constant) + 0.5
+            tracemalloc.start()
+            try:
+                stats.resampled_means(x, 1_000, 5)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            split = 2 * 8 * x.shape[0] * (x.shape[1] - constant)
+            outputs = 8 * (1_000 + 1) * 24
+            draw_arrays = 4 * 8 * stats._DRAW_ELEMENTS
+            assert peak < split + 4 * 2**20 + outputs + draw_arrays, constant
+
+    def test_column_blocks_are_read_as_one_sample(self):
+        # a list of column blocks gives the bytes of their joined array,
+        # constant columns included, without being joined
+        x = philox(9).exponential(size=(257, 7))
+        x[:, 2] = 0.1
+        joined = stats.resampled_means(x, 150, 6)
+        blocks = stats.resampled_means([x[:, :3], x[:, 3:4], x[:, 4:]], 150, 6)
+        for want, got in zip(joined, blocks):
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("shape", [(10_000, 24), (7, 3), (1_000, 84)])
     def test_exact_parts_are_the_two_level_split(self, shape):
@@ -214,15 +247,16 @@ class TestResampledMeans:
                          for level in (1, 2))
         high = np.round(x / high_q) * high_q
         low = np.round((x - high) / low_q) * low_q
-        assert stats._exact_parts(x, m).tobytes() == np.hstack([high, low]).tobytes()
+        assert stats._exact_parts(x.T, m).tobytes() == np.hstack([high, low]).tobytes()
 
     def test_exact_parts_peak_is_the_split_and_one_sample(self):
-        # both levels are written into the returned split: 3.85 MiB traced on
-        # the case-study shape, of which the split is 3.66 MiB
+        # both levels of each column are written into the returned split:
+        # 3.74 MiB traced on the case-study shape, of which the split is
+        # 3.66 MiB
         x = philox(3).standard_normal((10_000, 24))
         tracemalloc.start()
         try:
-            parts = stats._exact_parts(x, x.shape[0])
+            parts = stats._exact_parts(x.T, x.shape[0])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
