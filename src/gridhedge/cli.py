@@ -71,6 +71,10 @@ def _cmd_estimate(args) -> int:
             window = (parse_clock(start), parse_clock(end))
         except ValueError:
             raise ValueError(f"window must be HH:MM-HH:MM, got {args.window!r}") from None
+        if window[0] > window[1]:
+            raise ValueError(
+                f"--window {args.window} starts after it ends; a window cannot span midnight"
+            )
     if args.interval_minutes is not None:
         expected = args.interval_minutes / 60.0
         if abs(series.dt_hours - expected) > 1e-9:

@@ -33,6 +33,11 @@ from .grid import GridEnsemble
 CASE_GE = "ge"
 CASE_LT = "lt"
 
+# The fewest bootstrap resamples a percentile interval is read from, here
+# and in ``stats.bootstrap_ci``.  It lives in this module because
+# ``allocate`` loads the config but not ``stats``.
+MIN_RESAMPLES = 100
+
 
 def format_case(label) -> str:
     return ",".join(label)
@@ -63,6 +68,11 @@ class ScenarioConfig:
         for name in ("rebalance_steps", "n_paths", "n_resamples", "max_simulated_paths"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.n_resamples < MIN_RESAMPLES:
+            raise ValueError(
+                f"n_resamples must be >= {MIN_RESAMPLES} for a percentile interval, "
+                f"got {self.n_resamples}"
+            )
         if not 0 <= self.seed <= 0xFFFFFFFF:
             # derive_seed keeps 32 bits of the root seed; wider seeds would alias
             raise ValueError(f"seed must be in [0, 4294967295], got {self.seed}")

@@ -230,9 +230,11 @@ LATTICE_BLOCK_ELEMENTS = 2**16
 def first_level_bytes(n_assets: int, steps: int) -> int:
     """Most bytes ``RecombiningLattice.first_level`` holds at ``steps``, outputs aside.
 
-    The child weights and ladder values, (2^n + n) state-sized arrays; up
-    to two more for the FFT that builds the weights; and one headroom
+    This bounds the stacked path, which values two or more distinct roots:
+    the child weights and ladder values, (2^n + n) state-sized arrays; two
+    more for the FFT's spectrum (at most 1.5 of them); and one headroom
     block, which holds at most one grid or LATTICE_BLOCK_ELEMENTS values.
+    One root holds less: the reach law and one headroom grid.
     """
     states = (steps + 1) ** n_assets
     return 8 * (states * ((1 << n_assets) + n_assets + 2) + max(states, LATTICE_BLOCK_ELEMENTS))
@@ -252,11 +254,14 @@ class RecombiningLattice:
     FFT power), the same for every root.  With s steps left, child k (one
     step taken, up-counts up_k) is worth sum_j W_{s-1}[j] * H[j + up_k],
     where H is the terminal headroom max(D - sum_i pg_i * u_i^(2 j_i - s), 0).
-    Two BLAS products per block of roots replace s rounds of backward
-    induction: the (roots, n) root states times the (n, states) ladder
-    values give the terminal generation, clipped in place to a (roots,
-    states) headroom block, and that block times the transposed (2^n,
-    states) child weights gives the child values.  The roots are the
+    One root (``allocate --mode tes``, ``dynamic_allocation``, the case
+    study's t = 0) contracts W with branch k's slice of its headroom grid,
+    one branch at a time.  For two or more distinct roots two BLAS
+    products per block of roots replace s rounds of backward induction:
+    the (roots, n) root states times the (n, states) ladder values give the
+    terminal generation, clipped in place to a (roots, states) headroom
+    block, and that block times the transposed (2^n, states) child weights
+    (W stacked once per branch) gives the child values.  The roots are the
     outermost axis, one reused buffer holds the block, and a block holds at
     most ``LATTICE_BLOCK_ELEMENTS`` headroom values, whatever the root count.
 
@@ -296,41 +301,84 @@ class RecombiningLattice:
             )
         self.pinv_unit = np.linalg.pinv(self.design_unit)
 
-    def _child_weights(self, steps):
-        """(2^n, (steps+1)^n) matrix; row k is W_{steps-1} shifted by up_k.
+    def _reach(self, steps, out=None):
+        """W_{steps-1} on the (steps,)*n grid of up-counts, into out if given.
 
-        W is the one-step law on the (2,)*n grid of up-counts raised to the
-        power steps-1 by one FFT (length steps per axis holds its degree
-        steps-1 without wrap-around), written straight into row 0.
+        The one-step law on the (2,)*n grid raised to the power steps-1 by
+        one FFT (length steps per axis holds its degree steps-1 without
+        wrap-around).  The power and the complex passes of the inverse
+        (``np.fft.irfftn``'s, in its order) run in place, so one spectrum
+        is the only temporary the size of W.
         """
         model = self.model
         one_step = np.zeros((2,) * model.n_assets)
         one_step[tuple(model.up_mask.T.astype(int))] = model.branch_probs
-        shape, axes = (steps,) * model.n_assets, tuple(range(model.n_assets))
+        axes = range(model.n_assets)
+        spectrum = np.fft.rfftn(one_step, (steps,) * model.n_assets, axes)
+        spectrum **= steps - 1
+        for axis in axes[:-1]:
+            np.fft.ifft(spectrum, steps, axis, out=spectrum)
+        return np.fft.irfft(spectrum, steps, axes[-1], out=out)
+
+    def _child_weights(self, steps):
+        """(2^n, (steps+1)^n) matrix; row k is W_{steps-1} shifted by up_k."""
+        model = self.model
         stacked = np.zeros((model.n_branches,) + (steps + 1,) * model.n_assets)
-        reach = stacked[(0,) + _branch_slices(model, 0)]
-        np.fft.irfftn(np.fft.rfftn(one_step, shape, axes) ** (steps - 1), shape, axes, out=reach)
+        reach = self._reach(steps, out=stacked[(0,) + _branch_slices(model, 0)])
         for k in range(1, model.n_branches):
             stacked[(k,) + _branch_slices(model, k)] = reach
         return stacked.reshape(model.n_branches, -1)
 
+    def _ladders(self, steps):
+        """u_i^(2 j - steps) for j = 0..steps, one per asset i, shaped along axis i."""
+        n = self.model.n_assets
+        j = np.arange(steps + 1)
+        return [np.exp(h * (2 * j - steps)).reshape((-1,) + (1,) * (n - 1 - i))
+                for i, h in enumerate(self.model.log_steps)]
+
+    def _one_root_children(self, root, steps):
+        """Child values (1, 2^n) of one root state, one branch at a time.
+
+        Child k is W_{steps-1} contracted with branch k's strided slice of
+        the terminal headroom grid, so neither the stacked weights nor the
+        ladder matrix is built: the peak is W, the headroom and the FFT.
+        """
+        model = self.model
+        reach = self._reach(steps)
+        # headroom = D - sum_i pg_i * u_i^(2 j_i - steps), built in place one
+        # asset's ladder at a time
+        headroom = np.zeros((steps + 1,) * model.n_assets)
+        for pg_i, ladder in zip(root, self._ladders(steps)):
+            headroom += pg_i * ladder
+        np.subtract(self.total_demand, headroom, out=headroom)
+        np.maximum(headroom, 0.0, out=headroom)
+        axes = list(range(model.n_assets))
+        children = [np.einsum(reach, axes, headroom[_branch_slices(model, k)], axes)
+                    for k in range(model.n_branches)]
+        return np.array([children])
+
     def first_level(self, pg, steps: int):
-        """Root values (m,) and child values (m, 2^n) for root states pg (m, n)."""
+        """Root values (m,) and child values (m, 2^n) for root states pg (m, n).
+
+        One root is valued branch by branch; two or more share the stacked
+        child weights, two BLAS products per block of roots.
+        """
         if not 1 <= steps <= self.max_steps:
             raise ValueError(f"steps must lie in [1, {self.max_steps}], got {steps}")
         model = self.model
         n = model.n_assets
+        m = pg.shape[0]
+        if m == 1:
+            child_values = self._one_root_children(pg[0], steps)
+            return child_values @ model.branch_probs, child_values
         weights = self._child_weights(steps)
-        # levels[i, state] = u_i^(2 j_i - steps), asset i's ladder at that
-        # terminal state, written in place one asset at a time
+        # levels[i, state] = asset i's ladder at that terminal state, written
+        # in place one asset at a time
         states = weights.shape[1]
         levels = np.empty((n, states))
         grid = levels.reshape((n,) + (steps + 1,) * n)
-        j = np.arange(steps + 1)
-        for i in range(n):
-            ladder = np.exp(model.log_steps[i] * (2 * j - steps))
-            grid[i] = ladder.reshape((-1,) + (1,) * (n - 1 - i))
-        m = pg.shape[0]
+        for i, ladder in enumerate(self._ladders(steps)):
+            grid[i] = ladder
         rows = max(1, min(m, LATTICE_BLOCK_ELEMENTS // states))
         block = np.empty((rows, states))
         child_values = np.empty((m, model.n_branches))

@@ -3,6 +3,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import MIN_RESAMPLES
+
 
 @dataclass(frozen=True)
 class BootstrapCi:
@@ -251,8 +253,8 @@ def bootstrap_ci(
     x = np.asarray(sample, dtype=float).ravel()
     if x.size == 0:
         raise ValueError("sample must be nonempty")
-    if n_resamples < 100:
-        raise ValueError(f"n_resamples must be >= 100, got {n_resamples}")
+    if n_resamples < MIN_RESAMPLES:
+        raise ValueError(f"n_resamples must be >= {MIN_RESAMPLES}, got {n_resamples}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
     mean, resampled = resampled_means(x[:, None], n_resamples, seed)

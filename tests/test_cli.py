@@ -393,6 +393,24 @@ class TestSimulate:
         assert "n_resamples must be >= 1" in err
         assert not (out / "results.csv").exists()
 
+    @pytest.mark.parametrize("n_resamples", [1, 99])
+    def test_resamples_below_the_floor_exit_2(self, tmp_path, capsys, n_resamples):
+        # one resample made each interval that resample, and simulate exited
+        # 0 with many results.csv means outside their [ci_lo, ci_hi]
+        config = tmp_path / "few.cfg"
+        config.write_text(DEMO_CFG + f"n_resamples = {n_resamples}\n")
+        out = tmp_path / "out"
+        code, stdout, err = run_main(
+            capsys, "simulate", str(config), "--paths", "50", "--out", str(out)
+        )
+        assert code == 2
+        assert err == (
+            f"error: n_resamples must be >= {gh.config.MIN_RESAMPLES} "
+            f"for a percentile interval, got {n_resamples}\n"
+        )
+        assert stdout == ""
+        assert not out.exists()
+
     def test_unknown_config_keys_exit_2(self, tmp_path, capsys):
         config = tmp_path / "typo.cfg"
         config.write_text(DEMO_CFG + "n_resample = 5\ncase_filtr = ge, lt\n")
@@ -468,6 +486,17 @@ def test_unparsable_value_named_exit_2(tmp_path, gbm_csv, case, capsys):
     assert named in err
     if case == "correlation":
         assert "unequal lengths" in err
+
+
+def test_window_spanning_midnight_exit_2(gbm_csv, capsys):
+    # refused where it is parsed, not later as a window that leaves fewer
+    # than 2 log-returns
+    code, out, err = run_main(capsys, "estimate", str(gbm_csv), "--window", "17:00-10:00")
+    assert code == 2
+    assert err == (
+        "error: --window 17:00-10:00 starts after it ends; a window cannot span midnight\n"
+    )
+    assert out == ""
 
 
 # correlations that no Brownian motion can have, on two and on three grids

@@ -397,11 +397,13 @@ class TestBatchEngines:
         assert peak <= weights + 2 * lattice.LATTICE_BLOCK_ELEMENTS * 8 + outputs
 
     @pytest.mark.parametrize("sigmas, steps", [([0.03, 0.04], 200), ([0.03, 0.04, 0.05], 20)])
-    def test_one_root_peak_is_weights_levels_and_one_block(self, sigmas, steps):
-        # one root: the child weights, the (n, states) ladder values (n/2^n
-        # of the weights), one (1, states) headroom block and the outputs;
-        # the slack holds the per-asset ladders and small objects, far less
-        # than any second state-sized array
+    def test_one_root_peak_is_reach_headroom_and_fft(self, sigmas, steps):
+        # one root is valued branch by branch: the peak holds the reach law
+        # W (steps^n), and beside it first the FFT's one spectrum, then the
+        # (steps+1)^n headroom grid, plus the outputs; no stacked child
+        # weights and no ladder matrix.  The slack holds einsum's 64 KiB
+        # iterator buffer, the per-asset ladders and small objects, far
+        # less than the 2^n + n state-sized arrays of the stacked path
         n = len(sigmas)
         grid = make_fleet(sigmas, 0.3, [20.0, 25.0, 15.0][:n])
         model = gh.calibrate_step_model(grid, 5.0 / steps)
@@ -414,12 +416,36 @@ class TestBatchEngines:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        states = (steps + 1) ** n
-        weights = model.n_branches * states * 8
-        levels = n * states * 8
-        assert levels <= weights * n / 2**n
+        reach = steps**n * 8
+        headroom = (steps + 1) ** n * 8
+        spectrum = steps ** (n - 1) * (steps // 2 + 1) * 16
         outputs = root_values.nbytes + child_values.nbytes
-        assert peak <= weights + levels + states * 8 + outputs + 16 * 1024
+        assert peak <= reach + max(headroom, spectrum) + outputs + 80 * 1024
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_one_root_matches_the_stacked_path(self, data):
+        # a root valued alone takes the branch-by-branch path; beside a
+        # second distinct root it takes the stacked block products
+        n = data.draw(st.integers(1, 3))
+        steps = data.draw(st.integers(1, 30))
+        demands = np.array(data.draw(float_vector(10.0, 40.0, n)))
+        sigmas = data.draw(float_vector(0.01, 0.08, n))
+        grid = make_fleet(sigmas, data.draw(st.floats(-0.2, 0.6)), demands)
+        try:
+            model = gh.calibrate_step_model(grid, data.draw(st.floats(0.05, 1.0)))
+        except InfeasibleCalibration:
+            assume(False)
+        root, other = demands * np.array(data.draw(float_vector(0.7, 1.4, 2 * n))).reshape(2, n)
+        assume(np.any(root != other))
+        p_b = data.draw(st.floats(0.5, 2.0))
+        engine = RecombiningLattice(model, demands, steps, p_b)
+        alone = engine.allocate(root[None, :], steps, np.zeros((1, n)))
+        beside = engine.allocate(np.stack([root, other]), steps, np.zeros((2, n)))
+        # value, a * pg, b * p_b and the residual are all in kW
+        scale = 1e-12 * demands.sum()
+        for got, want, unit in zip(alone, beside, (1.0, root, p_b, 1.0)):
+            np.testing.assert_allclose(got[0] * unit, want[0] * unit, rtol=1e-12, atol=scale)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
