@@ -83,11 +83,26 @@ class ScenarioConfig:
             )
         if not np.all(np.isfinite(self.initial_kw) & (self.initial_kw > 0)):
             raise ValueError(f"initial_kw must be finite and > 0, got {self.initial_kw}")
+        # the path moments square generation of the size of initial_kw
+        largest = np.sqrt(np.finfo(float).max)
+        if np.any(self.initial_kw > largest):
+            raise ValueError(
+                f"initial_kw must be at most {largest:.3g}, whose square is finite, "
+                f"got {self.initial_kw}"
+            )
         if self.initial_kw.shape != (self.grid.n_microgrids,):
             raise ValueError("initial_kw must supply one value per microgrid")
         horizon = self.horizon_hours
         if not (np.isfinite(horizon) and horizon > 0):
             raise ValueError(f"horizon_hours must be finite and > 0, got {horizon}")
+        # the per-grid policy takes sigma^2 times the time left to the horizon
+        with np.errstate(over="ignore"):
+            variance = self.grid.sigmas**2 * horizon
+        if not np.all(np.isfinite(variance)):
+            raise ValueError(
+                f"sigma^2 * horizon_hours overflows for sigma {self.grid.sigmas}; "
+                "lower sigma or horizon_hours"
+            )
         case = self.case_filter
         if case is not None and (
             len(case) != self.grid.n_microgrids or not set(case) <= {CASE_GE, CASE_LT}

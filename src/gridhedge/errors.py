@@ -8,7 +8,16 @@ preconditions.
 
 
 class GridHedgeError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    A refusal that advises a config change names the ``key`` and the
+    ``value`` to set it to; both are None where it advises none.
+    """
+
+    def __init__(self, message, key=None, value=None):
+        super().__init__(message)
+        self.key = key
+        self.value = value
 
 
 class DegenerateVolatility(GridHedgeError):
@@ -31,19 +40,25 @@ class InfeasibleCalibration(GridHedgeError):
     """
 
     def __init__(self, message, branch, limit=None, key=None, value=None):
-        super().__init__(message)
+        super().__init__(message, key, value)
         self.branch = branch
         self.limit = limit
-        self.key = key
-        self.value = value
 
 
 class TreeTooLarge(GridHedgeError):
-    """A lattice's terminal grid would exceed the node budget."""
+    """A lattice's terminal grid would exceed the node budget.
+
+    ``key`` is "rebalance_steps" and ``value`` the most steps the node
+    budget fits.
+    """
 
 
 class InsufficientPaths(GridHedgeError):
-    """No simulated path satisfied the requested terminal case filter."""
+    """No simulated path satisfied the requested terminal case filter.
+
+    ``key`` is "max_simulated_paths" and ``value`` the cap advised, or None
+    when no path matched.
+    """
 
 
 class DegenerateVolatilityWarning(UserWarning):

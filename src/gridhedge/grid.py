@@ -25,6 +25,12 @@ class GridEnsemble:
             raise ValueError("params, correlation and demands sizes disagree")
         if not np.all(np.isfinite(demands) & (demands > 0)):
             raise ValueError(f"demand_kw must be finite and > 0, got {demands}")
+        # the lattice squares residuals of the size of the demands
+        largest = np.sqrt(np.finfo(float).max)
+        if np.any(demands > largest):
+            raise ValueError(
+                f"demand_kw must be at most {largest:.3g}, whose square is finite, got {demands}"
+            )
         p_b = self.battery_unit_kw
         if not (np.isfinite(p_b) and p_b > 0):
             raise ValueError(f"battery_unit_kw must be finite and > 0, got {p_b}")

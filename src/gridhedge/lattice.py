@@ -279,10 +279,13 @@ class RecombiningLattice:
         n = model.n_assets
         nodes = (max_steps + 1) ** n
         if nodes > DEFAULT_NODE_BUDGET:
+            fits = max_lattice_steps(n)
             raise TreeTooLarge(
                 f"{max_steps + 1}^{n} = {nodes} terminal states "
                 f"exceed the node budget {DEFAULT_NODE_BUDGET}; set rebalance_steps "
-                f"to at most {max_lattice_steps(n)}, the most a {n}-grid lattice fits"
+                f"to at most {fits}, the most a {n}-grid lattice fits",
+                key="rebalance_steps",
+                value=fits,
             )
         if p_b <= 0:
             raise ValueError(f"p_b must be > 0, got {p_b}")

@@ -119,6 +119,7 @@ def _collect_paths(config: ScenarioConfig):
     examined = 0
     while n_collected < config.n_paths:
         if examined >= config.max_simulated_paths:
+            cap = None
             if n_collected:
                 # ceil(1.25 * n_paths / (n_collected / examined)), in integers
                 cap = -(-5 * config.n_paths * examined // (4 * n_collected))
@@ -130,7 +131,9 @@ def _collect_paths(config: ScenarioConfig):
                 advice = "no path matched, so no max_simulated_paths can be estimated"
             raise InsufficientPaths(
                 f"case filter {format_case(case)!r} matched only "
-                f"{n_collected}/{config.n_paths} of {examined} simulated paths; {advice}"
+                f"{n_collected}/{config.n_paths} of {examined} simulated paths; {advice}",
+                key="max_simulated_paths",
+                value=cap,
             )
         with np.errstate(over="ignore", invalid="ignore"):
             values = simulate_paths(
@@ -146,6 +149,12 @@ def _collect_paths(config: ScenarioConfig):
         if not np.isfinite(values).all():
             raise ValueError(
                 "simulated generation overflows to inf or NaN; lower mu, sigma "
+                "or horizon_hours"
+            )
+        if not (values > 0).all():
+            # the per-grid policy divides the demand by the generation
+            raise ValueError(
+                "simulated generation underflows to 0; raise mu, or lower sigma "
                 "or horizon_hours"
             )
         examined += values.shape[0]
@@ -177,8 +186,16 @@ def _bootstrap_time_metrics(samples, n_resamples, seed):
     Returns (series, overall): series maps each sample name and savings_pct
     to a BootstrapCi over time; overall is the BootstrapCi of the time
     average of savings_pct.
+
+    The arrays are taken out of samples and handed to ``resampled_means``,
+    which drops them once their columns are split, so the draws run beside
+    the split alone.  Each entry is left an empty (m, 0) array: samples
+    keeps its names and its path count m for the callers that read them
+    after the bootstrap.
     """
-    means, resampled = resampled_means(list(samples.values()), n_resamples, seed)
+    blocks = list(samples.values())
+    samples.update(dict.fromkeys(samples, np.empty((len(blocks[0]), 0))))
+    means, resampled = resampled_means(blocks, n_resamples, seed)
     points = dict(zip(samples, np.split(means, len(samples))))
     draws = dict(zip(samples, np.split(resampled, len(samples), axis=1)))
     points["savings_pct"], point_overall = battery_savings(points["b_tes"], points["b_ces"])
@@ -197,7 +214,9 @@ def case_study_bytes(config: ScenarioConfig) -> int:
     - rebalancing: the kept paths and one temporary of their size (for
       their moments), the four metric arrays, the lattice at its deepest
       and the loop's per-path arrays;
-    - the bootstrap: the metric arrays, ``resampled_means``' working memory
+    - the bootstrap, the larger of its two parts: the split, which holds
+      the metric arrays and their exact parts; and the counts, after the
+      metric arrays are freed, which hold ``resampled_means``' count phase
       and the savings and percentile temporaries, which take at most as
       much as the resampled means.
     """
@@ -216,7 +235,9 @@ def case_study_bytes(config: ScenarioConfig) -> int:
     rebalancing = 2 * kept * path + table + first_level_bytes(n, config.rebalance_steps) + loop
     k = 4 * n_times
     resampled = 8 * config.n_resamples * k
-    bootstrap = table + resampled_means_bytes(m, k, config.n_resamples) + resampled
+    split = 3 * table  # the metric arrays and their split, twice their size
+    counts = resampled_means_bytes(m, k, config.n_resamples) + resampled
+    bootstrap = max(split, counts)
     return max(collecting, rebalancing, bootstrap)
 
 

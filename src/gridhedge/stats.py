@@ -169,13 +169,15 @@ def _count_means(counts, parts, m: int):
 
 
 def resampled_means_bytes(m: int, k: int, n_resamples: int) -> int:
-    """Most bytes ``resampled_means`` holds for an (m, k) sample, the sample aside.
+    """Most bytes ``resampled_means`` holds in its count phase, for an (m, k) sample.
 
-    The split of every column, the resampled means, one count block and
-    its product with the split (the two part sums and two temporaries of
-    its means), and four 8-byte arrays of one draw (its indices, raw words,
-    low halves and bincount).  A one-row sample is constant in every
-    column, so it holds only the resampled means.
+    That phase comes after the sample is released: the split of every
+    column, the resampled means, one count block and its product with the
+    split (the two part sums and two temporaries of its means), and four
+    8-byte arrays of one draw (its indices, raw words, low halves and
+    bincount).  The split phase before it holds the sample and its split,
+    which the caller counts.  A one-row sample is constant in every column,
+    so it holds only the resampled means.
     """
     if m == 1:
         return 8 * n_resamples * k
@@ -200,6 +202,13 @@ def resampled_means(x, n_resamples: int, seed):
     bit-identical whatever the block size, draw size, BLAS kernel or thread
     count.
 
+    Once the point means are taken and the varying columns split, the
+    sample is no longer read: every reference to it is dropped, and a list
+    x is cleared, before the resampled means are allocated.  So a caller
+    that hands over its only references to the blocks frees the sample
+    before the draws, and the resampled means can take its place in the
+    heap; a caller that keeps the blocks passes a copy of the list.
+
     A column that is constant over the rows has its point mean in every
     resample, so only the varying columns are split and counted.  A
     constant column's rows share one split, so its point mean is its first
@@ -217,15 +226,20 @@ def resampled_means(x, n_resamples: int, seed):
     constant = np.array([not np.any(column != column[0]) for column in columns])
     varying = np.flatnonzero(~constant)
     means = np.empty(k)
-    resampled = np.empty((n_resamples, k))
     if constant.any():
         first = _exact_parts([columns[j][:1] for j in np.flatnonzero(constant)], m)
         means[constant] = _count_means(np.full((1, 1), float(m)), first, m)[0]
-        resampled[:, constant] = means[constant]
+    if varying.size:
+        parts = _exact_parts([columns[j] for j in varying], m)
+        means[varying] = _count_means(np.ones((1, m)), parts, m)[0]
+    # the split is all the draws read: release the sample first, so that
+    # the resampled means can reuse its memory
+    blocks.clear()
+    del columns
+    resampled = np.empty((n_resamples, k))
+    resampled[:, constant] = means[constant]
     if varying.size == 0:
         return means, resampled
-    parts = _exact_parts([columns[j] for j in varying], m)
-    means[varying] = _count_means(np.ones((1, m)), parts, m)[0]
     indices = _RowIndices(seed, m)
     block = max(1, RESAMPLE_BLOCK_ELEMENTS // m)
     draw = max(1, _DRAW_ELEMENTS // m)

@@ -69,6 +69,22 @@ def test_tier1_outcomes_needs_a_summary_line():
         bench_pairs.outcomes("collecting ...\nInterrupted: 1 error during collection\n")
 
 
+@pytest.mark.parametrize(
+    "change, want",
+    [
+        ({"failed": 2, "passed": 510}, True),
+        ({"failed": 2, "passed": 515, "warnings": 3}, True),
+        ({"failed": 1, "passed": 511}, True),
+        ({"failed": 2, "passed": 509}, False),
+        ({"failed": 3, "passed": 510}, False),
+        ({"failed": 2, "passed": 510, "error": 1}, False),
+        ({"failed": 2, "passed": 510, "errors": 2}, False),
+    ],
+)
+def test_tier1_outcomes_no_worse(change, want):
+    assert bench_pairs.outcomes_no_worse({"failed": 2, "passed": 510}, change) is want
+
+
 def test_tier1_summary():
     base = [44.0, 45.0, 43.0, 46.0, 44.5, 44.0, 45.5, 43.5, 44.0, 45.0]
     change = [33.0, 34.0, 46.5, 33.5, 32.5, 33.0, 34.5, 33.0, 33.5, 34.0]
@@ -141,8 +157,8 @@ def test_main_writes_the_keys_of_bench_20(stubbed, tmp_path, capsys):
     report = json.loads(out.read_text())
     # BENCH_20's keys, and each side's line count under src/
     src_lines = {("src_lines",), ("src_lines", "base"), ("src_lines", "change")}
-    assert key_paths(report) == \
-        key_paths(json.loads((ROOT / "BENCH_20.json").read_text())) | src_lines
+    assert key_paths(report) == key_paths(json.loads((ROOT / "BENCH_20.json").read_text())) \
+        | src_lines | {("tier1", "outcomes_no_worse")}
     assert report["src_lines"] == {"base": 2, "change": 1}
     for workload, entry in report["workloads"].items():
         assert entry["seeds"] == list(range(40, 50))
@@ -156,6 +172,8 @@ def test_main_writes_the_keys_of_bench_20(stubbed, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "src: 2 -> 1 lines (-1)" in out
     assert "tier1: wall_s 30.0 -> 30.0 s" in out
+    assert report["tier1"]["outcomes_no_worse"] is True
+    assert out.rstrip().endswith("outcomes no worse True")
 
 
 def test_src_lines_counts_every_file_under_src_as_wc_does(tmp_path):

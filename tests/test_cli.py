@@ -14,6 +14,7 @@ import pytest
 import gridhedge as gh
 from gridhedge import cli, errors
 from gridhedge.cli import EXIT_CALIBRATION
+from gridhedge.config import load_scenario_config
 
 DEMO_CFG = """\
 mu              = 0.006, 0.005
@@ -191,6 +192,27 @@ class TestAllocate:
         assert "exceed the node budget" in err
         assert "set rebalance_steps to at most 214," in err
 
+    def test_oversized_lattice_advice_fields_work_when_applied(self, tmp_path, capsys):
+        # four grids keep the lattice at the budget small: 56^4 states
+        config = tmp_path / "deep.cfg"
+        base = (
+            THREE_GRID_CFG.replace("0.005, 0.004", "0.005, 0.004, 0.004")
+            .replace("0.04, 0.05", "0.04, 0.05, 0.06")
+            .replace("25, 15", "25, 15, 10")
+            + "correlation = 0.3\n"
+        )
+        config.write_text(base + "rebalance_steps = 110\n")
+        argv = ["allocate", str(config), "--mode", "tes"]
+        code, _, err = run_main(capsys, *argv)
+        assert code == 4
+        with pytest.raises(errors.TreeTooLarge) as refused:
+            gh.run_case_study(load_scenario_config(config))
+        assert str(refused.value) == err.removeprefix("error: ").rstrip("\n")
+        assert (refused.value.key, refused.value.value) == ("rebalance_steps", 55)
+        config.write_text(base + f"{refused.value.key} = {refused.value.value}\n")
+        code, _, err = run_main(capsys, *argv)
+        assert code == 0, err
+
     def test_correlations_infeasible_as_dt_vanishes_exit_3(self, tmp_path, capsys):
         config = tmp_path / "anti.cfg"
         config.write_text(THREE_GRID_CFG + "correlation = -0.45\n")
@@ -336,6 +358,30 @@ class TestSimulate:
         code, _, err = run_main(capsys, *argv)
         assert code == 0, err
 
+    def test_empty_bucket_advice_fields_work_when_applied(self, tmp_path, capsys):
+        config = tmp_path / "capped.cfg"
+        argv = ["simulate", str(config), "--case-filter", "ge,lt", "--out", str(tmp_path / "out")]
+        config.write_text(DEMO_CFG + "max_simulated_paths = 300\ncase_filter = ge,lt\n")
+        code, _, err = run_main(capsys, *argv)
+        assert code == 5
+        with pytest.raises(errors.InsufficientPaths) as refused:
+            gh.run_case_study(load_scenario_config(config))
+        assert str(refused.value) == err.removeprefix("error: ").rstrip("\n")
+        assert refused.value.key == "max_simulated_paths"
+        config.write_text(DEMO_CFG + f"{refused.value.key} = {refused.value.value}\n")
+        code, _, err = run_main(capsys, *argv)
+        assert code == 0, err
+
+    def test_empty_bucket_without_a_match_advises_no_value(self, tmp_path):
+        config = tmp_path / "far.cfg"
+        config.write_text(
+            DEMO_CFG.replace("initial_kw      = 20, 25", "initial_kw = 2000, 2500")
+            + "case_filter = lt,lt\n"
+        )
+        with pytest.raises(errors.InsufficientPaths, match="no max_simulated_paths") as refused:
+            gh.run_case_study(load_scenario_config(config))
+        assert (refused.value.key, refused.value.value) == ("max_simulated_paths", None)
+
     def test_non_finite_demand_exit_2(self, tmp_path, capsys):
         config = tmp_path / "nan.cfg"
         config.write_text(DEMO_CFG + "demand_kw = nan, 25\n")
@@ -361,6 +407,33 @@ class TestSimulate:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert all(key in err for key in ("mu", "sigma", "horizon_hours")), err
         assert not out.exists()
+
+    @pytest.mark.parametrize("line, command, named", [
+        # the lattice's residual norm squared these
+        ("demand_kw = 20, 1e300", "tes", "demand_kw must be at most 1.34e+154"),
+        # the paths' moments squared these
+        ("initial_kw = 20, 1e300", "simulate", "initial_kw must be at most 1.34e+154"),
+        # the per-grid policy squared sigma
+        ("sigma = 0.03, 1e300", "ces", "lower sigma or horizon_hours"),
+        # paths that underflow to 0 were divided into the demand
+        ("mu = -1e300, 0", "simulate", "underflows to 0; raise mu, or lower sigma"),
+    ])
+    def test_values_that_would_overflow_named_exit_2(self, tmp_path, capsys, line, command,
+                                                      named):
+        config = tmp_path / "extreme.cfg"
+        config.write_text(DEMO_CFG + line + "\n")
+        argv = {
+            "ces": ["allocate", str(config), "--mode", "ces"],
+            "tes": ["allocate", str(config), "--mode", "tes"],
+            "simulate": ["simulate", str(config), "--out", str(tmp_path / "out")],
+        }[command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = run_main(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("paths", [None, "100"], ids=["config", "paths_option"])
     def test_memory_over_budget_exit_2_before_the_run(self, tmp_path, paths):

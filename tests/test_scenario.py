@@ -598,26 +598,46 @@ class TestMemoryBudget:
         estimate = scenario.case_study_bytes(config)
         assert peak <= estimate <= 3 * peak
 
-    def test_bootstrap_holds_one_copy_of_the_sample(self, demo_grid):
-        # the count phase is the peak: the four metric arrays once, the split
-        # of their columns, the resampled means, one count block and its
-        # product with the split, and the draw's four arrays.  A joined copy
-        # of the metric arrays (2.6 MB) would overrun it: the traced peak is
-        # 14.3 MB against this 16.1 MB bound.
+    def test_bootstrap_counts_beside_the_split_alone(self, demo_grid):
+        # the count phase is the peak, and the metric arrays are freed before
+        # it: the split of their columns, the resampled means, one count
+        # block and its product with the split, and the draw's four arrays.
+        # Holding the metric arrays (1.3 MB) through the draws would overrun
+        # it: that traced 14.3 MB against this 13.6 MB bound, and the release
+        # traces 11.6 MB.
         config = make_config(
             demo_grid, case_filter=None, n_paths=2_000, rebalance_steps=40, n_resamples=500
         )
         peak = self.traced_peak(config)
         m, k = 2_000, 4 * 41
-        metrics = 8 * m * k
-        split = 2 * metrics
+        split = 2 * 8 * m * k
         resampled = 8 * 500 * k
         block = min(stats.RESAMPLE_BLOCK_ELEMENTS // m, 500)
         count_block = 8 * block * m
         # the product's two part sums and two temporaries of their means
         product = 4 * 8 * block * k
         draw_arrays = 4 * 8 * stats._DRAW_ELEMENTS
-        assert peak <= metrics + split + resampled + count_block + product + draw_arrays
+        assert peak <= split + resampled + count_block + product + draw_arrays
+
+    def test_bootstrap_takes_the_sample_and_leaves_its_shape(self):
+        # the entries keep their names and path count for run_case_study and
+        # the tracer, and hold no data
+        rng = np.random.Generator(np.random.Philox(5))
+        samples = {name: rng.uniform(1.0, 2.0, size=(300, 4))
+                   for name in ("b_tes", "b_ces", "v_tes", "v_ces")}
+        want = scenario._bootstrap_time_metrics(
+            {name: value.copy() for name, value in samples.items()}, 200, 9
+        )
+        got = scenario._bootstrap_time_metrics(samples, 200, 9)
+        assert list(samples) == ["b_tes", "b_ces", "v_tes", "v_ces"]
+        for value in samples.values():
+            assert value.shape == (300, 0)
+            assert len(value) == 300
+            assert value.nbytes == 0
+        for name, ci in got[0].items():
+            for field in ("mean", "lo", "hi"):
+                assert getattr(ci, field).tobytes() == getattr(want[0][name], field).tobytes()
+        assert got[1] == want[1]
 
     def test_over_budget_refused_before_any_allocation(self, demo_grid):
         config = make_config(demo_grid, n_resamples=2**32)

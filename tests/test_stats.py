@@ -234,6 +234,21 @@ class TestResampledMeans:
         for want, got in zip(joined, blocks):
             assert got.tobytes() == want.tobytes()
 
+    def test_a_list_is_released_and_read_as_kept(self):
+        # the same bytes for one array, for a list whose blocks the caller
+        # keeps and for a list handed over, which is cleared
+        x = philox(9).exponential(size=(257, 7))
+        x[:, 2] = 0.1
+        joined = stats.resampled_means(x, 150, 6)
+        kept = [x[:, :3].copy(), x[:, 3:].copy()]
+        from_kept = stats.resampled_means(list(kept), 150, 6)
+        handed = [x[:, :3].copy(), x[:, 3:].copy()]
+        from_handed = stats.resampled_means(handed, 150, 6)
+        assert handed == []
+        assert [block.shape for block in kept] == [(257, 3), (257, 4)]
+        for want, a, b in zip(joined, from_kept, from_handed):
+            assert a.tobytes() == b.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("shape", [(10_000, 24), (7, 3), (1_000, 84)])
     def test_exact_parts_are_the_two_level_split(self, shape):
         # each level rounds what is left to its column quantum, as written

@@ -27,8 +27,10 @@ BENCHMARK.json gives).  Each metric also gets a verdict:
 
 A side whose perfbench runs are all correct has ``"correct": true``.  The
 ``tier1`` section keeps each run's outcome counts from the pytest summary
-line (``passed``, ``failed``, ...), and ``src_lines`` each side's line count
-under ``src/``, so a size change comes from the same trees as the timings.
+line (``passed``, ``failed``, ...) and ``outcomes_no_worse``, true when no
+pair has the change with fewer passed or more failed or errored tests than
+the base; ``src_lines`` holds each side's line count under ``src/``, so a
+size change comes from the same trees as the timings.
 """
 import argparse
 import json
@@ -93,6 +95,13 @@ def outcomes(stdout: str) -> dict:
         if re.search(r"\d+ (passed|failed|errors?)\b.* in ", line):
             return {word: int(n) for n, word in re.findall(r"(\d+) ([a-z]+)", line)}
     raise ValueError("no pytest summary line in the output")
+
+
+def outcomes_no_worse(base: dict, change: dict) -> bool:
+    """True when the change has no fewer passed and no more failed or errored tests."""
+    fewer = change.get("passed", 0) < base.get("passed", 0)
+    return not fewer and all(
+        change.get(word, 0) <= base.get(word, 0) for word in ("failed", "error", "errors"))
 
 
 def run_tier1(root: Path) -> dict:
@@ -207,6 +216,9 @@ def main(argv=None) -> int:
         "first": first,
         "wall_s": compare(runs, lambda run: run["wall_s"]),
         "outcomes": {side: [pair[side]["outcomes"] for pair in runs] for side in SIDES},
+        "outcomes_no_worse": all(
+            outcomes_no_worse(pair["base"]["outcomes"], pair["change"]["outcomes"])
+            for pair in runs),
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     for workload, entry in report["workloads"].items():
@@ -218,7 +230,8 @@ def main(argv=None) -> int:
           f"({lines['change'] - lines['base']:+d})")
     wall = report["tier1"]["wall_s"]
     print(f"tier1: wall_s {wall['base']['median']:.1f} -> {wall['change']['median']:.1f} s "
-          f"(change won {wall['change_wins']}/{wall['pairs']})")
+          f"(change won {wall['change_wins']}/{wall['pairs']}), "
+          f"outcomes no worse {report['tier1']['outcomes_no_worse']}")
     return 0
 
 
