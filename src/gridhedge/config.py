@@ -83,13 +83,6 @@ class ScenarioConfig:
             )
         if not np.all(np.isfinite(self.initial_kw) & (self.initial_kw > 0)):
             raise ValueError(f"initial_kw must be finite and > 0, got {self.initial_kw}")
-        # the path moments square generation of the size of initial_kw
-        largest = np.sqrt(np.finfo(float).max)
-        if np.any(self.initial_kw > largest):
-            raise ValueError(
-                f"initial_kw must be at most {largest:.3g}, whose square is finite, "
-                f"got {self.initial_kw}"
-            )
         if self.initial_kw.shape != (self.grid.n_microgrids,):
             raise ValueError("initial_kw must supply one value per microgrid")
         horizon = self.horizon_hours

@@ -146,10 +146,12 @@ def _collect_paths(config: ScenarioConfig):
                 seed=derive_seed(config.seed, "paths", examined // take),
                 measure="physical",
             )
-        if not np.isfinite(values).all():
+        # the path moments sum n_paths squares, which stay finite below this
+        largest = np.sqrt(np.finfo(float).max / config.n_paths)
+        if not (values <= largest).all():  # NaN too
             raise ValueError(
-                "simulated generation overflows to inf or NaN; lower mu, sigma "
-                "or horizon_hours"
+                f"simulated generation exceeds {largest:.3g} kW, where the path moments "
+                "overflow; lower mu, sigma, horizon_hours or initial_kw"
             )
         if not (values > 0).all():
             # the per-grid policy divides the demand by the generation

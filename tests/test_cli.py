@@ -408,33 +408,6 @@ class TestSimulate:
         assert all(key in err for key in ("mu", "sigma", "horizon_hours")), err
         assert not out.exists()
 
-    @pytest.mark.parametrize("line, command, named", [
-        # the lattice's residual norm squared these
-        ("demand_kw = 20, 1e300", "tes", "demand_kw must be at most 1.34e+154"),
-        # the paths' moments squared these
-        ("initial_kw = 20, 1e300", "simulate", "initial_kw must be at most 1.34e+154"),
-        # the per-grid policy squared sigma
-        ("sigma = 0.03, 1e300", "ces", "lower sigma or horizon_hours"),
-        # paths that underflow to 0 were divided into the demand
-        ("mu = -1e300, 0", "simulate", "underflows to 0; raise mu, or lower sigma"),
-    ])
-    def test_values_that_would_overflow_named_exit_2(self, tmp_path, capsys, line, command,
-                                                      named):
-        config = tmp_path / "extreme.cfg"
-        config.write_text(DEMO_CFG + line + "\n")
-        argv = {
-            "ces": ["allocate", str(config), "--mode", "ces"],
-            "tes": ["allocate", str(config), "--mode", "tes"],
-            "simulate": ["simulate", str(config), "--out", str(tmp_path / "out")],
-        }[command]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            code, _, err = run_main(capsys, *argv)
-        assert code == 2
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert named in err
-        assert not (tmp_path / "out").exists()
-
     @pytest.mark.parametrize("paths", [None, "100"], ids=["config", "paths_option"])
     def test_memory_over_budget_exit_2_before_the_run(self, tmp_path, paths):
         # 2**32 resamples need about 1.5 TiB; the refusal comes before any
@@ -675,6 +648,35 @@ def test_every_error_class_has_a_chosen_exit_code():
     assert got == EXPECTED_EXIT_CODES
     # bad arguments raise ValueError; they and OS errors are input errors
     assert cli.EXIT_CODES[0] == ((ValueError, OSError), cli.EXIT_INPUT)
+
+
+@pytest.mark.parametrize("line, command, named", [
+    # the lattice's residual norm squared these
+    ("demand_kw = 20, 1e300", "tes", "demand_kw must be at most 1.34e+154"),
+    # the paths' moments squared these
+    ("initial_kw = 20, 1e300", "simulate", "lower mu, sigma, horizon_hours or initial_kw"),
+    # and generation that grows past the square root of the float range
+    ("mu = 75, 0.005", "simulate", "simulated generation exceeds 7.74e+152 kW"),
+    # the per-grid policy squared sigma
+    ("sigma = 0.03, 1e300", "ces", "lower sigma or horizon_hours"),
+    # paths that underflow to 0 were divided into the demand
+    ("mu = -1e300, 0", "simulate", "underflows to 0; raise mu, or lower sigma"),
+])
+def test_values_that_would_overflow_named_exit_2(tmp_path, capsys, line, command, named):
+    config = tmp_path / "extreme.cfg"
+    config.write_text(DEMO_CFG + line + "\n")
+    argv = {
+        "ces": ["allocate", str(config), "--mode", "ces"],
+        "tes": ["allocate", str(config), "--mode", "tes"],
+        "simulate": ["simulate", str(config), "--out", str(tmp_path / "out")],
+    }[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _, err = run_main(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("horizon", ["1e200", "1e308"])

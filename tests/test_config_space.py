@@ -42,6 +42,7 @@ def lists(valid):
 
 
 def integers(valid, corrupt):
+    """One integer key's text: a valid value, a corruption or a non-integer."""
     return st.sampled_from([*valid, *corrupt, "", "1.5", "nan"])
 
 
