@@ -34,9 +34,10 @@ class InfeasibleCalibration(GridHedgeError):
     Carries the offending ``branch``.  When no finer time step helps,
     ``limit`` is that branch's probability as dt -> 0; otherwise ``key`` is
     "rebalance_steps" and ``value`` the fewest steps that calibrate, or None
-    when no count the node budget fits does.  A time step so long that the
-    log step overflows has no offending branch: ``branch`` is None and
-    ``key`` is "horizon_hours".
+    when no count the node budget fits does.  A step whose up factor
+    overflows has no offending branch: ``branch`` is None, and ``key`` is
+    "sigma" when a one-hour step of that sigma overflows, otherwise
+    "horizon_hours".
     """
 
     def __init__(self, message, branch, limit=None, key=None, value=None):
@@ -66,4 +67,4 @@ class DegenerateVolatilityWarning(UserWarning):
 
 
 class RankDeficientWarning(UserWarning):
-    """Replication design matrix is rank deficient; solution is minimum-norm."""
+    """A grid's up and down factors coincide, so the replication solution is minimum-norm."""

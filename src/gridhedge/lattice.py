@@ -9,7 +9,9 @@ equations for any number of microgrids: the product-form probabilities with
 pairwise correlation corrections of Boyle, Evnine & Gibbs (1989).  The
 netted terminal shortfall is valued back to the root, and the operator's
 ReGU/battery mix is read off a least-squares replication of the first-level
-portfolio values.
+portfolio values.  Every child factor is c_i +- delta_i, so that replication
+is solved in closed form from the Walsh coefficients of the child values,
+with no matrix factorization.
 
 One allocator does this for every caller: ``RecombiningLattice.allocate``.
 Probabilities are state independent and u*d = 1, so the reach weights of
@@ -97,6 +99,12 @@ def _walsh(signs, first, pairs):
     return probs / (1 << signs.shape[1])
 
 
+def _up_overflows(h) -> np.ndarray:
+    """Where the up factor exp(h) is not finite, h = inf included."""
+    with np.errstate(over="ignore"):
+        return ~np.isfinite(np.exp(h))
+
+
 def _branch_probs(grid: GridEnsemble, signs, dt: float):
     """(h, probs, bad): log steps, branch probabilities and the branches outside [0, 1].
 
@@ -111,6 +119,32 @@ def _branch_probs(grid: GridEnsemble, signs, dt: float):
         probs = _walsh(signs, -s / (2.0 * h), pairs)
     inside = (probs >= -1e-15) & (probs <= 1 + 1e-15) & np.isfinite(h).all()
     return h, probs, ~inside
+
+
+def _calibrates(grid: GridEnsemble, signs, dt: float) -> bool:
+    """Whether every branch probability lies in [0, 1] and every up factor is finite."""
+    h, _, bad = _branch_probs(grid, signs, dt)
+    return not (bad.any() or _up_overflows(h).any())
+
+
+def _overflow_refusal(grid: GridEnsemble, signs, dt: float, overflows):
+    """The refusal of a step whose up factors exp(h) overflow where ``overflows`` is set.
+
+    sigma is at fault when even a one-hour step of it overflows; otherwise
+    the step, and so the horizon, is too long.
+    """
+    hourly = overflows & _up_overflows(_branch_probs(grid, signs, 1.0)[0])
+    if hourly.any():
+        i = int(hourly.argmax())
+        return InfeasibleCalibration(
+            f"sigma {grid.sigmas[i]:g} of microgrid {i + 1} overflows the lattice's up "
+            "factor exp(h) at a time step of 1 h or more; lower sigma",
+            None, key="sigma",
+        )
+    return InfeasibleCalibration(
+        f"a time step of {dt:g} h overflows the lattice's up factor exp(h); lower horizon_hours",
+        None, key="horizon_hours",
+    )
 
 
 def calibrate_step_model(grid: GridEnsemble, dt: float, horizon=None) -> LatticeStepModel:
@@ -139,13 +173,11 @@ def calibrate_step_model(grid: GridEnsemble, dt: float, horizon=None) -> Lattice
     mask = branch_up_mask(grid.n_microgrids)
     signs = np.where(mask, 1.0, -1.0)
     h, probs, bad = _branch_probs(grid, signs, dt)
+    overflows = _up_overflows(h)
     if not np.isfinite(h).all():
         # (sigma^2*dt/2)^2 overflowed, which leaves NaN probabilities or
         # exactly 1/2^n ones, which no bounds test would refuse
-        raise InfeasibleCalibration(
-            f"a time step of {dt:g} h overflows the lattice's log step; lower horizon_hours",
-            None, key="horizon_hours",
-        )
+        raise _overflow_refusal(grid, signs, dt, overflows)
     if np.any(bad):
         # as dt -> 0, m -> 0 and c -> rho; when that limit is negative, or
         # zero and approached from below as -(sum_i e_ki sigma_i)*sqrt(dt)/2^(n+1),
@@ -162,9 +194,7 @@ def calibrate_step_model(grid: GridEnsemble, dt: float, horizon=None) -> Lattice
             )
         horizon = dt if horizon is None else horizon
         counts = range(1, max_lattice_steps(grid.n_microgrids) + 1)
-        steps = next(
-            (n for n in counts if not np.any(_branch_probs(grid, signs, horizon / n)[2])), None
-        )
+        steps = next((n for n in counts if _calibrates(grid, signs, horizon / n)), None)
         if steps is None:
             advice = (
                 f"no rebalance_steps up to {counts[-1]}, the most the node budget fits, "
@@ -176,6 +206,10 @@ def calibrate_step_model(grid: GridEnsemble, dt: float, horizon=None) -> Lattice
                 f"the fewest that calibrate over {horizon:g} h"
             )
         raise InfeasibleCalibration(refused + advice, k, key="rebalance_steps", value=steps)
+    if overflows.any():
+        # h is finite but exp(h) is not: the lattice's factors and the
+        # replication would turn it into NaN
+        raise _overflow_refusal(grid, signs, dt, overflows)
     return LatticeStepModel(
         n_assets=grid.n_microgrids,
         dt=dt,
@@ -267,9 +301,10 @@ class RecombiningLattice:
 
     The replication design of a root has rows [pg * factors_k, p_b]: the
     unit design [factors_k, p_b] with its generation columns scaled by the
-    (positive) root state.  The scaling keeps the rank, so one rank check
-    and one pseudoinverse of the unit design serve every root.  Equal roots
-    are valued once.
+    (positive) root state.  The scaling keeps the rank, so the unit design's
+    closed-form solution (``_replicate``) serves every root, and its rank,
+    1 plus the number of grids whose up and down factors differ, is known
+    at construction.  Equal roots are valued once.
 
     A lattice of up to ``max_steps`` steps whose terminal grid exceeds the
     node budget is refused at construction, before anything is allocated.
@@ -293,16 +328,30 @@ class RecombiningLattice:
         self.total_demand = float(np.sum(d_c))
         self.max_steps = max_steps
         self.p_b = p_b
-        self.design_unit = np.column_stack([model.branch_matrix, np.full(model.n_branches, p_b)])
-        rank = np.linalg.matrix_rank(self.design_unit)
-        if rank < model.n_assets + 1:
+        up, down = model.up, model.down
+        self.signs = np.where(model.up_mask, 1.0, -1.0)
+        self.centre = (up + down) / 2.0
+        self.half_spread = (up - down) / 2.0
+        self.flat = self.half_spread == 0.0
+        if self.flat.any():
+            flat = np.flatnonzero(self.flat) + 1
+            grids = "microgrid" + "s" * (flat.size > 1) + " " + ", ".join(map(str, flat))
             warnings.warn(
-                f"replication design matrix rank {rank} < {model.n_assets + 1}; "
-                "returning minimum-norm solutions",
+                f"replication design matrix rank {model.n_assets + 1 - flat.size} < "
+                f"{model.n_assets + 1}: the up and down factors of {grids} are equal in "
+                "floating point, so their columns are as constant as the battery's; "
+                "raise sigma or the time step. Returning minimum-norm solutions",
                 RankDeficientWarning,
                 stacklevel=2,
             )
-        self.pinv_unit = np.linalg.pinv(self.design_unit)
+        # the flat grids' columns and the battery's are all constant, so the
+        # minimum-norm solution splits the constant component r between them
+        # in proportion to their entries: r * share / |shares|^2.  Scaled by
+        # the largest entry, the squares cannot overflow at any p_b.
+        shares = np.append(self.centre[self.flat], p_b)
+        self.share_scale = shares.max()
+        shares /= self.share_scale
+        self.shares = shares / (shares @ shares)
 
     def _reach(self, steps, out=None):
         """W_{steps-1} on the (steps,)*n grid of up-counts, into out if given.
@@ -336,8 +385,12 @@ class RecombiningLattice:
         """u_i^(2 j - steps) for j = 0..steps, one per asset i, shaped along axis i."""
         n = self.model.n_assets
         j = np.arange(steps + 1)
-        return [np.exp(h * (2 * j - steps)).reshape((-1,) + (1,) * (n - 1 - i))
-                for i, h in enumerate(self.model.log_steps)]
+        # a rung past the float range is +inf generation, which leaves exactly
+        # zero headroom: the root states are positive and the rungs are not
+        # negative, so no 0 * inf or inf - inf arises
+        with np.errstate(over="ignore"):
+            return [np.exp(h * (2 * j - steps)).reshape((-1,) + (1,) * (n - 1 - i))
+                    for i, h in enumerate(self.model.log_steps)]
 
     def _one_root_children(self, root, steps):
         """Child values (1, 2^n) of one root state, one branch at a time.
@@ -402,7 +455,6 @@ class RecombiningLattice:
         shortfall itself: the previous weights prev_a (m, n) are kept and
         battery makes up the rest.
         """
-        n = self.model.n_assets
         if steps == 0:
             value = np.maximum(self.total_demand - pg.sum(axis=1), 0.0)
             b = (value - np.sum(prev_a * pg, axis=1)) / self.p_b
@@ -419,11 +471,28 @@ class RecombiningLattice:
         inverse = np.empty(pg.shape[0], dtype=np.intp)
         inverse[order] = np.cumsum(new) - 1
         root_value, child_values = self.first_level(roots, steps)
-        scaled = child_values @ self.pinv_unit.T          # (roots, n+1)
-        fit = scaled @ self.design_unit.T                 # root factors cancel
+        unit_a, b = self._replicate(child_values)
+        fit = unit_a @ self.model.branch_matrix.T + (b * self.p_b)[:, None]
         residual = np.linalg.norm(fit - child_values, axis=1)
-        a = scaled[:, :n] / roots
-        return root_value[inverse], a[inverse], scaled[inverse, n], residual[inverse]
+        a = unit_a / roots
+        return root_value[inverse], a[inverse], b[inverse], residual[inverse]
+
+    def _replicate(self, child_values):
+        """Unit ReGU weights (m, n) and battery units (m,) replicating child values (m, 2^n).
+
+        Child k of asset i moves by c_i + delta_i * e_ki, so the unit design
+        [factors, p_b] is the orthogonal +-1 Walsh basis [e, 1] times the
+        lower-triangular [[diag(delta), 0], [c^T, p_b]].  Its least-squares
+        solution is closed form: asset i's Walsh coefficient w_i = C e_i / 2^n
+        over delta_i, and the battery takes the constant component left,
+        mean(C) - a . c, over p_b.  A flat grid (delta_i = 0) has a constant
+        column; it shares that component with the battery (minimum norm).
+        """
+        walsh = child_values @ self.signs / self.model.n_branches
+        unit_a = np.divide(walsh, self.half_spread, out=np.zeros_like(walsh), where=~self.flat)
+        rest = (child_values.mean(axis=1) - unit_a @ self.centre) / self.share_scale
+        unit_a[:, self.flat] = rest[:, None] * self.shares[:-1]
+        return unit_a, rest * self.shares[-1]
 
 
 def dynamic_allocation(pg_now, d_c, model: LatticeStepModel, remaining_steps: int, prev_a, p_b):

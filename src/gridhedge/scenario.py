@@ -231,8 +231,8 @@ def case_study_bytes(config: ScenarioConfig) -> int:
     path = 8 * n_times * n
     table = 4 * 8 * m * n_times
     collecting = path * max(2 * block + m, 2 * kept)
-    # per path: the lattice's child values and fits, the sort of the roots
-    # and the per-grid policy's temporaries
+    # per path: the lattice's child values, their closed-form fit and its
+    # residual, the sort of the roots and the per-grid policy's temporaries
     loop = 8 * m * (4 * (1 << n) + 10 * n + 16)
     rebalancing = 2 * kept * path + table + first_level_bytes(n, config.rebalance_steps) + loop
     k = 4 * n_times

@@ -1,4 +1,5 @@
 """End-to-end CLI behavior through subprocess invocations and in-process main()."""
+import math
 import os
 import pkgutil
 import re
@@ -699,6 +700,63 @@ def test_overflowing_horizon_exit_3_promptly(tmp_path, command, horizon):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "horizon_hours" in proc.stderr
     assert not out.exists()
+
+
+ONE_GRID_CFG = (
+    DEMO_CFG.replace("0.006, 0.005", "0.006").replace("0.03, 0.04", "0.04")
+    .replace("20, 25", "20").replace("0.6", "1")
+)
+
+
+@pytest.mark.parametrize("base, lines, key", [
+    # a one-hour step of this sigma overflows the up factor exp(h); following
+    # the "lower horizon_hours" once given here exited 0 with NaN weights
+    (DEMO_CFG, "sigma = 0.03, 1e150\nhorizon_hours = 1e-150\nrebalance_steps = 3000\n",
+     "sigma"),
+    # a one-hour step would calibrate; a 2e7 h step overflows exp(h)
+    (ONE_GRID_CFG, "horizon_hours = 1e8\n", "horizon_hours"),
+], ids=["sigma", "horizon_hours"])
+def test_overflowing_up_factor_advice_works_when_applied(tmp_path, capsys, base, lines, key):
+    config = tmp_path / "overflow.cfg"
+    config.write_text(base + lines)
+    argv = ["allocate", str(config), "--mode", "tes"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _, err = run_main(capsys, *argv)
+    assert code == EXIT_CALIBRATION
+    assert err.startswith("error: ") and err.endswith(f"; lower {key}\n")
+    loaded = load_scenario_config(config)
+    with pytest.raises(errors.InfeasibleCalibration) as refused:
+        dt = loaded.horizon_hours / loaded.rebalance_steps
+        gh.calibrate_step_model(loaded.grid, dt, horizon=loaded.horizon_hours)
+    assert str(refused.value) == err.removeprefix("error: ").rstrip("\n")
+    assert (refused.value.key, refused.value.value) == (key, None)
+    # lowered to the base config's value, the advised key alone mends it
+    lowered = next(line for line in base.splitlines() if line.startswith(key))
+    config.write_text(base + lines + lowered + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        # at 3.3e-154 h a sigma of 0.03 moves no factor off 1: rank deficient
+        warnings.simplefilter("ignore", errors.RankDeficientWarning)
+        code, out, err = run_main(capsys, *argv)
+    assert code == 0, err
+    values = parse_kv(out)
+    assert values and all(math.isfinite(float(v)) for v in values.values()), out
+
+
+def test_short_commands_run_no_lapack_routine(tmp_path, capsys, monkeypatch, demo_config):
+    # the replication is closed form, so no command but validate factors a matrix
+    def refuse(*args, **kwargs):
+        raise AssertionError("a LAPACK-backed numpy.linalg routine ran")
+
+    for name in ("pinv", "svd", "matrix_rank", "lstsq", "solve", "inv"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    code, _, err = run_main(capsys, "allocate", str(demo_config), "--mode", "tes")
+    assert code == 0, err
+    out = tmp_path / "out"
+    code, _, err = run_main(capsys, "simulate", str(demo_config), "--out", str(out),
+                            "--paths", "50")
+    assert code == 0, err
 
 
 class TestValidate:

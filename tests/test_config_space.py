@@ -122,6 +122,15 @@ def _alarm(signum, frame):
 @example(text=config_text(initial_kw="20, 1e300"), command="simulate")
 @example(text=config_text(sigma="0.03, 1e300"), command="ces")
 @example(text=config_text(mu="-1e300, 0"), command="simulate")
+# an up factor exp(h) that overflowed gave NaN weights, or the ladders warned
+@example(text=config_text(sigma="0.03, 1e150"), command="tes")
+@example(
+    text=config_text(sigma="0.03, 1e150", horizon_hours="1e-150", rebalance_steps="3000"),
+    command="tes",
+)
+@example(
+    text=config_text(sigma="0.03, 17", correlation="0", rebalance_steps="100"), command="tes"
+)
 def test_every_config_gets_a_documented_exit(capsys, text, command):
     with tempfile.TemporaryDirectory(prefix="config_space_") as tmp:
         config = Path(tmp) / "drawn.cfg"

@@ -15,6 +15,7 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import brentq
 from scipy.stats import binom
 
@@ -244,6 +245,27 @@ class TestCalibration:
         with pytest.raises(InfeasibleCalibration) as info:
             gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 1e155, horizon=1e158)
         assert (info.value.key, info.value.value) == ("rebalance_steps", None)
+
+    @pytest.mark.parametrize("dt", [1.0, 1e-150 / 3000])
+    def test_overflowing_up_factor_names_sigma(self, dt):
+        # at 1 h the log step itself overflows; at 3.3e-154 h it is finite
+        # but exp(h) is not, and lowering horizon_hours only moves between them
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InfeasibleCalibration, match="lower sigma$") as info:
+                gh.calibrate_step_model(make_grid([0.03, 1e150], 0.6), dt)
+        error = info.value
+        assert str(error).startswith("sigma 1e+150 of microgrid 2 ")
+        assert (error.branch, error.key, error.value) == (None, "sigma", None)
+
+    def test_overflowing_up_factor_names_the_horizon(self):
+        # one grid keeps its probabilities in [0, 1] at any step, and h is
+        # finite at 2e7 h, yet exp(h) overflows; a one-hour step would not
+        with pytest.raises(InfeasibleCalibration, match="lower horizon_hours$") as info:
+            gh.calibrate_step_model(make_grid([0.04]), 2e7)
+        assert (info.value.branch, info.value.key, info.value.value) == (
+            None, "horizon_hours", None
+        )
 
     def test_infeasible_as_dt_vanishes_says_so(self):
         # three equal anti-correlations: branch 0 tends to
@@ -609,6 +631,69 @@ class TestEngines:
         )
         want = gh.ces_portfolio_value(20.0, spec, 0.0, 5.0)
         assert abs(value - want) / want < 0.01
+
+
+class TestClosedFormReplication:
+    """``RecombiningLattice.allocate``'s replication against ``np.linalg.pinv``."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_the_pinv_of_the_unit_design(self, data):
+        n = data.draw(st.integers(1, 4))
+        # 1e-17 makes u == d in floating point: an exactly constant column
+        sigma = st.sampled_from([1e-17]) | st.floats(1e-3, 1.0)
+        sigmas = data.draw(st.lists(sigma, min_size=n, max_size=n))
+        try:
+            model = gh.calibrate_step_model(
+                make_grid(sigmas, data.draw(st.floats(-0.1, 0.5))),
+                data.draw(st.floats(0.01, 10.0)),
+            )
+        except InfeasibleCalibration:
+            assume(False)
+        p_b = 10.0 ** data.draw(st.floats(-3.0, 300.0))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # distinct roots in the order allocate values them
+        roots = np.unique(rng.uniform(5.0, 40.0, size=(3, n)), axis=0)
+        child_values = rng.uniform(0.0, 10.0, size=(len(roots), 1 << n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankDeficientWarning)
+            engine = RecombiningLattice(model, np.full(n, 20.0), 1, p_b)
+        engine.first_level = lambda pg, steps: (child_values @ model.branch_probs, child_values)
+        value, a, b, residual = engine.allocate(roots, 1, np.zeros_like(roots))
+        for got in (value, a, b, residual):
+            assert np.all(np.isfinite(got))
+
+        # pinv drops singular values below about 1e-15 of the largest, so a
+        # battery column 1e300 times the others would hide them.  Scaling the
+        # columns of the grids whose factors differ moves only their own
+        # weights, which the values fix uniquely, and leaves the minimum-norm
+        # split of the constant columns as it is.
+        flat = model.up == model.down
+        scale = np.where(flat, 1.0, max(1.0, p_b))
+        design = np.column_stack([model.branch_matrix * scale, np.full(1 << n, p_b)])
+        pinv = np.linalg.pinv(design)
+        solution = child_values @ pinv.T
+        want_residual = np.linalg.norm(child_values @ (design @ pinv).T - child_values, axis=1)
+        # pinv's own error is about eps times the condition number of the
+        # design on its column space; every difference is compared in kW
+        singular = np.linalg.svd(design, compute_uv=False)
+        condition = singular[0] / singular[n - np.count_nonzero(flat)]
+        tol = 1e-12 * condition * child_values.max()
+        assert np.all(np.abs(a - solution[:, :n] * scale / roots) * roots * model.up <= tol)
+        assert np.all(np.abs(b - solution[:, n]) * p_b <= tol)
+        assert np.all(np.abs(residual - want_residual) <= tol)
+
+    @pytest.mark.parametrize("sigmas, rank, named", [
+        ([0.03, 1e-17], "rank 2 < 3", "microgrid 2 are"),
+        ([1e-17, 0.03, 1e-17], "rank 2 < 4", "microgrids 1, 3 are"),
+    ])
+    def test_rank_warning_names_the_flat_grids(self, sigmas, rank, named):
+        model = gh.calibrate_step_model(make_grid(sigmas, 0.3), 1.0)
+        with pytest.warns(RankDeficientWarning) as caught:
+            RecombiningLattice(model, np.full(len(sigmas), 20.0), 2, 1.0)
+        message = str(caught[0].message)
+        assert rank in message and named in message
+        assert "raise sigma or the time step" in message
 
 
 class TestReachWeights:

@@ -265,7 +265,7 @@ SEED_CONTRACT = {
          -2.6701768204289156, -3.312641498143476, 8.26323085795283),
         (0.44998666378101015, -0.9160450699513872, -1.9955870042966672,
          -4.11747673420709, -7.815927425535162, 0.8322858791119253),
-        (0.44998666378101015, 0.35283102590590115, 0.03559132701678518,
+        (0.44998666378101015, 0.35283102590590115, 0.035591327016896206,
          -1.0470284711645816, 1.1004479291253635, 16.589815675793734),
     ),
 }
