@@ -636,7 +636,7 @@ class TestEngines:
 class TestClosedFormReplication:
     """``RecombiningLattice.allocate``'s replication against ``np.linalg.pinv``."""
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=150, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_matches_the_pinv_of_the_unit_design(self, data):
         n = data.draw(st.integers(1, 4))
