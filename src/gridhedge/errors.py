@@ -29,15 +29,14 @@ class TimeOutOfRange(GridHedgeError):
 
 
 class InfeasibleCalibration(GridHedgeError):
-    """Lattice calibration produced a branch probability outside [0, 1].
+    """A lattice step left a branch probability outside [0, 1] or overflowed exp(h).
 
-    Carries the offending ``branch``.  When no finer time step helps,
-    ``limit`` is that branch's probability as dt -> 0; otherwise ``key`` is
-    "rebalance_steps" and ``value`` the fewest steps that calibrate, or None
-    when no count the node budget fits does.  A step whose up factor
-    overflows has no offending branch: ``branch`` is None, and ``key`` is
-    "sigma" when a one-hour step of that sigma overflows, otherwise
-    "horizon_hours".
+    Carries the offending ``branch``, None where the up factor overflows.
+    When no finer time step helps, ``limit`` is that branch's probability as
+    dt -> 0.  Otherwise ``key`` and ``value`` are, in this order,
+    "rebalance_steps" and the fewest steps that calibrate; "sigma" and None
+    when a one-hour step of that sigma overflows; or "horizon_hours" and the
+    horizon halved until the step count calibrates, None if dt reaches 0.
     """
 
     def __init__(self, message, branch, limit=None, key=None, value=None):

@@ -99,17 +99,12 @@ def _walsh(signs, first, pairs):
     return probs / (1 << signs.shape[1])
 
 
-def _up_overflows(h) -> np.ndarray:
-    """Where the up factor exp(h) is not finite, h = inf included."""
-    with np.errstate(over="ignore"):
-        return ~np.isfinite(np.exp(h))
-
-
 def _branch_probs(grid: GridEnsemble, signs, dt: float):
-    """(h, probs, bad): log steps, branch probabilities and the branches outside [0, 1].
+    """(h, probs, bad): log steps, branch probabilities and the branches that fail.
 
-    A step so long that a log step overflows marks every branch bad, as
-    does a NaN probability.
+    A branch is bad when its probability leaves [0, 1] or is NaN, and every
+    branch is bad when an up factor exp(h) overflows, h = inf included: the
+    lattice's factors and its replication would turn it into NaN.
     """
     sigmas = grid.sigmas
     with np.errstate(over="ignore", invalid="ignore"):
@@ -117,34 +112,8 @@ def _branch_probs(grid: GridEnsemble, signs, dt: float):
         h = np.sqrt(s + (s / 2.0) ** 2)
         pairs = grid.corr.rho * sigmas[:, None] * sigmas * dt / (h[:, None] * h)
         probs = _walsh(signs, -s / (2.0 * h), pairs)
-    inside = (probs >= -1e-15) & (probs <= 1 + 1e-15) & np.isfinite(h).all()
+        inside = (probs >= -1e-15) & (probs <= 1 + 1e-15) & np.isfinite(np.exp(h)).all()
     return h, probs, ~inside
-
-
-def _calibrates(grid: GridEnsemble, signs, dt: float) -> bool:
-    """Whether every branch probability lies in [0, 1] and every up factor is finite."""
-    h, _, bad = _branch_probs(grid, signs, dt)
-    return not (bad.any() or _up_overflows(h).any())
-
-
-def _overflow_refusal(grid: GridEnsemble, signs, dt: float, overflows):
-    """The refusal of a step whose up factors exp(h) overflow where ``overflows`` is set.
-
-    sigma is at fault when even a one-hour step of it overflows; otherwise
-    the step, and so the horizon, is too long.
-    """
-    hourly = overflows & _up_overflows(_branch_probs(grid, signs, 1.0)[0])
-    if hourly.any():
-        i = int(hourly.argmax())
-        return InfeasibleCalibration(
-            f"sigma {grid.sigmas[i]:g} of microgrid {i + 1} overflows the lattice's up "
-            "factor exp(h) at a time step of 1 h or more; lower sigma",
-            None, key="sigma",
-        )
-    return InfeasibleCalibration(
-        f"a time step of {dt:g} h overflows the lattice's up factor exp(h); lower horizon_hours",
-        None, key="horizon_hours",
-    )
 
 
 def calibrate_step_model(grid: GridEnsemble, dt: float, horizon=None) -> LatticeStepModel:
@@ -160,10 +129,14 @@ def calibrate_step_model(grid: GridEnsemble, dt: float, horizon=None) -> Lattice
     higher-order interaction zero.
 
     dt is ``horizon`` / rebalance_steps (horizon defaults to dt, one step).
-    When a finer step could restore a branch to [0, 1], the refusal names
-    the fewest rebalance_steps over the horizon that calibrate, found by
-    trying every count up to the most the node budget fits in turn, since
-    feasibility need not be monotone in the step count.
+    A step fails when a branch probability leaves [0, 1] or an up factor
+    exp(h) overflows.  The refusal then advises, in this order: nothing, when
+    the correlations admit no lattice at any fine step; the fewest
+    rebalance_steps that calibrate over the horizon, trying every count the
+    node budget fits in turn, since feasibility need not be monotone in the
+    count; sigma, when a one-hour step of it overflows; else horizon_hours,
+    halved exactly until the caller's step count calibrates (None if dt
+    reaches 0 first).
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
@@ -173,49 +146,69 @@ def calibrate_step_model(grid: GridEnsemble, dt: float, horizon=None) -> Lattice
     mask = branch_up_mask(grid.n_microgrids)
     signs = np.where(mask, 1.0, -1.0)
     h, probs, bad = _branch_probs(grid, signs, dt)
-    overflows = _up_overflows(h)
-    if not np.isfinite(h).all():
-        # (sigma^2*dt/2)^2 overflowed, which leaves NaN probabilities or
-        # exactly 1/2^n ones, which no bounds test would refuse
-        raise _overflow_refusal(grid, signs, dt, overflows)
-    if np.any(bad):
-        # as dt -> 0, m -> 0 and c -> rho; when that limit is negative, or
-        # zero and approached from below as -(sum_i e_ki sigma_i)*sqrt(dt)/2^(n+1),
-        # no finer time step can restore feasibility
-        limits = _walsh(signs, np.zeros(grid.n_microgrids), grid.corr.rho)
-        hopeless = (limits < 0) | ((np.abs(limits) <= 1e-15) & (signs @ sigmas > 0))
-        k = int(np.argmin(np.where(hopeless, limits, np.inf)) if hopeless.any() else bad.argmax())
-        refused = f"branch {k} probability {probs[k]:.6g} outside [0, 1]; "
-        if hopeless[k]:
-            raise InfeasibleCalibration(
-                refused + f"it tends to {limits[k]:.6g} as dt -> 0: these correlations admit no "
-                "moment-matched lattice at any fine time step, so refining dt cannot help",
-                k, limit=float(limits[k]),
-            )
-        horizon = dt if horizon is None else horizon
-        counts = range(1, max_lattice_steps(grid.n_microgrids) + 1)
-        steps = next((n for n in counts if _calibrates(grid, signs, horizon / n)), None)
-        if steps is None:
-            advice = (
-                f"no rebalance_steps up to {counts[-1]}, the most the node budget fits, "
-                f"calibrates over {horizon:g} h"
-            )
-        else:
-            advice = (
-                f"set rebalance_steps to {steps} (dt = {horizon / steps:g} h), "
-                f"the fewest that calibrate over {horizon:g} h"
-            )
-        raise InfeasibleCalibration(refused + advice, k, key="rebalance_steps", value=steps)
-    if overflows.any():
-        # h is finite but exp(h) is not: the lattice's factors and the
-        # replication would turn it into NaN
-        raise _overflow_refusal(grid, signs, dt, overflows)
-    return LatticeStepModel(
-        n_assets=grid.n_microgrids,
-        dt=dt,
-        log_steps=h,
-        branch_probs=np.clip(probs, 0.0, 1.0),
-        up_mask=mask,
+    if not bad.any():
+        return LatticeStepModel(
+            n_assets=grid.n_microgrids,
+            dt=dt,
+            log_steps=h,
+            branch_probs=np.clip(probs, 0.0, 1.0),
+            up_mask=mask,
+        )
+    with np.errstate(over="ignore"):
+        overflows = np.isinf(np.exp(h)).any()
+        hourly = np.isinf(np.exp(_branch_probs(grid, signs, 1.0)[0]))
+    # an overflowing step has no offending branch
+    k = None if overflows else int(bad.argmax())
+    refused = (
+        f"a time step of {dt:g} h overflows the lattice's up factor exp(h); " if overflows
+        else f"branch {k} probability {probs[k]:.6g} outside [0, 1]; "
+    )
+    # as dt -> 0, m -> 0 and c -> rho; when that limit is negative, or zero
+    # and approached from below as -(sum_i e_ki sigma_i)*sqrt(dt)/2^(n+1), no
+    # finer time step can restore feasibility
+    limits = _walsh(signs, np.zeros(grid.n_microgrids), grid.corr.rho)
+    hopeless = (limits < 0) | ((np.abs(limits) <= 1e-15) & (signs @ sigmas > 0))
+    if hopeless.any():
+        j = int(np.argmin(np.where(hopeless, limits, np.inf)))
+        raise InfeasibleCalibration(
+            refused + f"branch {j}'s probability tends to {limits[j]:.6g} as dt -> 0: these "
+            "correlations admit no moment-matched lattice at any fine time step, so refining "
+            "dt cannot help",
+            j, limit=float(limits[j]),
+        )
+    horizon = dt if horizon is None else horizon
+    most = max_lattice_steps(grid.n_microgrids)
+    # h > s/2, so exp(h) overflows at every count n whose s = sigma^2 * horizon / n
+    # exceeds twice the log of the float range; the search skips those counts,
+    # which for one grid can reach the node budget's millions
+    first = min(horizon * sigmas.max() ** 2 / (2 * np.log(np.finfo(float).max)), most + 1)
+    counts = range(max(1, int(first)), most + 1)
+    steps = next((n for n in counts if not _branch_probs(grid, signs, horizon / n)[2].any()), None)
+    if steps is not None:
+        raise InfeasibleCalibration(
+            refused + f"set rebalance_steps to {steps} (dt = {horizon / steps:g} h), "
+            f"the fewest that calibrate over {horizon:g} h",
+            k, key="rebalance_steps", value=steps,
+        )
+    if hourly.any():
+        i = int(hourly.argmax())
+        raise InfeasibleCalibration(
+            f"sigma {sigmas[i]:g} of microgrid {i + 1} overflows the lattice's up "
+            "factor exp(h) at a time step of 1 h or more; lower sigma",
+            None, key="sigma",
+        )
+    # halving is exact in binary, so the step tried here is bit for bit the
+    # one that shorter / rebalance_steps gives the caller
+    shorter = horizon
+    while dt > 0 and bad.any():
+        shorter, dt = shorter / 2, dt / 2
+        bad = _branch_probs(grid, signs, dt)[2]
+    advice = (f"set horizon_hours to {shorter!r}, the longest halving of it at which this "
+              "step count calibrates" if dt else "no halving of horizon_hours calibrates")
+    raise InfeasibleCalibration(
+        refused + f"no rebalance_steps up to {most}, the most the node budget fits, "
+        f"calibrates over {horizon:g} h; {advice}",
+        k, key="horizon_hours", value=shorter if dt else None,
     )
 
 
@@ -402,10 +395,12 @@ class RecombiningLattice:
         model = self.model
         reach = self._reach(steps)
         # headroom = D - sum_i pg_i * u_i^(2 j_i - steps), built in place one
-        # asset's ladder at a time
+        # asset's ladder at a time; a product past the float range is +inf
+        # generation, which leaves zero headroom, as a rung does in _ladders
         headroom = np.zeros((steps + 1,) * model.n_assets)
-        for pg_i, ladder in zip(root, self._ladders(steps)):
-            headroom += pg_i * ladder
+        with np.errstate(over="ignore"):
+            for pg_i, ladder in zip(root, self._ladders(steps)):
+                headroom += pg_i * ladder
         np.subtract(self.total_demand, headroom, out=headroom)
         np.maximum(headroom, 0.0, out=headroom)
         axes = list(range(model.n_assets))

@@ -12,9 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ces import _policy
-# config owns the scenario record and the case labels; parse_case is
-# imported here too, so every case helper is still importable from scenario
-from .config import CASE_GE, CASE_LT, ScenarioConfig, format_case, parse_case  # noqa: F401
+from .config import CASE_GE, CASE_LT, ScenarioConfig, format_case
 from .errors import InsufficientPaths
 from .lattice import calibrate_step_model, first_level_bytes, RecombiningLattice
 # perfbench/traced.py times the pooled lattice by wrapping the method

@@ -13,9 +13,9 @@ import warnings
 
 import numpy as np
 
+from gridhedge.config import CASE_GE, CASE_LT
 from gridhedge.errors import GridHedgeError, RankDeficientWarning, TreeTooLarge
 from gridhedge.lattice import DEFAULT_NODE_BUDGET, Allocation, LatticeStepModel
-from gridhedge.scenario import CASE_GE, CASE_LT
 
 
 class MalformedTree(GridHedgeError):

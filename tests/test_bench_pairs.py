@@ -98,6 +98,17 @@ def test_tier1_summary():
     assert got["better"] == "lower"
 
 
+def test_tier1_wall_regression_past_its_bound():
+    # 15% slower with a tight spread reads regression against the 10% bound;
+    # 5% slower stays inside it
+    assert bench_pairs.TIER1_BOUND == 0.10
+    base = [50.0 + 0.1 * i for i in range(10)]
+    assert verdict_of(base, [v * 1.15 for v in base], bound=bench_pairs.TIER1_BOUND) \
+        == "regression"
+    assert verdict_of(base, [v * 1.05 for v in base], bound=bench_pairs.TIER1_BOUND) \
+        == "unchanged"
+
+
 def test_alternate_swaps_the_first_side_and_passes_the_pair_index():
     calls = []
 
@@ -158,7 +169,7 @@ def test_main_writes_the_keys_of_bench_20(stubbed, tmp_path, capsys):
     # BENCH_20's keys, and each side's line count under src/
     src_lines = {("src_lines",), ("src_lines", "base"), ("src_lines", "change")}
     assert key_paths(report) == key_paths(json.loads((ROOT / "BENCH_20.json").read_text())) \
-        | src_lines | {("tier1", "outcomes_no_worse")}
+        | src_lines | {("tier1", "outcomes_no_worse"), ("tier1", "wall_s", "verdict")}
     assert report["src_lines"] == {"base": 2, "change": 1}
     for workload, entry in report["workloads"].items():
         assert entry["seeds"] == list(range(40, 50))
@@ -171,7 +182,8 @@ def test_main_writes_the_keys_of_bench_20(stubbed, tmp_path, capsys):
     assert report["tier1"]["first"] == ["base", "change"] * 5
     out = capsys.readouterr().out
     assert "src: 2 -> 1 lines (-1)" in out
-    assert "tier1: wall_s 30.0 -> 30.0 s" in out
+    assert "tier1: wall_s 30.0 -> 30.0 s unchanged" in out
+    assert report["tier1"]["wall_s"]["verdict"] == "unchanged"
     assert report["tier1"]["outcomes_no_worse"] is True
     assert out.rstrip().endswith("outcomes no worse True")
 

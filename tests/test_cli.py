@@ -712,9 +712,13 @@ ONE_GRID_CFG = (
     # a one-hour step of this sigma overflows the up factor exp(h); the
     # "lower horizon_hours" once given here led to NaN weights
     (DEMO_CFG, "sigma = 0.03, 1e150\n", "sigma"),
-    # a one-hour step would calibrate; a 2e7 h step overflows exp(h)
-    (ONE_GRID_CFG, "horizon_hours = 1e8\n", "horizon_hours"),
-], ids=["sigma", "horizon_hours"])
+    # a one-hour step would calibrate; a 2e7 h step overflows exp(h), and
+    # 113 steps of 8.8e5 h do not
+    (ONE_GRID_CFG, "horizon_hours = 1e8\n", "rebalance_steps"),
+    # no step count the node budget fits calibrates over these horizons
+    (DEMO_CFG, "horizon_hours = 1e8\n", "horizon_hours"),
+    (DEMO_CFG, "horizon_hours = 1e300\n", "horizon_hours"),
+], ids=["sigma", "horizon_hours", "demo_1e8", "demo_1e300"])
 def test_overflowing_up_factor_advice_works_when_applied(tmp_path, capsys, base, lines, key):
     config = tmp_path / "overflow.cfg"
     config.write_text(base + lines)
@@ -723,16 +727,22 @@ def test_overflowing_up_factor_advice_works_when_applied(tmp_path, capsys, base,
         warnings.simplefilter("error", RuntimeWarning)
         code, _, err = run_main(capsys, *argv)
     assert code == EXIT_CALIBRATION
-    assert err.startswith("error: ") and err.endswith(f"; lower {key}\n")
     loaded = load_scenario_config(config)
     with pytest.raises(errors.InfeasibleCalibration) as refused:
         dt = loaded.horizon_hours / loaded.rebalance_steps
         gh.calibrate_step_model(loaded.grid, dt, horizon=loaded.horizon_hours)
-    assert str(refused.value) == err.removeprefix("error: ").rstrip("\n")
-    assert (refused.value.key, refused.value.value) == (key, None)
-    # lowered to the base config's value, the advised key alone mends it
-    lowered = next(line for line in base.splitlines() if line.startswith(key))
-    config.write_text(base + lines + lowered + "\n")
+    assert err == f"error: {refused.value}\n"
+    assert refused.value.key == key
+    if refused.value.value is None:
+        # sigma has no value to advise: lowered to the base config's value,
+        # the advised key alone mends it
+        assert err.endswith(f"; lower {key}\n")
+        applied = next(line for line in base.splitlines() if line.startswith(key))
+    else:
+        # the advised value, as the message prints it
+        assert f"set {key} to {refused.value.value!r}" in err
+        applied = f"{key} = {refused.value.value!r}"
+    config.write_text(base + lines + applied + "\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_main(capsys, *argv)

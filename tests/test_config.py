@@ -6,12 +6,12 @@ import pytest
 
 from gridhedge.config import (
     KEYS,
+    ScenarioConfig,
     config_snapshot,
     load_scenario_config,
     parse_flat_file,
     write_manifest,
 )
-from gridhedge.scenario import ScenarioConfig
 
 DEMO = """\
 # two-microgrid demo scenario

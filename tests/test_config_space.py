@@ -5,18 +5,31 @@ corruptions (NaN, +-inf, 0, negative values, 1e300, wrong list lengths,
 empty values), and each is run through ``cli.main`` in-process on a small
 run.  Whatever the config, a command must end promptly with a documented
 exit code, report a refusal on one ``error:`` line, warn nothing and leave
-no output directory behind.
+no output directory behind.  A refusal that advises a value for a key must
+give advice that works: with that value applied, ``allocate`` exits 0 and
+warns nothing.  Where a full run would simulate paths or value a lattice at
+the node budget (``simulate``, and the node budget's own refusal), the
+checks that precede that work must pass instead.
 """
 import os
+import re
 import signal
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from gridhedge import cli
-from gridhedge.errors import DegenerateVolatilityWarning, RankDeficientWarning
+from gridhedge.config import load_scenario_config
+from gridhedge.errors import (
+    DegenerateVolatilityWarning,
+    GridHedgeError,
+    RankDeficientWarning,
+    TreeTooLarge,
+)
+from gridhedge.lattice import RecombiningLattice, calibrate_step_model
 
 EXITS = {0, 2, 3, 4, 5}
 
@@ -110,6 +123,56 @@ def _alarm(signum, frame):
     raise Hang(f"a command ran past {DEADLINE_S} s")
 
 
+# a refusal may advise a key with no value only where none can be estimated
+NO_VALUE = {"sigma": "lower sigma", "max_simulated_paths": "no path matched"}
+
+
+def run_drawn(capsys, text, command, allowed=DOCUMENTED_WARNINGS):
+    """Run one command on config text, check its documented exit; (code, refusal).
+
+    The refusal is the package error the command reported, or None.
+    """
+    refusals = []
+
+    def recording(run):
+        def recorded(args):
+            try:
+                return run(args)
+            except GridHedgeError as exc:
+                refusals.append(exc)
+                raise
+        return recorded
+
+    with tempfile.TemporaryDirectory(prefix="config_space_") as tmp:
+        config = Path(tmp) / "drawn.cfg"
+        config.write_text(text)
+        out = Path(tmp) / "out" / "run"
+        argv = [arg.format(config=config, out=out) for arg in COMMANDS[command]]
+        previous = signal.signal(signal.SIGALRM, _alarm)
+        signal.alarm(DEADLINE_S)
+        try:
+            with warnings.catch_warnings(record=True) as caught, \
+                    mock.patch.object(cli, "_cmd_allocate", recording(cli._cmd_allocate)), \
+                    mock.patch.object(cli, "_cmd_simulate", recording(cli._cmd_simulate)):
+                warnings.simplefilter("always")
+                warnings.simplefilter("error", RuntimeWarning)
+                code = cli.main(argv)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        streams = capsys.readouterr()
+        assert code in EXITS, (code, text, streams.err)
+        assert "Traceback" not in streams.err
+        assert all(issubclass(w.category, allowed) for w in caught), text
+        if code:
+            assert streams.err.startswith("error: "), streams.err
+            assert streams.err.count("\n") == 1, streams.err
+            assert not os.path.lexists(out.parent), text
+        else:
+            assert streams.err == ""
+    return code, (refusals or [None])[0]
+
+
 @settings(
     max_examples=200,
     deadline=None,
@@ -131,32 +194,38 @@ def _alarm(signum, frame):
 @example(
     text=config_text(sigma="0.03, 17", correlation="0", rebalance_steps="100"), command="tes"
 )
+# the one-root headroom overflowed benignly, yet warned; 376 steps are what
+# the refusal at 1e6 h advises
+@example(text=config_text(horizon_hours="1e6", rebalance_steps="376"), command="tes")
+# refusals that advise a value, which is then applied
+@example(text=config_text(horizon_hours="1e300"), command="tes")
+@example(text=config_text(horizon_hours="1e6"), command="simulate")
+@example(text=config_text(rebalance_steps="4000"), command="tes")
+@example(text=config_text(case_filter="lt,lt", max_simulated_paths="50"), command="simulate")
 def test_every_config_gets_a_documented_exit(capsys, text, command):
-    with tempfile.TemporaryDirectory(prefix="config_space_") as tmp:
-        config = Path(tmp) / "drawn.cfg"
-        config.write_text(text)
-        out = Path(tmp) / "out" / "run"
-        argv = [arg.format(config=config, out=out) for arg in COMMANDS[command]]
-        previous = signal.signal(signal.SIGALRM, _alarm)
-        signal.alarm(DEADLINE_S)
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                warnings.simplefilter("error", RuntimeWarning)
-                code = cli.main(argv)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-        streams = capsys.readouterr()
-        assert code in EXITS, (code, text, streams.err)
-        assert "Traceback" not in streams.err
-        assert all(issubclass(w.category, DOCUMENTED_WARNINGS) for w in caught), text
-        if code:
-            assert streams.err.startswith("error: "), streams.err
-            assert streams.err.count("\n") == 1, streams.err
-            assert not os.path.lexists(out.parent), text
-        else:
-            assert streams.err == ""
+    code, refusal = run_drawn(capsys, text, command)
+    if refusal is None or refusal.key is None:
+        return
+    if refusal.value is None:
+        assert NO_VALUE[refusal.key] in str(refusal), (text, str(refusal))
+        return
+    advised = re.sub(rf"^{refusal.key} = .*$", f"{refusal.key} = {refusal.value!r}", text,
+                     flags=re.MULTILINE)
+    if command == "simulate" or isinstance(refusal, TreeTooLarge):
+        # the checks that come before any path is drawn or any lattice is
+        # valued: simulate exits 3 only where the first refuses, and a run
+        # at the node budget the second advises takes seconds
+        with tempfile.TemporaryDirectory(prefix="config_space_") as tmp:
+            config = Path(tmp) / "advised.cfg"
+            config.write_text(advised)
+            loaded = load_scenario_config(config)
+        grid, steps = loaded.grid, loaded.rebalance_steps
+        model = calibrate_step_model(grid, loaded.horizon_hours / steps,
+                                     horizon=loaded.horizon_hours)
+        RecombiningLattice(model, grid.demands, steps, grid.battery_unit_kw)
+    else:
+        code, again = run_drawn(capsys, advised, command, allowed=())
+        assert code == 0, (advised, str(again))
 
 
 def test_the_valid_config_runs(tmp_path, capsys):

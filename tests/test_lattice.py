@@ -216,35 +216,55 @@ class TestCalibration:
             gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 3.0 / 8, horizon=3.0)
         assert info.value.value == 7
 
+    def assert_advised_horizon_calibrates(self, grid, error, dt, horizon):
+        # the advised horizon is horizon / 2^j, and the caller's step count
+        # calibrates over it
+        assert error.key == "horizon_hours"
+        assert math.frexp(error.value / horizon)[0] == 0.5 and error.value < horizon
+        assert str(error).endswith(
+            f"; set horizon_hours to {error.value!r}, the longest halving of it at which "
+            "this step count calibrates"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = gh.calibrate_step_model(
+                grid, error.value / round(horizon / dt), horizon=error.value
+            )
+        assert np.all((model.branch_probs >= 0) & (model.branch_probs <= 1))
+        assert np.all(np.isfinite(model.up))
+
     def test_no_step_count_under_the_budget_calibrates(self):
         # the limit (1 - 0.99999) / 4 is positive, but only a step far finer
-        # than 5 h / 3161 reaches it
+        # than 5 h / 3161 reaches it, so the horizon is halved to one
         grid = make_grid([0.3, 0.04], -0.99999)
         with pytest.raises(InfeasibleCalibration) as info:
             gh.calibrate_step_model(grid, 1.0, horizon=5.0)
-        assert str(info.value).endswith(
-            "; no rebalance_steps up to 3161, the most the node budget fits, "
-            "calibrates over 5 h"
-        )
-        assert (info.value.key, info.value.value) == ("rebalance_steps", None)
+        assert "; no rebalance_steps up to 3161, the most the node budget fits, " \
+            "calibrates over 5 h; " in str(info.value)
+        assert info.value.value == 5.0 / 2**29
+        self.assert_advised_horizon_calibrates(grid, info.value, 1.0, 5.0)
 
     @pytest.mark.parametrize("dt, horizon", [(2e199, 1e200), (2e307, 1e308)])
     def test_overflowing_log_step_names_the_horizon(self, dt, horizon):
         # (sigma^2*dt/2)^2 overflows, so h is inf and every probability is
         # 1/4 or NaN; accepted, such a model hung the lattice's pseudoinverse
+        grid = make_grid([0.03, 0.04], 0.6)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InfeasibleCalibration, match="lower horizon_hours$") as info:
-                gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), dt, horizon=horizon)
-        error = info.value
-        assert (error.branch, error.key, error.value) == (None, "horizon_hours", None)
+            with pytest.raises(InfeasibleCalibration) as info:
+                gh.calibrate_step_model(grid, dt, horizon=horizon)
+        assert str(info.value).startswith(f"a time step of {dt:g} h overflows ")
+        assert info.value.branch is None
+        self.assert_advised_horizon_calibrates(grid, info.value, dt, horizon)
 
     def test_step_count_advice_skips_overflowing_counts(self):
         # one step over 1e158 h overflows the log step; advising
-        # rebalance_steps = 1 would have sent the caller to that overflow
+        # rebalance_steps = 1 would have sent the caller to that overflow,
+        # and no count the budget fits calibrates, so the horizon is halved
+        grid = make_grid([0.03, 0.04], 0.6)
         with pytest.raises(InfeasibleCalibration) as info:
-            gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 1e155, horizon=1e158)
-        assert (info.value.key, info.value.value) == ("rebalance_steps", None)
+            gh.calibrate_step_model(grid, 1e155, horizon=1e158)
+        self.assert_advised_horizon_calibrates(grid, info.value, 1e155, 1e158)
 
     @pytest.mark.parametrize("dt", [1.0, 1e-150 / 3000])
     def test_overflowing_up_factor_names_sigma(self, dt):
@@ -260,12 +280,36 @@ class TestCalibration:
 
     def test_overflowing_up_factor_names_the_horizon(self):
         # one grid keeps its probabilities in [0, 1] at any step, and h is
-        # finite at 2e7 h, yet exp(h) overflows; a one-hour step would not
-        with pytest.raises(InfeasibleCalibration, match="lower horizon_hours$") as info:
-            gh.calibrate_step_model(make_grid([0.04]), 2e7)
-        assert (info.value.branch, info.value.key, info.value.value) == (
-            None, "horizon_hours", None
-        )
+        # finite at 2e7 h, yet exp(h) overflows; 23 steps of 8.7e5 h do not
+        grid = make_grid([0.04])
+        with pytest.raises(InfeasibleCalibration) as info:
+            gh.calibrate_step_model(grid, 2e7)
+        error = info.value
+        assert (error.branch, error.key, error.value) == (None, "rebalance_steps", 23)
+        model = gh.calibrate_step_model(grid, 2e7 / 23, horizon=2e7)
+        assert np.all(np.isfinite(model.up))
+        # over a horizon that no count the budget fits divides finely enough,
+        # and where a one-hour step calibrates, the refusal names the horizon
+        with pytest.raises(InfeasibleCalibration) as info:
+            gh.calibrate_step_model(grid, 1e13, horizon=5e13)
+        assert info.value.branch is None
+        self.assert_advised_horizon_calibrates(grid, info.value, 1e13, 5e13)
+
+    def test_halving_that_reaches_dt_0_advises_no_value(self, monkeypatch):
+        # a step that calibrates nowhere ends the halving at dt = 0
+        from gridhedge import lattice
+
+        branch_probs = lattice._branch_probs
+
+        def nowhere(grid, signs, dt):
+            h, probs, bad = branch_probs(grid, signs, dt)
+            return h, probs, bad | True
+
+        monkeypatch.setattr(lattice, "_branch_probs", nowhere)
+        with pytest.raises(InfeasibleCalibration) as info:
+            gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 1.0, horizon=5.0)
+        assert (info.value.key, info.value.value) == ("horizon_hours", None)
+        assert str(info.value).endswith("; no halving of horizon_hours calibrates")
 
     def test_infeasible_as_dt_vanishes_says_so(self):
         # three equal anti-correlations: branch 0 tends to
@@ -278,7 +322,7 @@ class TestCalibration:
             assert info.value.branch == 0
             assert info.value.limit == pytest.approx(-0.04375, abs=1e-15)
 
-    @pytest.mark.parametrize("dt", [1.0, 1e-8])
+    @pytest.mark.parametrize("dt", [1.0, 1e-8, 1e4])
     @pytest.mark.parametrize(
         "sigmas, rho", [([0.03, 0.04], 1.0), ([0.03, 0.04], -1.0), ([0.03, 0.03], -1.0)]
     )
@@ -289,6 +333,10 @@ class TestCalibration:
             gh.calibrate_step_model(make_grid(sigmas, rho), dt)
         assert "smaller" not in str(info.value)
         assert info.value.limit == 0
+        # the probability printed is one that failed, even where the branch
+        # with the hopeless limit is inside [0, 1] at this step (10^4 h, rho 1)
+        printed = re.match(r"branch \d+ probability (\S+) outside \[0, 1\]; ", str(info.value))
+        assert not 0 <= float(printed.group(1)) <= 1
 
     def test_equal_volatilities_perfectly_correlated_calibrate(self):
         for dt in (1.0, 1e-2, 1e-8):

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import gridhedge as gh
 from gridhedge import ces, cli, lattice, stats
+from gridhedge.config import format_case, parse_case
 from gridhedge.errors import (
     InfeasibleCalibration,
     InsufficientPaths,
@@ -20,7 +21,7 @@ from gridhedge.errors import (
 )
 from gridhedge import scenario
 from gridhedge.lattice import RecombiningLattice
-from gridhedge.scenario import _batch_ces, _collect_paths, derive_seed, format_case, parse_case
+from gridhedge.scenario import _batch_ces, _collect_paths, derive_seed
 
 import reference_tree
 

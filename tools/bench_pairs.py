@@ -15,7 +15,8 @@ so drift on the host falls on both sides alike.
 For each end-to-end metric, and for the Tier-1 wall time, the output holds
 both sides' per-pair values, their medians and interquartile ranges and the
 number of pairs the change won (strictly better, in the direction
-BENCHMARK.json gives).  Each metric also gets a verdict:
+BENCHMARK.json gives).  Each metric also gets a verdict, the Tier-1 wall
+time against the relative bound ``TIER1_BOUND``:
 
 - ``gain``: the change won at least 9 pairs in 10 and the medians differ,
   in its favour, by more than the base's interquartile range;
@@ -51,6 +52,9 @@ SIDES = ("base", "change")
 
 # the Tier-1 command of ROADMAP.md, after the interpreter
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+# the Tier-1 wall time's relative bound: its base IQR ran 8-12% of the median
+# in BENCH_26 to BENCH_30
+TIER1_BOUND = 0.10
 
 
 def git(*args, cwd=ROOT) -> str:
@@ -210,11 +214,12 @@ def main(argv=None) -> int:
                 "metrics": summarise(runs, benchmark["end_to_end"]),
             }
         runs, first = alternate(roots, lambda root, i: run_tier1(root), "tier1")
+    wall = compare(runs, lambda run: run["wall_s"])
     report["tier1"] = {
         "command": "PYTHONPATH=src python " + " ".join(TIER1),
         **revs,
         "first": first,
-        "wall_s": compare(runs, lambda run: run["wall_s"]),
+        "wall_s": {**wall, "verdict": verdict(wall, TIER1_BOUND)},
         "outcomes": {side: [pair[side]["outcomes"] for pair in runs] for side in SIDES},
         "outcomes_no_worse": all(
             outcomes_no_worse(pair["base"]["outcomes"], pair["change"]["outcomes"])
@@ -230,7 +235,7 @@ def main(argv=None) -> int:
           f"({lines['change'] - lines['base']:+d})")
     wall = report["tier1"]["wall_s"]
     print(f"tier1: wall_s {wall['base']['median']:.1f} -> {wall['change']['median']:.1f} s "
-          f"(change won {wall['change_wins']}/{wall['pairs']}), "
+          f"{wall['verdict']} (change won {wall['change_wins']}/{wall['pairs']}), "
           f"outcomes no worse {report['tier1']['outcomes_no_worse']}")
     return 0
 
