@@ -733,13 +733,14 @@ def test_overflowing_up_factor_advice_works_when_applied(tmp_path, capsys, base,
         gh.calibrate_step_model(loaded.grid, dt, horizon=loaded.horizon_hours)
     assert err == f"error: {refused.value}\n"
     assert refused.value.key == key
-    if refused.value.value is None:
+    if key == "sigma":
         # sigma has no value to advise: lowered to the base config's value,
         # the advised key alone mends it
-        assert err.endswith(f"; lower {key}\n")
+        assert refused.value.value is None and err.endswith("; lower sigma\n")
         applied = next(line for line in base.splitlines() if line.startswith(key))
     else:
         # the advised value, as the message prints it
+        assert refused.value.value is not None
         assert f"set {key} to {refused.value.value!r}" in err
         applied = f"{key} = {refused.value.value!r}"
     config.write_text(base + lines + applied + "\n")
