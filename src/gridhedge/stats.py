@@ -73,13 +73,15 @@ def ks_critical_value(n: int, m: int, alpha: float) -> float:
     return float(coefficient * np.sqrt((n + m) / (n * m)))
 
 
-# Elements per block of resample counts.  One float64 block (at most 4 MiB) is
-# reused for every block, which bounds the bootstrap's working memory
-# whatever the number of resamples; the results do not depend on it.
+# Elements per block of resample counts.  One block of the narrowest
+# unsigned integers that hold m (1 MiB of uint16 at m < 65 536) is reused for
+# every block, which bounds the bootstrap's working memory whatever the
+# number of resamples; the results do not depend on it.
 RESAMPLE_BLOCK_ELEMENTS = 1 << 19
 
-# Elements per draw of row indices: small enough that a draw and its counts
-# stay in cache; the results do not depend on it.
+# Elements per draw of row indices, and per float slice of counts in a
+# product: small enough that a draw and its counts stay in cache; the
+# results do not depend on it.
 _DRAW_ELEMENTS = 1 << 16
 
 
@@ -159,11 +161,22 @@ def _exact_parts(columns, m: int):
 
 
 def _count_means(counts, parts, m: int):
-    """Means over m rows weighted by (r, rows) counts that each sum to m.
+    """Means over m rows weighted by (r, rows) integer counts that each sum to m.
 
-    parts are the columns' exact parts, so every count product is exact.
+    The counts are copied, a few columns at a time, into one reused float
+    slice of at most ``max(r, _DRAW_ELEMENTS)`` entries, and each slice's
+    product with its rows of parts is added to the part sums.
+    parts are the columns' exact parts, so every count product and every
+    partial sum is exact, and the slicing cannot change a byte.
     """
-    sums = counts @ parts
+    r, rows = counts.shape
+    width = min(rows, max(1, _DRAW_ELEMENTS // r))
+    floats = np.empty(r * width)
+    sums = np.zeros((r, parts.shape[1]))
+    for c0 in range(0, rows, width):
+        piece = floats[: r * min(width, rows - c0)].reshape(r, -1)
+        piece[...] = counts[:, c0 : c0 + piece.shape[1]]
+        sums += piece @ parts[c0 : c0 + piece.shape[1]]
     k = parts.shape[1] // 2
     return (sums[:, :k] + sums[:, k:]) / m
 
@@ -172,18 +185,21 @@ def resampled_means_bytes(m: int, k: int, n_resamples: int) -> int:
     """Most bytes ``resampled_means`` holds in its count phase, for an (m, k) sample.
 
     That phase comes after the sample is released: the split of every
-    column, the resampled means, one count block and its product with the
-    split (the two part sums and two temporaries of its means), and four
-    8-byte arrays of one draw (its indices, raw words, low halves and
-    bincount).  The split phase before it holds the sample and its split,
-    which the caller counts.  A one-row sample is constant in every column,
-    so it holds only the resampled means.
+    column, the resampled means, one integer count block, its float slice
+    and its product with the split (the two part sums and a slice's product
+    with its parts, or two temporaries of the means), and four 8-byte arrays
+    of one draw (its indices, raw words, low halves and bincount).  The
+    split phase before it holds the sample and its split, which the caller
+    counts.  A one-row sample is constant in every column, so it holds only
+    the resampled means.
     """
     if m == 1:
         return 8 * n_resamples * k
     block = min(max(1, RESAMPLE_BLOCK_ELEMENTS // m), n_resamples)
     draw = min(max(1, _DRAW_ELEMENTS // m), block)
-    return 8 * (2 * m * k + n_resamples * k + block * (m + 4 * k) + 4 * draw * m)
+    counts = np.min_scalar_type(m).itemsize * block * m
+    floats = min(block * m, max(block, _DRAW_ELEMENTS))
+    return counts + 8 * (2 * m * k + n_resamples * k + 4 * block * k + floats + 4 * draw * m)
 
 
 def resampled_means(x, n_resamples: int, seed):
@@ -195,12 +211,14 @@ def resampled_means(x, n_resamples: int, seed):
     takes its m row indices from row r of ``Generator(SFC64(seed)).integers(0,
     m, size=(n_resamples, m))``, computed by ``_RowIndices`` from the raw
     SFC64 words a few rows at a time.  Each draw is counted per row with one
-    ``bincount`` and written into one reused float count block, and the
-    means are a BLAS product of each block with the columns.  Draws of
-    consecutive rows use up the stream exactly as one draw of all rows does,
-    and the product is exact (see ``_exact_parts``), so the means are
-    bit-identical whatever the block size, draw size, BLAS kernel or thread
-    count.
+    ``bincount`` and stored into one reused count block of
+    ``np.min_scalar_type(m)``, which holds any count up to m in 1, 2 or 4
+    bytes against a float's 8, and the means are BLAS products of the
+    block's float slices with the columns' rows (``_count_means``).  Draws
+    of consecutive rows use up the stream exactly as one draw of all rows
+    does, and every product and partial sum is exact (see
+    ``_exact_parts``), so the means are bit-identical whatever the block
+    size, draw size, slice width, BLAS kernel or thread count.
 
     Once the point means are taken and the varying columns split, the
     sample is no longer read: every reference to it is dropped, and a list
@@ -226,12 +244,13 @@ def resampled_means(x, n_resamples: int, seed):
     constant = np.array([not np.any(column != column[0]) for column in columns])
     varying = np.flatnonzero(~constant)
     means = np.empty(k)
+    count_type = np.min_scalar_type(m)
     if constant.any():
         first = _exact_parts([columns[j][:1] for j in np.flatnonzero(constant)], m)
-        means[constant] = _count_means(np.full((1, 1), float(m)), first, m)[0]
+        means[constant] = _count_means(np.full((1, 1), m, dtype=count_type), first, m)[0]
     if varying.size:
         parts = _exact_parts([columns[j] for j in varying], m)
-        means[varying] = _count_means(np.ones((1, m)), parts, m)[0]
+        means[varying] = _count_means(np.ones((1, m), dtype=count_type), parts, m)[0]
     # the split is all the draws read: release the sample first, so that
     # the resampled means can reuse its memory
     blocks.clear()
@@ -243,7 +262,7 @@ def resampled_means(x, n_resamples: int, seed):
     indices = _RowIndices(seed, m)
     block = max(1, RESAMPLE_BLOCK_ELEMENTS // m)
     draw = max(1, _DRAW_ELEMENTS // m)
-    counts = np.empty((min(block, n_resamples), m))
+    counts = np.empty((min(block, n_resamples), m), dtype=count_type)
     offsets = np.arange(0, draw * m, m)[:, None]
     for start in range(0, n_resamples, block):
         take = min(block, n_resamples - start)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import gridhedge as gh
-from gridhedge.scenario import derive_seed
+from gridhedge import validate
 
 import reference_tree
 from conftest import record_criterion
@@ -261,28 +261,15 @@ def test_criterion_6_ks_threshold_and_calibration():
     """Threshold anchor 0.0192 and a 4-6% same-distribution rejection rate."""
     critical = gh.ks_critical_value(10_000, 10_000, 0.05)
     anchor_ok = abs(critical - 0.0192) <= 1e-4
-
-    params = gh.GbmParams(0.006, 0.03)
-    rejections = 0
-    for trial in range(500):
-        ens = gh.simulate_paths(
-            [params], gh.CorrelationMatrix.identity(1), np.array([20.0]),
-            horizon=5.0, n_steps=1, n_paths=20_000,
-            seed=derive_seed(501, "ks", trial),
-        )
-        terminal = ens[:, -1, 0]
-        if gh.ks_two_sample(terminal[:10_000], terminal[10_000:]) > critical:
-            rejections += 1
-    rate = rejections / 500
-    ok = anchor_ok and 0.04 <= rate <= 0.06
+    # 500 trials, each splitting one 20 000-path draw into two halves
+    calibration = validate.check_ks_calibration(n_trials=500, seed=501)
     record_criterion(
         "criterion_6_ks_critical_value",
-        ok,
-        f"critical {critical:.5f} (target 0.0192 +/- 1e-4); "
-        f"rejection rate {rate:.3f} over 500 trials (target 0.04-0.06)",
+        anchor_ok and calibration.passed,
+        f"critical {critical:.5f} (target 0.0192 +/- 1e-4); {calibration.detail}",
     )
     assert anchor_ok
-    assert 0.04 <= rate <= 0.06
+    assert calibration.passed, calibration.detail
 
 
 def test_criterion_7_chi_square_anchor():

@@ -197,6 +197,16 @@ def test_src_lines_counts_every_file_under_src_as_wc_does(tmp_path):
     assert bench_pairs.src_lines(tmp_path) == 5
 
 
+def test_a_compiled_tree_counts_the_same_lines(tmp_path):
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "a.py").write_text("x = 1\ny = 2\n")
+    (tmp_path / "src" / "b.py").write_text("z = 3\n")
+    assert bench_pairs.src_lines(tmp_path) == 3
+    bench_pairs.compile_src(tmp_path)
+    assert len(list((tmp_path / "src").rglob("__pycache__/*.pyc"))) == 2
+    assert bench_pairs.src_lines(tmp_path) == 3
+
+
 def test_missing_out_directory_exits_2_before_any_export(monkeypatch, tmp_path, capsys):
     def export(rev, dest):
         raise AssertionError("exported")

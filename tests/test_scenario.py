@@ -601,11 +601,12 @@ class TestMemoryBudget:
 
     def test_bootstrap_counts_beside_the_split_alone(self, demo_grid):
         # the count phase is the peak, and the metric arrays are freed before
-        # it: the split of their columns, the resampled means, one count
-        # block and its product with the split, and the draw's four arrays.
-        # Holding the metric arrays (1.3 MB) through the draws would overrun
-        # it: that traced 14.3 MB against this 13.6 MB bound, and the release
-        # traces 11.6 MB.
+        # it: the split of their columns, the resampled means, one uint16
+        # count block, its float slice and its product with the split, and
+        # the draw's four arrays.  Holding the metric arrays (1.3 MB) through
+        # the draws would overrun it: that traced 11.9 MB against this
+        # 10.9 MB bound, and the release traces 9.2 MB (11.6 MB with a
+        # float64 count block).
         config = make_config(
             demo_grid, case_filter=None, n_paths=2_000, rebalance_steps=40, n_resamples=500
         )
@@ -614,9 +615,10 @@ class TestMemoryBudget:
         split = 2 * 8 * m * k
         resampled = 8 * 500 * k
         block = min(stats.RESAMPLE_BLOCK_ELEMENTS // m, 500)
-        count_block = 8 * block * m
-        # the product's two part sums and two temporaries of their means
-        product = 4 * 8 * block * k
+        count_block = np.min_scalar_type(m).itemsize * block * m
+        # the float slice, the product's two part sums, and a slice's
+        # product or two temporaries of their means
+        product = 8 * stats._DRAW_ELEMENTS + 4 * 8 * block * k
         draw_arrays = 4 * 8 * stats._DRAW_ELEMENTS
         assert peak <= split + resampled + count_block + product + draw_arrays
 

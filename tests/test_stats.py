@@ -200,16 +200,43 @@ class TestResampledMeans:
         monkeypatch.setattr(stats, "_DRAW_ELEMENTS", draw_rows * x.shape[0])
         assert stats.resampled_means(x, 150, 6)[1].tobytes() == want
 
+    @pytest.mark.parametrize("m", [255, 256, 257])
+    def test_a_row_drawn_m_times_counts_m(self, monkeypatch, m):
+        # every index is 0, so row 0 counts m in each resample: a uint8
+        # count block would wrap that count to 0 at m = 256
+        monkeypatch.setattr(stats._RowIndices, "draw", lambda self, n: np.zeros(n, np.int64))
+        x = 20.0 + philox(5).exponential(size=(m, 3))
+        parts = stats._exact_parts(x.T, m)
+        want = (m * parts[0, :3] + m * parts[0, 3:]) / m
+        assert np.all(stats.resampled_means(x, 120, 2)[1] == want)
+
+    @pytest.mark.parametrize("all_zero", [False, True], ids=["drawn", "all_zero"])
+    @pytest.mark.parametrize("m", [2, 255, 256, 257])
+    def test_matches_a_float_count_product(self, monkeypatch, m, all_zero):
+        # the narrow count block and its float slices give the bytes of one
+        # float64 bincount block times the split
+        x = philox(23).exponential(size=(m, 4)) * np.array([1.0, 1e-3, 1e4, 7.0])
+        idx = np.random.Generator(np.random.SFC64(9)).integers(0, m, size=(150, m))
+        if all_zero:
+            monkeypatch.setattr(stats._RowIndices, "draw", lambda self, n: np.zeros(n, np.int64))
+            idx[:] = 0
+        counts = np.stack([np.bincount(row, minlength=m) for row in idx]).astype(float)
+        sums = counts @ stats._exact_parts(x.T, m)
+        want = (sums[:, :4] + sums[:, 4:]) / m
+        assert stats.resampled_means(x, 150, 9)[1].tobytes() == want.tobytes()
+
     def test_working_memory_is_one_count_block(self):
-        # The count phase peaks at 9.25 MiB traced with every column varying
-        # (20.7 MiB with a 16 MiB block), and at 8.49 MiB with 5 constant
-        # columns of 24: the split of the varying columns (2 * 8 bytes per
-        # entry), one 4 MiB count block, the outputs and the draw's index
-        # buffer, raw words, low halves and bincount.  A constant column is
-        # neither split nor counted.  _exact_parts before it peaks at
-        # 3.74 MiB.  Its bound takes four 8-byte arrays of _DRAW_ELEMENTS for
-        # the draw, 2 MiB against the 1.4 MiB drawn here; that 0.6 MiB is the
-        # slack, which also covers the copy a rejected candidate makes.
+        # The count phase peaks at 6.27 MiB traced with every column varying
+        # (9.25 MiB with a float64 count block), and at 5.51 MiB with 5
+        # constant columns of 24: the split of the varying columns (2 * 8
+        # bytes per entry), one 1 MiB uint16 count block, the outputs and
+        # the draw's index buffer, raw words, low halves and bincount.  A
+        # constant column is neither split nor counted.  _exact_parts before
+        # it peaks at 3.74 MiB.  Its bound takes four 8-byte arrays of
+        # _DRAW_ELEMENTS for the draw, 2 MiB against the 1.4 MiB drawn here;
+        # that 0.6 MiB is the slack, which also covers the copy a rejected
+        # candidate makes and the 0.5 MiB float slice of the product, which
+        # is taken after the draw's temporaries are freed.
         for constant in (0, 5):
             x = philox(3).standard_normal((10_000, 24))
             x[:, :constant] = np.arange(constant) + 0.5
@@ -222,7 +249,7 @@ class TestResampledMeans:
             split = 2 * 8 * x.shape[0] * (x.shape[1] - constant)
             outputs = 8 * (1_000 + 1) * 24
             draw_arrays = 4 * 8 * stats._DRAW_ELEMENTS
-            assert peak < split + 4 * 2**20 + outputs + draw_arrays, constant
+            assert peak < split + 2**20 + outputs + draw_arrays, constant
 
     def test_column_blocks_are_read_as_one_sample(self):
         # a list of column blocks gives the bytes of their joined array,

@@ -5,7 +5,10 @@ Usage, from the root of a checkout::
     python3 tools/bench_pairs.py --base c6d8b54 --change dc5a245 --seed 101 --out BENCH_11.json
 
 Both revisions are exported with ``git archive`` into a temporary
-directory.  For each workload in BENCHMARK.json the script runs ``PAIRS``
+directory, and each tree's ``src`` is compiled to bytecode (``compileall``)
+as an installed package has it: so no command recompiles the package when
+``PYTHONDONTWRITEBYTECODE`` is set, and peak RSS does not move with the byte
+layout of the sources.  For each workload in BENCHMARK.json the script runs ``PAIRS``
 pairs of ``perfbench/run.py --trace 0``, pair i with seed ``--seed`` + i;
 then ``PAIRS`` pairs of ROADMAP.md's Tier-1 command in the same trees,
 last, so that no test artifact can reach perfbench's inputs.  One process
@@ -30,10 +33,11 @@ A side whose perfbench runs are all correct has ``"correct": true``.  The
 ``tier1`` section keeps each run's outcome counts from the pytest summary
 line (``passed``, ``failed``, ...) and ``outcomes_no_worse``, true when no
 pair has the change with fewer passed or more failed or errored tests than
-the base; ``src_lines`` holds each side's line count under ``src/``, so a
-size change comes from the same trees as the timings.
+the base; ``src_lines`` holds each side's line count under ``src/``, bytecode
+skipped, so a size change comes from the same trees as the timings.
 """
 import argparse
+import compileall
 import json
 import os
 import re
@@ -64,20 +68,27 @@ def git(*args, cwd=ROOT) -> str:
 
 
 def export(rev: str, dest: Path) -> Path:
-    """The committed files of rev, extracted under dest."""
+    """The committed files of rev, extracted under dest, with src compiled."""
     dest.mkdir(parents=True)
     archive = subprocess.Popen(["git", "archive", rev], cwd=ROOT, stdout=subprocess.PIPE)
     subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout, check=True)
     archive.stdout.close()
     if archive.wait() != 0:
         raise SystemExit(f"git archive {rev} failed")
+    compile_src(dest)
     return dest
 
 
+def compile_src(root: Path) -> None:
+    """Compile every module under root/src to bytecode in its ``__pycache__``."""
+    if not compileall.compile_dir(root / "src", quiet=1):
+        raise SystemExit(f"compileall failed under {root / 'src'}")
+
+
 def src_lines(root: Path) -> int:
-    """Lines of every file under root/src, counted as ``wc -l`` counts them."""
+    """Lines of every file under root/src but bytecode, counted as ``wc -l`` counts them."""
     return sum(path.read_bytes().count(b"\n") for path in (root / "src").rglob("*")
-               if path.is_file())
+               if path.is_file() and "__pycache__" not in path.relative_to(root).parts)
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
