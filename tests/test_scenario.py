@@ -605,8 +605,8 @@ class TestMemoryBudget:
         # count block, its float slice and its product with the split, and
         # the draw's four arrays.  Holding the metric arrays (1.3 MB) through
         # the draws would overrun it: that traced 11.9 MB against this
-        # 10.9 MB bound, and the release traces 9.2 MB (11.6 MB with a
-        # float64 count block).
+        # 10.9 MB bound, and so would a float64 count block, at 11.6 MB; the
+        # release traces 9.2 MB.
         config = make_config(
             demo_grid, case_filter=None, n_paths=2_000, rebalance_steps=40, n_resamples=500
         )

@@ -227,16 +227,16 @@ class TestResampledMeans:
 
     def test_working_memory_is_one_count_block(self):
         # The count phase peaks at 6.27 MiB traced with every column varying
-        # (9.25 MiB with a float64 count block), and at 5.51 MiB with 5
-        # constant columns of 24: the split of the varying columns (2 * 8
-        # bytes per entry), one 1 MiB uint16 count block, the outputs and
-        # the draw's index buffer, raw words, low halves and bincount.  A
-        # constant column is neither split nor counted.  _exact_parts before
-        # it peaks at 3.74 MiB.  Its bound takes four 8-byte arrays of
-        # _DRAW_ELEMENTS for the draw, 2 MiB against the 1.4 MiB drawn here;
-        # that 0.6 MiB is the slack, which also covers the copy a rejected
-        # candidate makes and the 0.5 MiB float slice of the product, which
-        # is taken after the draw's temporaries are freed.
+        # (a float64 count block would trace 9.25 MiB, over this bound), and
+        # at 5.51 MiB with 5 constant columns of 24: the split of the varying
+        # columns (2 * 8 bytes per entry), one 1 MiB uint16 count block, the
+        # outputs and the draw's index buffer, raw words, low halves and
+        # bincount.  A constant column is neither split nor counted.
+        # _exact_parts before it peaks at 3.74 MiB.  Its bound takes four
+        # 8-byte arrays of _DRAW_ELEMENTS for the draw, 2 MiB against the
+        # 1.4 MiB drawn here; that 0.6 MiB is the slack, which also covers
+        # the copy a rejected candidate makes and the 0.5 MiB float slice of
+        # the product, which is taken after the draw's temporaries are freed.
         for constant in (0, 5):
             x = philox(3).standard_normal((10_000, 24))
             x[:, :constant] = np.arange(constant) + 0.5

@@ -7,13 +7,14 @@ Usage, from the root of a checkout::
 Both revisions are exported with ``git archive`` into a temporary
 directory, and each tree's ``src`` is compiled to bytecode (``compileall``)
 as an installed package has it: so no command recompiles the package when
-``PYTHONDONTWRITEBYTECODE`` is set, and peak RSS does not move with the byte
-layout of the sources.  For each workload in BENCHMARK.json the script runs ``PAIRS``
-pairs of ``perfbench/run.py --trace 0``, pair i with seed ``--seed`` + i;
-then ``PAIRS`` pairs of ROADMAP.md's Tier-1 command in the same trees,
-last, so that no test artifact can reach perfbench's inputs.  One process
-runs at a time, and the side that runs first alternates from pair to pair,
-so drift on the host falls on both sides alike.
+``PYTHONDONTWRITEBYTECODE`` is set, and peak RSS does not move with the
+byte layout of the sources.  For each workload in BENCHMARK.json the
+script runs ``PAIRS`` pairs of ``perfbench/run.py --trace 0``, pair i with
+seed ``--seed`` + i; then ``PAIRS`` pairs of ROADMAP.md's Tier-1 command in
+the same trees, last, so that no test artifact can reach perfbench's
+inputs.  One process runs at a time, and the side that runs first
+alternates from pair to pair, so drift on the host falls on both sides
+alike.
 
 For each end-to-end metric, and for the Tier-1 wall time, the output holds
 both sides' per-pair values, their medians and interquartile ranges and the
