@@ -6,12 +6,14 @@ probabilities are moment-matched to the driftless transformed-measure law of
 the log-generation increments: mean -sigma^2*dt/2, variance sigma^2*dt, and
 cross moments rho_ij*sigma_i*sigma_j*dt.  One closed form solves these
 equations for any number of microgrids: the product-form probabilities with
-pairwise correlation corrections of Boyle, Evnine & Gibbs (1989).  The
-netted terminal shortfall is valued back to the root, and the operator's
-ReGU/battery mix is read off a least-squares replication of the first-level
-portfolio values.  Every child factor is c_i +- delta_i, so that replication
-is solved in closed form from the Walsh coefficients of the child values,
-with no matrix factorization.
+pairwise correlation corrections of Boyle, Evnine & Gibbs (1989).  A
+branch is one row of the +-1 sign matrix ``LatticeStepModel.signs``, the
+one basis that the calibration, the moment check, the reach law and the
+replication all read.  The netted terminal shortfall is valued back to the
+root, and the operator's ReGU/battery mix is read off a least-squares
+replication of the first-level portfolio values.  Every child factor is
+c_i +- delta_i, so that replication is solved in closed form from the Walsh
+coefficients of the child values, with no matrix factorization.
 
 One allocator does this for every caller: ``RecombiningLattice.allocate``.
 Probabilities are state independent and u*d = 1, so the reach weights of
@@ -32,7 +34,7 @@ from .errors import (
     TimeOutOfRange,
     TreeTooLarge,
 )
-from .gbm import simulate_paths
+from .gbm import GbmParams, simulate_paths
 from .grid import GridEnsemble
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -52,26 +54,25 @@ def max_lattice_steps(n_assets: int) -> int:
 # Step-model calibration
 # ---------------------------------------------------------------------------
 
-def branch_up_mask(n_assets: int) -> np.ndarray:
-    """Boolean (2^n, n) matrix; row k marks which assets move up on branch k.
-
-    Branch 0 moves every asset up, the last branch every asset down; asset 0
-    occupies the most significant bit.  Matches the row order of the
-    movement-factor matrix and the child order of ``RecombiningLattice``.
-    """
-    rows = list(itertools.product([True, False], repeat=n_assets))
-    return np.array(rows, dtype=bool)
-
-
 @dataclass(frozen=True)
 class LatticeStepModel:
-    """Calibrated per-step movement factors and branch probabilities."""
+    """Calibrated per-step movement factors and branch probabilities.
 
-    n_assets: int
+    ``signs`` is the (2^n, n) branch basis: entry e_ki = +1 when asset i
+    moves up on branch k, -1 when it moves down.  Branch 0 moves every asset
+    up, the last branch every asset down; asset 0 occupies the most
+    significant bit.  ``branch_probs``, the rows of ``branch_matrix`` and the
+    children of ``RecombiningLattice`` all follow this order.
+    """
+
     dt: float
     log_steps: np.ndarray      # h_i = ln u_i
-    branch_probs: np.ndarray   # length 2^n, ordered like branch_up_mask
-    up_mask: np.ndarray
+    branch_probs: np.ndarray   # length 2^n, ordered like signs
+    signs: np.ndarray
+
+    @property
+    def n_assets(self) -> int:
+        return self.log_steps.size
 
     @property
     def up(self) -> np.ndarray:
@@ -84,7 +85,7 @@ class LatticeStepModel:
     @property
     def branch_matrix(self) -> np.ndarray:
         """(2^n, n) movement factors; row k pairs with branch_probs[k]."""
-        return np.where(self.up_mask, self.up, self.down)
+        return np.where(self.signs > 0, self.up, self.down)
 
     @property
     def n_branches(self) -> int:
@@ -143,16 +144,11 @@ def calibrate_step_model(grid: GridEnsemble, dt: float, horizon=None) -> Lattice
     sigmas = grid.sigmas
     if np.any(sigmas == 0):
         raise DegenerateVolatility("lattice calibration requires sigma > 0")
-    mask = branch_up_mask(grid.n_microgrids)
-    signs = np.where(mask, 1.0, -1.0)
+    signs = np.array(list(itertools.product([1.0, -1.0], repeat=grid.n_microgrids)))
     h, probs, bad = _branch_probs(grid, signs, dt)
     if not bad.any():
         return LatticeStepModel(
-            n_assets=grid.n_microgrids,
-            dt=dt,
-            log_steps=h,
-            branch_probs=np.clip(probs, 0.0, 1.0),
-            up_mask=mask,
+            dt=dt, log_steps=h, branch_probs=np.clip(probs, 0.0, 1.0), signs=signs
         )
     with np.errstate(over="ignore"):
         overflows = np.isinf(np.exp(h)).any()
@@ -218,7 +214,7 @@ def moment_residuals(model: LatticeStepModel, grid: GridEnsemble) -> np.ndarray:
     Order: per-asset means, per-asset raw second moments, upper-triangle
     cross moments, then normalization.
     """
-    signs = np.where(model.up_mask, 1.0, -1.0)
+    signs = model.signs
     p = model.branch_probs
     h = model.log_steps
     sigmas = grid.sigmas
@@ -269,7 +265,7 @@ def first_level_bytes(n_assets: int, steps: int) -> int:
 
 def _branch_slices(model, branch):
     """Per-asset slice of a grid one step longer that branch's move lands on."""
-    return tuple(slice(1, None) if up else slice(0, -1) for up in model.up_mask[branch])
+    return tuple(slice(1, None) if e > 0 else slice(0, -1) for e in model.signs[branch])
 
 
 class RecombiningLattice:
@@ -322,7 +318,6 @@ class RecombiningLattice:
         self.max_steps = max_steps
         self.p_b = p_b
         up, down = model.up, model.down
-        self.signs = np.where(model.up_mask, 1.0, -1.0)
         self.centre = (up + down) / 2.0
         self.half_spread = (up - down) / 2.0
         self.flat = self.half_spread == 0.0
@@ -357,7 +352,7 @@ class RecombiningLattice:
         """
         model = self.model
         one_step = np.zeros((2,) * model.n_assets)
-        one_step[tuple(model.up_mask.T.astype(int))] = model.branch_probs
+        one_step[tuple((model.signs.T > 0).astype(int))] = model.branch_probs
         axes = range(model.n_assets)
         spectrum = np.fft.rfftn(one_step, (steps,) * model.n_assets, axes)
         spectrum **= steps - 1
@@ -483,7 +478,7 @@ class RecombiningLattice:
         mean(C) - a . c, over p_b.  A flat grid (delta_i = 0) has a constant
         column; it shares that component with the battery (minimum norm).
         """
-        walsh = child_values @ self.signs / self.model.n_branches
+        walsh = child_values @ self.model.signs / self.model.n_branches
         unit_a = np.divide(walsh, self.half_spread, out=np.zeros_like(walsh), where=~self.flat)
         rest = (child_values.mean(axis=1) - unit_a @ self.centre) / self.share_scale
         unit_a[:, self.flat] = rest[:, None] * self.shares[:-1]
@@ -529,15 +524,15 @@ def tes_value_mc(grid: GridEnsemble, p_g_now, t, t_f, n_paths: int, seed: int):
     """
     if t >= t_f:
         raise TimeOutOfRange(f"need t < t_f, got t={t}, t_f={t_f}")
+    # the transformed measure is the physical law with the drift removed
     terminal = simulate_paths(
-        grid.params,
+        [GbmParams(0.0, p.sigma) for p in grid.params],
         grid.corr,
         np.asarray(p_g_now, dtype=float),
         horizon=t_f - t,
         n_steps=1,
         n_paths=n_paths,
         seed=seed,
-        measure="transformed",
     )[:, -1, :]
     payoff = np.maximum(np.sum(grid.demands - terminal, axis=1), 0.0)
     estimate = float(payoff.mean())

@@ -142,7 +142,6 @@ def _collect_paths(config: ScenarioConfig):
                 n_steps=config.rebalance_steps,
                 n_paths=min(take, config.max_simulated_paths - examined),
                 seed=derive_seed(config.seed, "paths", examined // take),
-                measure="physical",
             )
         # the path moments sum n_paths squares, which stay finite below this
         largest = np.sqrt(np.finfo(float).max / config.n_paths)

@@ -1,4 +1,5 @@
-"""tools/bench_pairs.py: verdicts, the Tier-1 summary, pair order and the report's shape."""
+"""tools/bench_pairs.py: verdicts, the second-set rule, the Tier-1 summary, pair order and
+the report's shape."""
 import importlib.util
 import json
 from pathlib import Path
@@ -50,6 +51,44 @@ STEADY = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00, 1.00]
 )
 def test_verdict(base, change, better, bound, want):
     assert verdict_of(base, change, better, bound) == want
+
+
+def summary_of(change, better="lower"):
+    return bench_pairs.summarise(pairs_of([{"metrics": {"m": {"value": v}}} for v in STEADY],
+                                          [{"metrics": {"m": {"value": v}}} for v in change]),
+                                 [{"name": "m", "better": better, "bound": 0.25}])
+
+
+@pytest.mark.parametrize(
+    "first, second, want",
+    [
+        # a claim that both sets make stands
+        ([v - 0.1 for v in STEADY], [v - 0.1 for v in STEADY], "gain"),
+        ([v * 1.3 for v in STEADY], [v * 1.3 for v in STEADY], "regression"),
+        # one set wins and the other does not: no claim
+        ([v - 0.1 for v in STEADY], [v - 0.001 for v in STEADY], "unresolved"),
+        ([v * 1.3 for v in STEADY], STEADY, "unresolved"),
+        # opposite claims cannot both stand
+        ([v - 0.1 for v in STEADY], [v * 1.3 for v in STEADY], "unresolved"),
+    ],
+)
+def test_a_claim_stands_only_when_the_second_set_agrees(first, second, want):
+    summary, again = summary_of(first), summary_of(second)
+    claimed = summary["m"]["verdict"]
+    bench_pairs.confirm(summary, again)
+    entry = summary["m"]
+    assert entry["verdict"] == want
+    # the report keeps both sets: the first at the top, the second beside it
+    assert entry["set_verdicts"] == [claimed, again["m"]["verdict"]]
+    assert entry["second_set"] == {k: v for k, v in again["m"].items() if k != "verdict"}
+    assert entry["base"]["runs"] == STEADY and entry["change"]["runs"] == first
+
+
+def test_a_verdict_that_claims_nothing_is_not_rerun():
+    summary = summary_of([v - 0.001 for v in STEADY])
+    bench_pairs.confirm(summary, summary_of([v - 0.1 for v in STEADY]))
+    assert summary["m"]["verdict"] == "unchanged"
+    assert "second_set" not in summary["m"] and "set_verdicts" not in summary["m"]
 
 
 @pytest.mark.parametrize(
@@ -131,17 +170,19 @@ def key_paths(tree, prefix=()):
     return set().union(*({prefix + (k,)} | key_paths(v, prefix + (k,)) for k, v in tree.items()))
 
 
-@pytest.fixture
-def stubbed(monkeypatch):
-    """bench_pairs with git, export and both runners replaced by instant fakes."""
+def stub(monkeypatch, value):
+    """bench_pairs with git, export and both runners replaced by instant fakes.
+
+    Every end-to-end metric of a perfbench run reads value(side, seed).
+    Returns the list of calls, in order.
+    """
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     calls = []
 
     def perfbench(root, workload, seed, seconds):
         calls.append((root.name, workload, seed))
-        value = 1.0 if root.name == "base" else 0.9
         return {"correct": True, "metrics": {
-            m["name"]: {"value": value} for m in benchmark["end_to_end"]}}
+            m["name"]: {"value": value(root.name, seed)} for m in benchmark["end_to_end"]}}
 
     def tier1(root):
         calls.append((root.name, "tier1", None))
@@ -161,21 +202,39 @@ def stubbed(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def stubbed(monkeypatch):
+    """The change reads 0.9 against the base's 1.0 on every run, so every metric claims."""
+    return stub(monkeypatch, lambda side, seed: 1.0 if side == "base" else 0.9)
+
+
 def test_main_writes_the_keys_of_bench_20(stubbed, tmp_path, capsys):
     out = tmp_path / "BENCH.json"
     assert bench_pairs.main(["--base", "a", "--change", "b", "--seed", "40",
                              "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     # BENCH_20's keys, and each side's line count under src/
+    # and, for the claims the stub makes on every metric, the second set
     src_lines = {("src_lines",), ("src_lines", "base"), ("src_lines", "change")}
-    assert key_paths(report) == key_paths(json.loads((ROOT / "BENCH_20.json").read_text())) \
+    second = {path for path in key_paths(report)
+              if "second_set" in path or path[-1] == "set_verdicts"}
+    assert key_paths(report) - second == \
+        key_paths(json.loads((ROOT / "BENCH_20.json").read_text())) \
         | src_lines | {("tier1", "outcomes_no_worse"), ("tier1", "wall_s", "verdict")}
     assert report["src_lines"] == {"base": 2, "change": 1}
     for workload, entry in report["workloads"].items():
         assert entry["seeds"] == list(range(40, 50))
+        assert entry["second_set"] == {"seeds": list(range(50, 60)),
+                                       "first": ["base", "change"] * 5}
         for side in ("base", "change"):
             assert [seed for root, w, seed in stubbed if (root, w) == (side, workload)] == \
-                entry["seeds"]
+                entry["seeds"] + entry["second_set"]["seeds"]
+        for name, metric in entry["metrics"].items():
+            want = "gain" if name != "success_rate" else "regression"
+            assert metric["verdict"] == want
+            assert metric["set_verdicts"] == [want, want]
+            assert set(metric["second_set"]) == {"better", "base", "change", "change_wins",
+                                                 "pairs"}
     # Tier-1 runs last, after every workload
     assert [w for _, w, _ in stubbed[-20:]] == ["tier1"] * 20
     assert report["tier1"]["outcomes"]["change"] == [{"failed": 2, "passed": 377}] * 10
@@ -186,6 +245,41 @@ def test_main_writes_the_keys_of_bench_20(stubbed, tmp_path, capsys):
     assert report["tier1"]["wall_s"]["verdict"] == "unchanged"
     assert report["tier1"]["outcomes_no_worse"] is True
     assert out.rstrip().endswith("outcomes no worse True")
+
+
+def test_main_reruns_a_claim_and_unresolves_it_when_the_sets_disagree(
+        monkeypatch, tmp_path, capsys):
+    # the change wins every pair of the first set and no pair of the second
+    calls = stub(monkeypatch, lambda side, seed: 0.9 if side == "change" and seed < 10 else 1.0)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--base", "a", "--change", "b", "--seed", "0",
+                             "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    for workload, entry in report["workloads"].items():
+        wall = entry["metrics"]["wall_s"]
+        assert wall["verdict"] == "unresolved"
+        assert wall["set_verdicts"] == ["gain", "unchanged"]
+        assert wall["change_wins"] == 10 and wall["second_set"]["change_wins"] == 0
+        assert wall["change"]["runs"] == [0.9] * 10
+        assert wall["second_set"]["change"]["runs"] == [1.0] * 10
+        assert entry["second_set"]["seeds"] == list(range(10, 20))
+    assert "wall_s unresolved (10/10; sets gain and unchanged, second 0/10)" \
+        in capsys.readouterr().out
+    assert len([call for call in calls if call[1] != "tier1"]) == \
+        2 * 2 * bench_pairs.PAIRS * len(report["workloads"])
+
+
+def test_main_runs_one_set_when_nothing_is_claimed(monkeypatch, tmp_path):
+    calls = stub(monkeypatch, lambda side, seed: 1.0)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--base", "a", "--change", "b", "--seed", "0",
+                             "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    for entry in report["workloads"].values():
+        assert "second_set" not in entry
+        assert {m["verdict"] for m in entry["metrics"].values()} == {"unchanged"}
+    assert len([call for call in calls if call[1] != "tier1"]) == \
+        2 * bench_pairs.PAIRS * len(report["workloads"])
 
 
 def test_src_lines_counts_every_file_under_src_as_wc_does(tmp_path):

@@ -101,11 +101,11 @@ class TestPortfolioValue:
         assert got == pytest.approx(0.53513, abs=1e-5)
 
     def test_monte_carlo_cross_check(self):
-        # transformed-measure expectation of the terminal shortfall
+        # transformed-measure expectation of the terminal shortfall: the
+        # transformed measure is the physical law at zero drift
         ens = gh.simulate_paths(
-            [SPEC1.gbm], gh.CorrelationMatrix.identity(1), np.array([20.0]),
-            horizon=5.0, n_steps=1, n_paths=1_000_000, seed=909,
-            measure="transformed",
+            [gh.GbmParams(0.0, SPEC1.gbm.sigma)], gh.CorrelationMatrix.identity(1),
+            np.array([20.0]), horizon=5.0, n_steps=1, n_paths=1_000_000, seed=909,
         )
         payoff = np.maximum(20.0 - ens[:, -1, 0], 0.0)
         se = payoff.std(ddof=1) / np.sqrt(payoff.size)
@@ -170,6 +170,11 @@ class TestTerminalPayoff:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="^p_g must be > 0, got 0.0$"):
             terminal_payoff(0.0, 20.0)
+
+    @pytest.mark.parametrize("p_b", [0.0, -1.0])
+    def test_rejects_nonpositive_battery_unit(self, p_b):
+        with pytest.raises(ValueError, match=f"^p_b must be > 0, got {p_b}$"):
+            gh.ces_allocation(20.0, SPEC1, 0.0, 5.0, p_b)
 
     def test_zero_sigma_has_only_the_terminal_rule(self):
         spec = gh.MicrogridSpec(demand=20.0, gbm=gh.GbmParams(0.0, 0.0))

@@ -146,6 +146,25 @@ class TestEstimate:
         assert code == 0, err
         assert parse_kv(out)["chi2_dof"] == "249"
 
+    def test_constant_series_prints_no_fit_test(self, tmp_path, capsys):
+        rows = [f"2020-06-01T10:{5 * i:02d}:00,20" for i in range(6)]
+        series = tmp_path / "constant.csv"
+        series.write_text("timestamp,power_kw\n" + "\n".join(rows) + "\n")
+        with pytest.warns(errors.DegenerateVolatilityWarning):
+            code, out, err = run_main(capsys, "estimate", str(series))
+        assert code == 0, err
+        values = parse_kv(out)
+        assert values["sigma_per_rth"] == "0"
+        assert values["chi2_statistic"] == "n/a (zero volatility)"
+        assert "chi2_p_value" not in values
+
+    def test_window_without_two_log_returns_exit_2(self, gbm_csv, capsys):
+        # only the midnight samples lie in the window, and no two are adjacent
+        code, out, err = run_main(capsys, "estimate", str(gbm_csv), "--window", "00:00-00:00")
+        assert code == 2
+        assert out == ""
+        assert err == "error: window leaves fewer than 2 log-returns\n"
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_power_value_exit_2(self, tmp_path, capsys, bad):
         # the third of five data rows is file line 4

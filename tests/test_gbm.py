@@ -126,9 +126,8 @@ class TestCholesky:
     def test_perfect_correlation_shares_or_negates_one_driver(self, sign):
         sigma, dt = 0.03, 1.0
         paths = gh.simulate_paths(
-            [gh.GbmParams(0.005, sigma)] * 2, gh.CorrelationMatrix.pairwise(sign),
+            [gh.GbmParams(0.0, sigma)] * 2, gh.CorrelationMatrix.pairwise(sign),
             np.array([20.0, 25.0]), horizon=5.0, n_steps=5, n_paths=200, seed=9,
-            measure="transformed",
         )
         shocks = np.diff(np.log(paths), axis=1) + sigma**2 * dt / 2
         assert np.max(np.abs(shocks[..., 1] - sign * shocks[..., 0])) < 1e-12
@@ -177,15 +176,15 @@ class TestSimulatePaths:
         assert abs(terminal.mean() - want) < 3 * se
 
     def test_transformed_is_driftless(self):
+        # the transformed measure is the physical law at zero drift
         ens = gh.simulate_paths(
-            [gh.GbmParams(0.006, 0.03)],
+            [gh.GbmParams(0.0, 0.03)],
             gh.CorrelationMatrix.identity(1),
             np.array([20.0]),
             horizon=5.0,
             n_steps=5,
             n_paths=10_000,
             seed=12,
-            measure="transformed",
         )
         terminal = ens[:, -1, 0]
         se = terminal.std(ddof=1) / np.sqrt(terminal.size)
@@ -194,9 +193,10 @@ class TestSimulatePaths:
     def test_per_step_martingale_under_transformed(self):
         # E[P_{n+1} | P_n] = P_n: regressing increments on the prior state
         # must give zero intercept and slope within 3 sigma
+        driftless = [gh.GbmParams(0.0, p.sigma) for p in self.params]
         ens = gh.simulate_paths(
-            self.params, self.corr, self.initial,
-            horizon=5.0, n_steps=5, n_paths=10_000, seed=13, measure="transformed",
+            driftless, self.corr, self.initial,
+            horizon=5.0, n_steps=5, n_paths=10_000, seed=13,
         )
         increments = np.diff(ens, axis=1)
         for asset in range(2):
@@ -241,7 +241,9 @@ class TestSimulatePaths:
 
     @pytest.mark.parametrize("measure", ["physical", "transformed"])
     def test_bit_identical_to_the_expression(self, measure):
-        # the in-place buffer must give the bytes of the plain expression
+        # the in-place buffer must give the bytes of the plain expression;
+        # the transformed measure, drawn at zero drift, must give the bytes
+        # of its own driftless expression -sigma^2*dt/2
         sigma = np.array([0.03, 0.04])
         mu = np.array([0.006, 0.005])
         dt = 5.0 / 7
@@ -249,9 +251,12 @@ class TestSimulatePaths:
         z = np.random.Generator(np.random.Philox(key=17)).standard_normal((301, 7, 2))
         increments = drift + (z @ self.corr.factor.T) * sigma * np.sqrt(dt)
         want = np.exp(np.cumsum(increments, axis=1) + np.log(self.initial))
+        params = self.params if measure == "physical" else [
+            gh.GbmParams(0.0, p.sigma) for p in self.params
+        ]
         got = gh.simulate_paths(
-            self.params, self.corr, self.initial,
-            horizon=5.0, n_steps=7, n_paths=301, seed=17, measure=measure,
+            params, self.corr, self.initial,
+            horizon=5.0, n_steps=7, n_paths=301, seed=17,
         )
         assert got[:, 1:, :].tobytes() == want.tobytes()
         assert np.array_equal(got[:, 0, :], np.broadcast_to(self.initial, (301, 2)))

@@ -26,7 +26,7 @@ from gridhedge.errors import (
     TimeOutOfRange,
     TreeTooLarge,
 )
-from gridhedge.lattice import RecombiningLattice
+from gridhedge.lattice import DEFAULT_NODE_BUDGET, RecombiningLattice, max_lattice_steps
 
 import reference_tree
 from reference_tree import MalformedTree, tree_levels
@@ -70,7 +70,7 @@ def residual_oracle(model, sigmas, rho, dt):
 
 def loop_moment_residuals(model, grid):
     """Per-asset loop form of ``moment_residuals``, in the same output order."""
-    signs = np.where(model.up_mask, 1.0, -1.0)
+    signs = model.signs
     p = model.branch_probs
     h = model.log_steps
     sigmas = grid.sigmas
@@ -431,7 +431,7 @@ class TestForwardPropagation:
             while node.parent is not None:
                 k = node.node_id - 4 * node.parent.node_id - 1
                 for i in range(2):
-                    if model.up_mask[k][i]:
+                    if model.signs[k][i] > 0:
                         ups[i] += 1
                 node = node.parent
             buckets.setdefault(tuple(ups), []).append(leaf.pg)
@@ -637,6 +637,18 @@ class TestEngines:
         with pytest.raises(TreeTooLarge):
             RecombiningLattice(model, demands, fits + 1, 1.0)
 
+    @pytest.mark.parametrize("steps", [0, 5])
+    def test_first_level_steps_outside_the_lattice_refused(self, steps):
+        model = gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 1.0)
+        lattice = RecombiningLattice(model, [20.0, 25.0], 4, 1.0)
+        with pytest.raises(ValueError, match=rf"^steps must lie in \[1, 4\], got {steps}$"):
+            lattice.first_level(np.array([[20.0, 25.0]]), steps)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_max_lattice_steps_is_the_most_that_fit(self, n):
+        steps = max_lattice_steps(n)
+        assert (steps + 1) ** n <= DEFAULT_NODE_BUDGET < (steps + 2) ** n
+
     def test_single_asset_replication_exact_everywhere(self):
         grid = make_grid([0.03], demands=np.array([20.0]))
         model = gh.calibrate_step_model(grid, 1.0)
@@ -779,8 +791,8 @@ class TestReachWeights:
         reach = np.ones((1,) * n)
         for level in range(1, steps):
             grown = np.zeros((level + 1,) * n)
-            for up, p in zip(model.up_mask, model.branch_probs):
-                grown[tuple(slice(1, None) if u else slice(0, -1) for u in up)] += p * reach
+            for e, p in zip(model.signs, model.branch_probs):
+                grown[tuple(slice(1, None) if u > 0 else slice(0, -1) for u in e)] += p * reach
             reach = grown
         weights = RecombiningLattice(model, [20.0] * n, steps, 1.0)._child_weights(steps)
         # the last branch moves every asset down, which leaves W unshifted

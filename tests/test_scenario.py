@@ -77,6 +77,10 @@ class TestBatterySavings:
         assert series[0] == 0.0 and series[1] == 50.0
         assert overall == pytest.approx(25.0)
 
+    def test_misaligned_series_refused(self):
+        with pytest.raises(ValueError, match="^series must be aligned$"):
+            gh.battery_savings([1.0, 1.0], [2.0, 4.0, 8.0])
+
 
 class TestDeriveSeed:
     def test_deterministic_and_distinct(self):

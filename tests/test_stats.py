@@ -76,6 +76,11 @@ class TestKsCriticalValue:
         with pytest.raises(ValueError, match=r"^alpha must be in \(0, 1\), got 1.5$"):
             gh.ks_critical_value(10, 10, 1.5)
 
+    @pytest.mark.parametrize("n, m", [(0, 10), (10, 0), (-3, 10)])
+    def test_empty_sample_size_refused(self, n, m):
+        with pytest.raises(ValueError, match="^sample sizes must be >= 1$"):
+            gh.ks_critical_value(n, m, 0.05)
+
     def test_shifted_sample_rejected(self):
         rng = np.random.default_rng(9)
         statistic = gh.ks_two_sample(rng.normal(size=500), rng.normal(loc=1.0, size=500))
@@ -123,6 +128,11 @@ class TestBootstrap:
             gh.bootstrap_ci([], n_resamples=300, seed=5)
         with pytest.raises(ValueError):
             gh.bootstrap_ci(sample, n_resamples=50, seed=5)
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, -0.5, 95.0])
+    def test_level_outside_the_unit_interval_refused(self, level):
+        with pytest.raises(ValueError, match=rf"^level must be in \(0, 1\), got {level}$"):
+            gh.bootstrap_ci(np.arange(25, dtype=float), n_resamples=300, level=level, seed=5)
 
 
 def philox(seed):

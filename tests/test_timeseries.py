@@ -61,6 +61,21 @@ def test_bad_power_value_names_row(tmp_path, bad):
         load_power_csv(write_csv(tmp_path, five_min_rows(1, 10, 5, values)))
 
 
+@pytest.mark.parametrize(
+    "rows, want",
+    [
+        (["2020-06-01T10:00:00,20", "June 1st,21"], "^row 3: bad timestamp 'June 1st'$"),
+        (["2020-06-01T10:00:00,20", "2020-06-01T10:05:00,21,22"],
+         "^row 3: expected 2 columns, got 3$"),
+        (["2020-06-01T10:00:00,20"], "^no data rows: need at least 2 samples$"),
+    ],
+    ids=["bad_timestamp", "three_columns", "one_row"],
+)
+def test_malformed_rows_refused(tmp_path, rows, want):
+    with pytest.raises(ValueError, match=want):
+        load_power_csv(write_csv(tmp_path, rows))
+
+
 def test_bad_header(tmp_path):
     want = "^row 1: header must be 'timestamp,power_kw', got 'time,kw'$"
     with pytest.raises(ValueError, match=want):

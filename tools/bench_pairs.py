@@ -30,6 +30,15 @@ time against the relative bound ``TIER1_BOUND``:
   and not every run of the change beats every run of the base;
 - ``unchanged``: otherwise.
 
+Ten pairs in one session cannot tell a change from drift over that
+session, so a workload with a ``gain`` or ``regression`` on any metric runs
+a second set of ``PAIRS`` pairs, on the disjoint seeds ``--seed`` + PAIRS +
+i.  A claim stands only when the second set gives it the same verdict;
+otherwise it reads ``unresolved``.  The report keeps both sets: the
+workload's ``second_set`` holds its seeds and pair order, and each rerun
+metric its second ``compare()`` entry as ``second_set`` and both verdicts
+as ``set_verdicts``.  The Tier-1 wall time has no seed and is run once.
+
 A side whose perfbench runs are all correct has ``"correct": true``.  The
 ``tier1`` section keeps each run's outcome counts from the pytest summary
 line (``passed``, ``failed``, ...) and ``outcomes_no_worse``, true when no
@@ -54,6 +63,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # Pairs per workload and for Tier-1: the fewest from which a gain may be claimed.
 PAIRS = 10
 SIDES = ("base", "change")
+# verdicts that a second, disjoint set of pairs must confirm
+CLAIMS = ("gain", "regression")
 
 # the Tier-1 command of ROADMAP.md, after the interpreter
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
@@ -152,6 +163,13 @@ def alternate(roots: dict, run, label: str):
     return runs, first
 
 
+def workload_pairs(roots: dict, workload: str, seed: int, seconds: float, label: str):
+    """PAIRS alternated perfbench pairs on seeds seed, seed + 1, ...; the runs, seeds and order."""
+    runs, first = alternate(
+        roots, lambda root, i: run_once(root, workload, seed + i, seconds), label)
+    return runs, {"seeds": [seed + i for i in range(PAIRS)], "first": first}
+
+
 def spread(values) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "iqr": q3 - q1, "runs": values}
@@ -191,6 +209,22 @@ def summarise(runs, metrics) -> dict:
     return out
 
 
+def confirm(summary: dict, second: dict) -> None:
+    """Hold each claim of summary to second, the summary of a disjoint set of pairs.
+
+    A gain or regression stands only when the second set gives the same
+    verdict, else it becomes unresolved; the metric keeps the second set's
+    entry and both verdicts.  Other verdicts are left as they are.
+    """
+    for name, entry in summary.items():
+        if entry["verdict"] in CLAIMS:
+            again = dict(second[name])
+            entry["set_verdicts"] = [entry["verdict"], again.pop("verdict")]
+            entry["second_set"] = again
+            if entry["set_verdicts"][1] != entry["verdict"]:
+                entry["verdict"] = "unresolved"
+
+
 def out_path(text: str) -> Path:
     """--out, refused before any run when its directory does not exist."""
     path = Path(text)
@@ -217,14 +251,17 @@ def main(argv=None) -> int:
         roots = {side: export(revs[side]["rev"], Path(tmp) / side) for side in SIDES}
         report["src_lines"] = {side: src_lines(roots[side]) for side in SIDES}
         for workload in (entry["name"] for entry in benchmark["workloads"]):
-            runs, first = alternate(
-                roots, lambda root, i: run_once(root, workload, args.seed + i, seconds), workload)
-            report["workloads"][workload] = {
-                "seeds": [args.seed + i for i in range(PAIRS)],
-                "first": first,
-                "correct": {side: all(pair[side]["correct"] for pair in runs) for side in SIDES},
-                "metrics": summarise(runs, benchmark["end_to_end"]),
-            }
+            runs, entry = workload_pairs(roots, workload, args.seed, seconds, workload)
+            metrics = summarise(runs, benchmark["end_to_end"])
+            if any(metric["verdict"] in CLAIMS for metric in metrics.values()):
+                again, entry["second_set"] = workload_pairs(
+                    roots, workload, args.seed + PAIRS, seconds, f"{workload} second set")
+                confirm(metrics, summarise(again, benchmark["end_to_end"]))
+                runs += again
+            entry["correct"] = {side: all(pair[side]["correct"] for pair in runs)
+                                for side in SIDES}
+            entry["metrics"] = metrics
+            report["workloads"][workload] = entry
         runs, first = alternate(roots, lambda root, i: run_tier1(root), "tier1")
     wall = compare(runs, lambda run: run["wall_s"])
     report["tier1"] = {
@@ -240,7 +277,10 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     for workload, entry in report["workloads"].items():
         print(f"{workload}: correct {entry['correct']}, " + ", ".join(
-            f"{name} {m['verdict']} ({m['change_wins']}/{m['pairs']})"
+            f"{name} {m['verdict']} ({m['change_wins']}/{m['pairs']}" + (
+                f"; sets {' and '.join(m['set_verdicts'])}, second "
+                f"{m['second_set']['change_wins']}/{m['second_set']['pairs']}"
+                if "second_set" in m else "") + ")"
             for name, m in entry["metrics"].items()))
     lines = report["src_lines"]
     print(f"src: {lines['base']} -> {lines['change']} lines "
