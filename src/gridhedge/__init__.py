@@ -13,7 +13,7 @@ import importlib
 
 __version__ = "0.2.0"
 
-# public name -> the module that defines it
+# public name -> the module that defines it; gridhedge.cli's layers among them
 _EXPORTS = {
     "CesAllocation": "ces",
     "MicrogridSpec": "ces",
@@ -22,6 +22,8 @@ _EXPORTS = {
     "ces_total_battery": "ces",
     "hedge_backtest": "ces",
     "ScenarioConfig": "config",
+    "load_scenario_config": "config",
+    "write_manifest": "config",
     "CorrelationMatrix": "gbm",
     "GbmParams": "gbm",
     "GofResult": "gbm",

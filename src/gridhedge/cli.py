@@ -4,11 +4,11 @@ Exit codes: 0 success, 1 validation failure, 2 input error, 3 calibration
 infeasible, 4 precondition violation, 5 empty result.
 """
 import argparse
-import importlib
 import math
 import os
 import shlex
 import sys
+import warnings
 
 from . import __version__
 from .errors import GridHedgeError, InfeasibleCalibration, InsufficientPaths, TimeOutOfRange
@@ -27,29 +27,16 @@ EXIT_CODES = (
     (GridHedgeError, EXIT_PRECONDITION),
 )
 
-# Each layer a command runs -> its module, imported on the command's first
-# use (PEP 562), so a command loads only the modules it runs.  Commands call
-# them as attributes of this module, so a wrapper set on the module
-# (perfbench/traced.py times each layer this way) is what runs.
-_LAYERS = {
-    "load_scenario_config": "config",
-    "write_manifest": "config",
-    "run_case_study": "scenario",
-    "write_results_csv": "scenario",
-    "gbm_mle_from_returns": "gbm",
-    "chi_square_gof": "gbm",
-    "load_power_csv": "timeseries",
-    "ces_allocation": "ces",
-    "calibrate_step_model": "lattice",
-    "dynamic_allocation": "lattice",
-}
 
-
+# Each layer a command runs is a package export, taken on its first use (PEP
+# 562), so a command loads only the modules it runs.  Commands call layers as
+# attributes of this module, so a wrapper set on it (perfbench/traced.py times
+# each layer this way) is what runs.
 def __getattr__(name):
-    if name not in _LAYERS:
+    package = sys.modules[__package__]
+    if name not in package.__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_LAYERS[name]}", __package__), name)
-    globals()[name] = value
+    value = globals()[name] = getattr(package, name)
     return value
 
 
@@ -272,8 +259,10 @@ def run():
     Uncaught exceptions, KeyboardInterrupt among them, keep Python's
     traceback and teardown.  Output that cannot be flushed (a full disk, a
     closed pipe) gets an ``error:`` line and exit code 120, the code
-    Python's own shutdown gives it.
+    Python's own shutdown gives it.  A warning is shown as one ``warning:``
+    line, without the source path and line that Python's format adds.
     """
+    warnings.formatwarning = lambda message, *rest: f"warning: {message}\n"
     try:
         code = main()
     except SystemExit as stop:

@@ -233,19 +233,17 @@ def chi_square_survival(x: float, dof: int) -> float:
     return head + math.ldexp(total * math.exp(-r), scale - k)
 
 
-def chi_square_gof(
-    log_returns, params: GbmParams, dt: float, n_bins: int, n_estimated: int = 2
-) -> GofResult:
+def chi_square_gof(log_returns, params: GbmParams, dt: float, n_bins: int) -> GofResult:
     """Equal-probability-bin chi-square test of the fitted log-return law.
 
     Bins are equiprobable under N((mu - sigma^2/2) dt, sigma^2 dt); the
-    degrees of freedom are n_bins - 1 - n_estimated, defaulting to the two
-    parameters fitted by ``estimate_gbm_mle``.
+    degrees of freedom are n_bins - 1 less the two parameters that
+    ``gbm_mle_from_returns`` fits, n_bins - 3.
     """
     x = np.asarray(log_returns, dtype=float)
     if x.size == 0:
         raise ValueError("no log-returns supplied")
-    if n_bins < 4 or n_bins - 1 - n_estimated < 1:
+    if n_bins < 4:
         raise ValueError(f"n_bins={n_bins} leaves dof < 1")
     if n_bins > x.size:  # bounds the edge array before it is allocated
         raise ValueError(f"n_bins={n_bins} exceeds the {x.size} log-returns supplied")
@@ -257,5 +255,5 @@ def chi_square_gof(
     observed = np.bincount(np.searchsorted(edges, x), minlength=n_bins)
     expected = x.size / n_bins
     statistic = float(np.sum((observed - expected) ** 2) / expected)
-    dof = n_bins - 1 - n_estimated
+    dof = n_bins - 3
     return GofResult(statistic, dof, chi_square_survival(statistic, dof))

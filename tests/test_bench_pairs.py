@@ -2,6 +2,7 @@
 the report's shape."""
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -137,6 +138,50 @@ def test_tier1_summary():
     assert got["better"] == "lower"
 
 
+DIFF_KEYS = {"diff_median", "diff_interval", "diff_coverage"}
+
+
+def binomial_tail(n, k):
+    """P(B <= k) for B ~ binomial(n, 1/2), as a fraction of 2**n outcomes."""
+    return sum(math.comb(n, j) for j in range(k + 1)) / 2**n
+
+
+@pytest.mark.parametrize("n", [6, 9, 10, 11, 20, 30])
+def test_sign_interval_takes_the_widest_rank_inside_the_level(n):
+    # shuffled differences 0.1, 0.2, ..., n/10: the interval is the k-th
+    # smallest and the k-th largest, k the largest rank whose two-sided tail
+    # stays within the 5% level
+    diffs = [0.1 * ((7 * i) % n + 1) for i in range(n)]
+    interval, coverage = bench_pairs.sign_interval(diffs)
+    k = round(interval[0] / 0.1)
+    assert interval == pytest.approx([0.1 * k, 0.1 * (n + 1 - k)])
+    assert 2 * binomial_tail(n, k - 1) <= 0.05 < 2 * binomial_tail(n, k)
+    assert coverage == 1 - 2 * binomial_tail(n, k - 1)
+
+
+def test_sign_interval_at_ten_pairs_and_below_six():
+    interval, coverage = bench_pairs.sign_interval([0.5, -0.1, 0.3, 0.0, 0.9, 0.2, -0.4, 0.6,
+                                                    0.1, 0.4])
+    assert interval == [-0.1, 0.6]  # the 2nd smallest and 2nd largest
+    assert coverage == 1 - 22 / 1024  # 97.9%
+    # with 5 pairs even the full range covers less than 95%: 1 - 2/32
+    assert bench_pairs.sign_interval([0.1, 0.2, 0.3, 0.4, 0.5]) == (None, None)
+
+
+@pytest.mark.parametrize("better", ["lower", "higher"])
+def test_compare_reports_the_paired_differences_and_keeps_the_verdict(better):
+    # change - base per pair: -0.10 at every pair but two outliers, so the
+    # median reads the typical pair and the interval's ends skip the outliers
+    change = [v - 0.1 for v in STEADY]
+    change[3], change[7] = STEADY[3] + 0.5, STEADY[7] - 0.9
+    entry = bench_pairs.compare(pairs_of(STEADY, change), lambda run: run, better)
+    assert entry["diff_median"] == pytest.approx(-0.1)
+    assert entry["diff_interval"] == pytest.approx([-0.1, -0.1])
+    assert entry["diff_coverage"] == 1 - 22 / 1024
+    # the verdict still reads the medians and wins: 9 of 10 wins when lower is better
+    assert bench_pairs.verdict(entry, 0.25) == ("gain" if better == "lower" else "unchanged")
+
+
 def test_tier1_wall_regression_past_its_bound():
     # 15% slower with a tight spread reads regression against the 10% bound;
     # 5% slower stays inside it
@@ -218,9 +263,12 @@ def test_main_writes_the_keys_of_bench_20(stubbed, tmp_path, capsys):
     src_lines = {("src_lines",), ("src_lines", "base"), ("src_lines", "change")}
     second = {path for path in key_paths(report)
               if "second_set" in path or path[-1] == "set_verdicts"}
+    # and, beside each change_wins, the paired differences' median and interval
+    diffs = {path[:-1] + (key,) for path in key_paths(report) - second
+             if path[-1] == "change_wins" for key in DIFF_KEYS}
     assert key_paths(report) - second == \
         key_paths(json.loads((ROOT / "BENCH_20.json").read_text())) \
-        | src_lines | {("tier1", "outcomes_no_worse"), ("tier1", "wall_s", "verdict")}
+        | src_lines | diffs | {("tier1", "outcomes_no_worse"), ("tier1", "wall_s", "verdict")}
     assert report["src_lines"] == {"base": 2, "change": 1}
     for workload, entry in report["workloads"].items():
         assert entry["seeds"] == list(range(40, 50))
@@ -234,7 +282,7 @@ def test_main_writes_the_keys_of_bench_20(stubbed, tmp_path, capsys):
             assert metric["verdict"] == want
             assert metric["set_verdicts"] == [want, want]
             assert set(metric["second_set"]) == {"better", "base", "change", "change_wins",
-                                                 "pairs"}
+                                                 "pairs", *DIFF_KEYS}
     # Tier-1 runs last, after every workload
     assert [w for _, w, _ in stubbed[-20:]] == ["tier1"] * 20
     assert report["tier1"]["outcomes"]["change"] == [{"failed": 2, "passed": 377}] * 10

@@ -158,6 +158,19 @@ class TestEstimate:
         assert values["chi2_statistic"] == "n/a (zero volatility)"
         assert "chi2_p_value" not in values
 
+    def test_constant_series_warns_on_one_line(self, tmp_path):
+        # the gridhedge command shows a warning as it shows an error, without
+        # the source path and line of Python's format or the line of the call
+        rows = [f"2020-06-01T10:{5 * i:02d}:00,20" for i in range(4)]
+        series = tmp_path / "constant.csv"
+        series.write_text("timestamp,power_kw\n" + "\n".join(rows) + "\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "gridhedge", "estimate", str(series)],
+            capture_output=True, text=True, env=CHILD_ENV,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "warning: log-returns are constant; fitted volatility is zero\n"
+
     def test_window_without_two_log_returns_exit_2(self, gbm_csv, capsys):
         # only the midnight samples lie in the window, and no two are adjacent
         code, out, err = run_main(capsys, "estimate", str(gbm_csv), "--window", "00:00-00:00")
@@ -681,6 +694,9 @@ def test_every_error_class_has_a_chosen_exit_code():
     ("sigma = 0.03, 1e300", "ces", "lower sigma or horizon_hours"),
     # paths that underflow to 0 were divided into the demand
     ("mu = -1e300, 0", "simulate", "underflows to 0; raise mu, or lower sigma"),
+    # the median path overflows whatever the seed: refused before the
+    # calibration, which advised rebalance_steps 376, a run that then failed
+    ("horizon_hours = 1e6", "simulate", "the median simulated generation exceeds 7.74e+152 kW"),
 ])
 def test_values_that_would_overflow_named_exit_2(tmp_path, capsys, line, command, named):
     config = tmp_path / "extreme.cfg"
@@ -703,7 +719,8 @@ def test_values_that_would_overflow_named_exit_2(tmp_path, capsys, line, command
 @pytest.mark.parametrize("command", ["allocate", "simulate"])
 def test_overflowing_horizon_exit_3_promptly(tmp_path, command, horizon):
     # a step so long that the lattice's log step overflows used to calibrate,
-    # and the lattice then never left its pseudoinverse
+    # and the lattice then never left its pseudoinverse; simulate now refuses
+    # first, with exit 2, the median path that such a horizon overflows
     config = tmp_path / "long.cfg"
     config.write_text(DEMO_CFG.replace("horizon_hours   = 5", f"horizon_hours   = {horizon}"))
     out = tmp_path / "out"
@@ -715,7 +732,7 @@ def test_overflowing_horizon_exit_3_promptly(tmp_path, command, horizon):
         [sys.executable, "-m", "gridhedge", *argv],
         capture_output=True, text=True, env=CHILD_ENV, timeout=10,
     )
-    assert proc.returncode == 3
+    assert proc.returncode == {"allocate": 3, "simulate": 2}[command]
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "horizon_hours" in proc.stderr
     assert not out.exists()
@@ -935,6 +952,16 @@ def test_a_wrapped_layer_is_what_runs(layer, demo_config, gbm_csv, tmp_path, cap
     code, _, err = run_main(capsys, *argv)
     assert code == 0, err
     assert calls, f"{layer} ran around the wrapper"
+
+
+def test_cli_takes_its_layers_from_the_package_exports():
+    # cli keeps no table of its own: a layer is the package's export, and any
+    # other name, a dunder probe among them, is no attribute of cli
+    assert not hasattr(cli, "__path__")
+    with pytest.raises(AttributeError, match="^module 'gridhedge.cli' has no attribute"):
+        cli.no_such_name  # noqa: B018
+    for layer in TRACED_LAYERS:
+        assert getattr(cli, layer) is getattr(gh, layer), layer
 
 
 def test_import_does_not_load_the_validation_suite():

@@ -19,7 +19,10 @@ alike.
 For each end-to-end metric, and for the Tier-1 wall time, the output holds
 both sides' per-pair values, their medians and interquartile ranges and the
 number of pairs the change won (strictly better, in the direction
-BENCHMARK.json gives).  Each metric also gets a verdict, the Tier-1 wall
+BENCHMARK.json gives), with the median of the per-pair differences
+(change - base) and a distribution-free sign-test interval for it
+(``diff_interval``, of coverage ``diff_coverage``; Kalibera & Jones 2013),
+which no verdict reads.  Each metric also gets a verdict, the Tier-1 wall
 time against the relative bound ``TIER1_BOUND``:
 
 - ``gain``: the change won at least 9 pairs in 10 and the medians differ,
@@ -49,6 +52,7 @@ skipped, so a size change comes from the same trees as the timings.
 import argparse
 import compileall
 import json
+import math
 import os
 import re
 import statistics
@@ -65,6 +69,9 @@ PAIRS = 10
 SIDES = ("base", "change")
 # verdicts that a second, disjoint set of pairs must confirm
 CLAIMS = ("gain", "regression")
+# the two-sided level of the sign-test interval on the paired differences
+# (Kalibera & Jones 2013): k = 2 and a coverage of 97.9% at 10 pairs
+SIGN_LEVEL = 0.05
 
 # the Tier-1 command of ROADMAP.md, after the interpreter
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
@@ -175,13 +182,37 @@ def spread(values) -> dict:
     return {"median": median, "iqr": q3 - q1, "runs": values}
 
 
+def sign_interval(diffs):
+    """A distribution-free interval for the median of diffs, and its coverage.
+
+    Over the sorted differences it is [d_(k), d_(n+1-k)], for the largest k
+    whose two-sided binomial(n, 1/2) tail, 2 P(B <= k - 1), is at most
+    SIGN_LEVEL; its coverage is one minus that tail.  (None, None) when no
+    k >= 1 qualifies, below 6 pairs.
+    """
+    d = sorted(diffs)
+    n = len(d)
+    k, tail = 0, 0
+    while 2 * (tail + math.comb(n, k)) <= SIGN_LEVEL * 2**n:
+        tail += math.comb(n, k)
+        k += 1
+    if not k:
+        return None, None
+    return [d[k - 1], d[n - k]], 1 - 2 * tail / 2**n
+
+
 def compare(runs, value, better="lower") -> dict:
-    """Both sides' spread of value(run) over the pairs, and the pairs the change won."""
+    """Both sides' spread of value(run) over the pairs, the pairs the change
+    won, and the median of the per-pair differences (change - base) with
+    their ``sign_interval``."""
     base, change = (spread([value(pair[side]) for pair in runs]) for side in SIDES)
     sign = 1.0 if better == "lower" else -1.0
-    wins = sum(sign * (c - b) < 0 for b, c in zip(base["runs"], change["runs"]))
+    diffs = [c - b for b, c in zip(base["runs"], change["runs"])]
+    wins = sum(sign * d < 0 for d in diffs)
+    interval, coverage = sign_interval(diffs)
     return {"better": better, "base": base, "change": change,
-            "change_wins": wins, "pairs": len(runs)}
+            "change_wins": wins, "pairs": len(runs), "diff_median": statistics.median(diffs),
+            "diff_interval": interval, "diff_coverage": coverage}
 
 
 def verdict(entry: dict, bound: float) -> str:
