@@ -7,16 +7,25 @@ zero-rate lognormal put value with strike D and spot P.  The formulas are
 written once, in the elementwise kernel ``_policy``; the scalar functions
 here and the batched case-study engine (``scenario._batch_ces``) call it.
 """
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import normal
 from .errors import DegenerateVolatility, TimeOutOfRange
 from .gbm import GbmParams
 
-# Seam used by the validator's fault-injection mode; do not rebind elsewhere.
-_normal_cdf = normal.normal_cdf
+
+def _normal_cdf(x):
+    """Phi(x) for scalars or arrays: 0.5 * erfc(-x / sqrt(2)), within 1e-12 everywhere.
+
+    The one binding of Phi.  ``_policy`` reads it at call time, and only the
+    validator's fault-injection mode rebinds it.  The C library's erfc keeps
+    the tails accurate, where 1 - Phi(x) would cancel.
+    """
+    z = -np.asarray(x, dtype=float) / math.sqrt(2.0)
+    erfc = np.fromiter(map(math.erfc, z.ravel().tolist()), float, count=z.size)
+    return 0.5 * erfc.reshape(z.shape)
 
 
 @dataclass(frozen=True)

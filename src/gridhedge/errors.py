@@ -49,7 +49,7 @@ class TreeTooLarge(GridHedgeError):
     """A lattice's terminal grid would exceed the node budget.
 
     ``key`` is "rebalance_steps" and ``value`` the most steps the node
-    budget fits.
+    budget fits that calibrate.
     """
 
 

@@ -18,7 +18,6 @@ import numpy as np
 from typing import NamedTuple
 
 from .errors import DegenerateVolatility, DegenerateVolatilityWarning
-from .normal import normal_ppf
 
 @dataclass(frozen=True)
 class GbmParams:
@@ -231,6 +230,19 @@ def chi_square_survival(x: float, dof: int) -> float:
     k = round(y / math.log(2))
     r = (y - k * _LN2_HI) - k * _LN2_LO
     return head + math.ldexp(total * math.exp(-r), scale - k)
+
+
+def normal_ppf(q):
+    """Phi^-1(q) for 0 < q < 1, the inverse of ``ces._normal_cdf``.
+
+    Only ``chi_square_gof``'s equal-probability bins need it, so
+    ``statistics`` (about 4.5 ms of start-up after numpy) is imported here,
+    not at module level.
+    """
+    from statistics import NormalDist
+
+    inv_cdf = np.frompyfunc(NormalDist().inv_cdf, 1, 1)
+    return np.asarray(inv_cdf(np.asarray(q, dtype=float)), dtype=float)
 
 
 def chi_square_gof(log_returns, params: GbmParams, dt: float, n_bins: int) -> GofResult:

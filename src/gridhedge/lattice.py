@@ -117,6 +117,15 @@ def _branch_probs(grid: GridEnsemble, signs, dt: float):
     return h, probs, ~inside
 
 
+def _too_large(steps, n: int, advice: str, value: int) -> TreeTooLarge:
+    """The node budget's refusal of a steps-step lattice on n grids."""
+    return TreeTooLarge(
+        f"{steps + 1}^{n} = {(steps + 1) ** n} terminal states exceed the node budget "
+        f"{DEFAULT_NODE_BUDGET}; set rebalance_steps to {advice}",
+        key="rebalance_steps", value=value,
+    )
+
+
 def calibrate_step_model(grid: GridEnsemble, dt: float, horizon=None) -> LatticeStepModel:
     """Solve movement factors and branch probabilities for one time step.
 
@@ -130,26 +139,51 @@ def calibrate_step_model(grid: GridEnsemble, dt: float, horizon=None) -> Lattice
     higher-order interaction zero.
 
     dt is ``horizon`` / rebalance_steps (horizon defaults to dt, one step).
-    A step fails when a branch probability leaves [0, 1] or an up factor
-    exp(h) overflows.  The refusal then advises, in this order: nothing, when
-    the correlations admit no lattice at any fine step; the fewest
-    rebalance_steps that calibrate over the horizon, trying every count the
-    node budget fits in turn, since feasibility need not be monotone in the
-    count; sigma, when a one-hour step of it overflows; else horizon_hours,
-    halved exactly until the caller's step count calibrates (None if dt
-    reaches 0 first).
+    A count over the node budget is refused with TreeTooLarge, advising the
+    most rebalance_steps within it that calibrate; where none does, the
+    refusals below speak of the most steps the budget fits.  A step fails
+    when a branch probability leaves [0, 1] or an up factor exp(h)
+    overflows.  The refusal then advises, in this order: nothing, when the
+    correlations admit no lattice at any fine step; the fewest
+    rebalance_steps that calibrate over the horizon; sigma, when a one-hour
+    step of it overflows; else horizon_hours, halved exactly until the step
+    count calibrates (None if dt reaches 0 first).  Both searches try every
+    count the node budget fits, since feasibility need not be monotone in
+    the count.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     sigmas = grid.sigmas
     if np.any(sigmas == 0):
         raise DegenerateVolatility("lattice calibration requires sigma > 0")
-    signs = np.array(list(itertools.product([1.0, -1.0], repeat=grid.n_microgrids)))
+    n = grid.n_microgrids
+    signs = np.array(list(itertools.product([1.0, -1.0], repeat=n)))
     h, probs, bad = _branch_probs(grid, signs, dt)
-    if not bad.any():
+    horizon = dt if horizon is None else horizon
+    most = max_lattice_steps(n)
+    count = round(horizon / dt)
+    over = count > most
+    if not (over or bad.any()):
         return LatticeStepModel(
             dt=dt, log_steps=h, branch_probs=np.clip(probs, 0.0, 1.0), signs=signs
         )
+    # h > s/2, so exp(h) overflows at every count whose s = sigma^2 * horizon / count
+    # exceeds twice the log of the float range; the searches skip those counts,
+    # which for one grid can reach the node budget's millions
+    first = min(horizon * sigmas.max() ** 2 / (2 * np.log(np.finfo(float).max)), most + 1)
+    counts = range(max(1, int(first)), most + 1)
+    calibrating = (steps for steps in (reversed(counts) if over else counts)
+                   if not _branch_probs(grid, signs, horizon / steps)[2].any())
+    if over:
+        steps = next(calibrating, None)
+        if steps is not None:
+            raise _too_large(count, n, f"at most {most}, the most a {n}-grid lattice fits"
+                             if steps == most else
+                             f"{steps}, the most up to {most} that calibrate over {horizon:g} h",
+                             steps)
+        # none does: the refusal below names the most steps the budget fits
+        dt = horizon / most
+        h, probs, bad = _branch_probs(grid, signs, dt)
     with np.errstate(over="ignore"):
         overflows = np.isinf(np.exp(h)).any()
         hourly = np.isinf(np.exp(_branch_probs(grid, signs, 1.0)[0]))
@@ -159,10 +193,12 @@ def calibrate_step_model(grid: GridEnsemble, dt: float, horizon=None) -> Lattice
         f"a time step of {dt:g} h overflows the lattice's up factor exp(h); " if overflows
         else f"branch {k} probability {probs[k]:.6g} outside [0, 1]; "
     )
+    if over:
+        refused = f"{count:.6g} rebalance_steps exceed the node budget; at {most}, " + refused
     # as dt -> 0, m -> 0 and c -> rho; when that limit is negative, or zero
     # and approached from below as -(sum_i e_ki sigma_i)*sqrt(dt)/2^(n+1), no
     # finer time step can restore feasibility
-    limits = _walsh(signs, np.zeros(grid.n_microgrids), grid.corr.rho)
+    limits = _walsh(signs, np.zeros(n), grid.corr.rho)
     hopeless = (limits < 0) | ((np.abs(limits) <= 1e-15) & (signs @ sigmas > 0))
     if hopeless.any():
         j = int(np.argmin(np.where(hopeless, limits, np.inf)))
@@ -172,14 +208,7 @@ def calibrate_step_model(grid: GridEnsemble, dt: float, horizon=None) -> Lattice
             "dt cannot help",
             j, limit=float(limits[j]),
         )
-    horizon = dt if horizon is None else horizon
-    most = max_lattice_steps(grid.n_microgrids)
-    # h > s/2, so exp(h) overflows at every count n whose s = sigma^2 * horizon / n
-    # exceeds twice the log of the float range; the search skips those counts,
-    # which for one grid can reach the node budget's millions
-    first = min(horizon * sigmas.max() ** 2 / (2 * np.log(np.finfo(float).max)), most + 1)
-    counts = range(max(1, int(first)), most + 1)
-    steps = next((n for n in counts if not _branch_probs(grid, signs, horizon / n)[2].any()), None)
+    steps = next(calibrating, None)  # None when the count is over the budget: searched above
     if steps is not None:
         raise InfeasibleCalibration(
             refused + f"set rebalance_steps to {steps} (dt = {horizon / steps:g} h), "
@@ -199,8 +228,10 @@ def calibrate_step_model(grid: GridEnsemble, dt: float, horizon=None) -> Lattice
     while dt > 0 and bad.any():
         shorter, dt = shorter / 2, dt / 2
         bad = _branch_probs(grid, signs, dt)[2]
-    advice = (f"set horizon_hours to {shorter!r}, the longest halving of it at which this "
-              "step count calibrates" if dt else "no halving of horizon_hours calibrates")
+    at = (f"{most} steps calibrate, and rebalance_steps to {most}" if over
+          else "this step count calibrates")
+    advice = (f"set horizon_hours to {shorter!r}, the longest halving of it at which {at}"
+              if dt else "no halving of horizon_hours calibrates")
     raise InfeasibleCalibration(
         refused + f"no rebalance_steps up to {most}, the most the node budget fits, "
         f"calibrates over {horizon:g} h; {advice}",
@@ -304,13 +335,8 @@ class RecombiningLattice:
         nodes = (max_steps + 1) ** n
         if nodes > DEFAULT_NODE_BUDGET:
             fits = max_lattice_steps(n)
-            raise TreeTooLarge(
-                f"{max_steps + 1}^{n} = {nodes} terminal states "
-                f"exceed the node budget {DEFAULT_NODE_BUDGET}; set rebalance_steps "
-                f"to at most {fits}, the most a {n}-grid lattice fits",
-                key="rebalance_steps",
-                value=fits,
-            )
+            raise _too_large(max_steps, n, f"at most {fits}, the most a {n}-grid lattice fits",
+                             fits)
         if p_b <= 0:
             raise ValueError(f"p_b must be > 0, got {p_b}")
         self.model = model

@@ -97,14 +97,14 @@ def _block_paths(config: ScenarioConfig) -> int:
     return config.n_paths if config.case_filter is None else max(config.n_paths, 20_000)
 
 
-def _check_generation(values, n_paths: int, what="simulated generation") -> None:
-    """Refuse generation that overflows the path moments or underflows to 0."""
+def _check_generation(values, n_paths: int, what="simulated generation",
+                      keys="mu, sigma, horizon_hours or initial_kw") -> None:
+    """Refuse generation that overflows the path moments (lower ``keys``) or underflows to 0."""
     # the path moments sum n_paths squares, which stay finite below this
     largest = np.sqrt(np.finfo(float).max / n_paths)
     if not (values <= largest).all():  # NaN too
         raise ValueError(
-            f"{what} exceeds {largest:.3g} kW, where the path moments "
-            "overflow; lower mu, sigma, horizon_hours or initial_kw"
+            f"{what} exceeds {largest:.3g} kW, where the path moments overflow; lower {keys}"
         )
     if not (values > 0).all():
         # the per-grid policy divides the demand by the generation
@@ -282,11 +282,12 @@ def run_case_study(config: ScenarioConfig) -> CaseResult:
     grid = config.grid
     # with the median terminal generation out of range, under a 2^-n_paths
     # share of seeds could run and no step count mends it, so it is refused
-    # before the calibration could advise one
+    # before the calibration could advise one; a lower sigma raises the median
     with np.errstate(over="ignore"):
         drift = np.array([p.mu for p in grid.params]) - grid.sigmas**2 / 2.0
         median = np.exp(np.log(config.initial_kw) + drift * config.horizon_hours)
-    _check_generation(median, config.n_paths, "the median simulated generation")
+    _check_generation(median, config.n_paths, "the median simulated generation",
+                      "mu, horizon_hours or initial_kw")
     dt = config.horizon_hours / config.rebalance_steps
     times = dt * np.arange(config.rebalance_steps + 1)
     # dt is constant, so one model and one engine serve every rebalance

@@ -424,22 +424,42 @@ class TestSimulate:
         assert "demand_kw must be finite" in err
         assert not (out / "results.csv").exists()
 
-    def test_overflowing_paths_named_exit_2(self, tmp_path, capsys):
-        # exp(1e5 per hour) overflows while the paths are simulated; the
-        # refusal names the keys to lower, before any bootstrap or warning
+    @staticmethod
+    def simulate_refused(tmp_path, capsys, text, case):
+        """The one error line of a 50-path simulate filtered to case, exit 2."""
         config = tmp_path / "fast.cfg"
-        config.write_text(DEMO_CFG.replace("0.006, 0.005", "1e5, 1e-5"))
+        config.write_text(text)
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, _, err = run_main(
-                capsys, "simulate", str(config), "--paths", "50", "--case-filter", "ge,ge",
+                capsys, "simulate", str(config), "--paths", "50", "--case-filter", case,
                 "--out", str(out),
             )
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert all(key in err for key in ("mu", "sigma", "horizon_hours")), err
         assert not out.exists()
+        return err
+
+    def test_overflowing_paths_named_exit_2(self, tmp_path, capsys):
+        # exp(1e5 per hour) overflows the median path, before any path is
+        # simulated, bootstrapped or warned about; the refusal names the
+        # keys to lower, and not sigma, whose lowering raises the median
+        err = self.simulate_refused(
+            tmp_path, capsys, DEMO_CFG.replace("0.006, 0.005", "1e5, 1e-5"), "ge,ge"
+        )
+        assert err.endswith("overflow; lower mu, horizon_hours or initial_kw\n"), err
+
+    def test_overflowing_block_names_sigma_exit_2(self, tmp_path, capsys):
+        # the median stays at 20 kW, but sigma * sqrt(50 h) = 212 carries the
+        # upper paths of the simulated block past the bound
+        err = self.simulate_refused(
+            tmp_path, capsys,
+            ONE_GRID_CFG + "mu = 450\nsigma = 30\nhorizon_hours = 50\nrebalance_steps = 50\n",
+            "ge",
+        )
+        assert err.startswith("error: simulated generation exceeds "), err
+        assert err.endswith("overflow; lower mu, sigma, horizon_hours or initial_kw\n"), err
 
     @pytest.mark.parametrize("paths", [None, "100"], ids=["config", "paths_option"])
     def test_memory_over_budget_exit_2_before_the_run(self, tmp_path, paths):
@@ -686,8 +706,8 @@ def test_every_error_class_has_a_chosen_exit_code():
 @pytest.mark.parametrize("line, command, named", [
     # the lattice's residual norm squared these
     ("demand_kw = 20, 1e300", "tes", "demand_kw must be at most 1.34e+154"),
-    # the paths' moments squared these
-    ("initial_kw = 20, 1e300", "simulate", "lower mu, sigma, horizon_hours or initial_kw"),
+    # the paths' moments squared these; a lower sigma would raise the median
+    ("initial_kw = 20, 1e300", "simulate", "lower mu, horizon_hours or initial_kw"),
     # and generation that grows past the square root of the float range
     ("mu = 75, 0.005", "simulate", "simulated generation exceeds 7.74e+152 kW"),
     # the per-grid policy squared sigma
@@ -696,7 +716,8 @@ def test_every_error_class_has_a_chosen_exit_code():
     ("mu = -1e300, 0", "simulate", "underflows to 0; raise mu, or lower sigma"),
     # the median path overflows whatever the seed: refused before the
     # calibration, which advised rebalance_steps 376, a run that then failed
-    ("horizon_hours = 1e6", "simulate", "the median simulated generation exceeds 7.74e+152 kW"),
+    ("horizon_hours = 1e6", "simulate", "the median simulated generation exceeds 7.74e+152 kW, "
+     "where the path moments overflow; lower mu, horizon_hours or initial_kw"),
 ])
 def test_values_that_would_overflow_named_exit_2(tmp_path, capsys, line, command, named):
     config = tmp_path / "extreme.cfg"

@@ -201,6 +201,13 @@ def run_drawn(capsys, text, command, allowed=DOCUMENTED_WARNINGS):
 @example(text=config_text(horizon_hours="1e300"), command="tes")
 @example(text=config_text(horizon_hours="1e6"), command="simulate")
 @example(text=config_text(rebalance_steps="4000"), command="tes")
+# the node budget's refusal advised 3161 steps, which do not calibrate: at
+# correlation 1 no step count does, and at 0.999 over 1000 h only 1 to 4 do
+@example(text=config_text(correlation="1", rebalance_steps=str(10**30)), command="tes")
+@example(
+    text=config_text(correlation="0.999", horizon_hours="1000", rebalance_steps="30000"),
+    command="tes",
+)
 @example(text=config_text(case_filter="lt,lt", max_simulated_paths="50"), command="simulate")
 def test_every_config_gets_a_documented_exit(capsys, text, command):
     code, refusal = run_drawn(capsys, text, command)

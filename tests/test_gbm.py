@@ -1,4 +1,5 @@
 """Correlated GBM simulation, estimation, and goodness of fit."""
+import re
 import tracemalloc
 
 import numpy as np
@@ -421,3 +422,47 @@ class TestChiSquareGof:
         pvals = np.array(pvals)
         assert 0.40 < pvals.mean() < 0.60
         assert pvals.min() < 0.2 and pvals.max() > 0.8
+
+
+def simulate(**changed):
+    """simulate_paths on the two-grid demo arguments, with some changed."""
+    args = dict(
+        params=[gh.GbmParams(0.006, 0.03), gh.GbmParams(0.005, 0.04)],
+        corr=gh.CorrelationMatrix.pairwise(0.6),
+        initial=np.array([20.0, 25.0]),
+        horizon=5.0, n_steps=5, n_paths=10, seed=1,
+    )
+    return gh.simulate_paths(**{**args, **changed})
+
+
+# each argument refusal of the module: its call, error class and whole message
+REFUSALS = {
+    "negative_sigma": (lambda: gh.GbmParams(0.0, -0.1), ValueError,
+                       "sigma must be finite and >= 0, got -0.1"),
+    "infinite_sigma": (lambda: gh.GbmParams(0.0, np.inf), ValueError,
+                       "sigma must be finite and >= 0, got inf"),
+    "nan_sigma": (lambda: gh.GbmParams(0.0, np.nan), ValueError,
+                  "sigma must be finite and >= 0, got nan"),
+    "non_square_correlation": (lambda: gh.CorrelationMatrix(np.ones((2, 3))), ValueError,
+                               "correlation matrix must be square, got (2, 3)"),
+    "no_steps": (lambda: simulate(n_steps=0), ValueError, "n_steps and n_paths must be >= 1"),
+    "no_paths": (lambda: simulate(n_paths=0), ValueError, "n_steps and n_paths must be >= 1"),
+    "initial_per_process": (lambda: simulate(initial=np.array([20.0])), ValueError,
+                            "initial must supply one value per process"),
+    "correlation_dimension": (lambda: simulate(corr=gh.CorrelationMatrix.identity(3)),
+                              ValueError, "correlation dimension does not match params"),
+    "one_return": (lambda: gh.gbm_mle_from_returns([0.01], 1.0), ValueError,
+                   "need at least 2 log-returns, got 1"),
+    "zero_dt": (lambda: gh.gbm_mle_from_returns([0.01, 0.02], 0.0), ValueError,
+                "dt must be > 0, got 0.0"),
+    "negative_dt": (lambda: gh.gbm_mle_from_returns([0.01, 0.02], -1.0), ValueError,
+                    "dt must be > 0, got -1.0"),
+    "zero_sigma_bins": (lambda: gh.chi_square_gof(np.zeros(8), gh.GbmParams(0.0, 0.0), 1.0, 4),
+                        DegenerateVolatility, "cannot bin against a zero-volatility law"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS)
+def test_argument_refused(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -295,6 +295,65 @@ class TestCalibration:
         assert info.value.branch is None
         self.assert_advised_horizon_calibrates(grid, info.value, 1e13, 5e13)
 
+    @pytest.mark.parametrize("sigmas, fits", [
+        ([0.04], 9_999_999), ([0.03, 0.04], 3161), ([0.03, 0.04, 0.05], 214),
+    ])
+    def test_count_over_the_budget_refused_at_calibration(self, sigmas, fits):
+        # the most steps that fit calibrate, so the refusal keeps the
+        # lattice's own wording and advice
+        grid = make_grid(sigmas, 0.3)
+        with pytest.raises(TreeTooLarge) as refused:
+            gh.calibrate_step_model(grid, 5.0 / (fits + 1), horizon=5.0)
+        assert str(refused.value).endswith(
+            f"; set rebalance_steps to at most {fits}, the most a {len(sigmas)}-grid lattice fits"
+        )
+        assert str(refused.value).startswith(f"{fits + 2}^{len(sigmas)} = ")
+        assert (refused.value.key, refused.value.value) == ("rebalance_steps", fits)
+        gh.calibrate_step_model(grid, 5.0 / fits, horizon=5.0)
+
+    def test_count_over_the_budget_advises_the_most_that_calibrate(self, monkeypatch):
+        # a calibration that fails at every count except 7 and 9: the count
+        # search runs down from the budget's 3161 and stops at 9
+        from gridhedge import lattice
+
+        branch_probs = lattice._branch_probs
+
+        def patchy(grid, signs, dt):
+            h, probs, bad = branch_probs(grid, signs, dt)
+            return h, probs, bad | (round(3.0 / dt) not in (7, 9))
+
+        monkeypatch.setattr(lattice, "_branch_probs", patchy)
+        with pytest.raises(TreeTooLarge) as refused:
+            gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 3.0 / 4000, horizon=3.0)
+        assert str(refused.value) == (
+            "4001^2 = 16008001 terminal states exceed the node budget 10000000; set "
+            "rebalance_steps to 9, the most up to 3161 that calibrate over 3 h"
+        )
+        assert refused.value.value == 9
+
+    def test_count_over_the_budget_that_no_count_mends_names_both_keys(self):
+        # no count up to 3161 calibrates over 5 h: the horizon is halved until
+        # 3161 steps do, and the count must come down to them as well
+        grid = make_grid([0.3, 0.04], -0.99999)
+        with pytest.raises(InfeasibleCalibration) as info:
+            gh.calibrate_step_model(grid, 5.0 / 4000, horizon=5.0)
+        error = info.value
+        assert str(error).startswith("4000 rebalance_steps exceed the node budget; at 3161, ")
+        assert str(error).endswith(
+            f"; set horizon_hours to {error.value!r}, the longest halving of it at which "
+            "3161 steps calibrate, and rebalance_steps to 3161"
+        )
+        # a halving of 5 h at which 3161 steps calibrate, and the longest one
+        assert error.key == "horizon_hours" and math.frexp(error.value / 5.0)[0] == 0.5
+        gh.calibrate_step_model(grid, error.value / 3161, horizon=error.value)
+        with pytest.raises(InfeasibleCalibration):
+            gh.calibrate_step_model(grid, 2 * error.value / 3161, horizon=2 * error.value)
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0])
+    def test_step_must_be_positive(self, dt):
+        with pytest.raises(ValueError, match=f"^dt must be > 0, got {dt}$"):
+            gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), dt)
+
     def test_halving_that_reaches_dt_0_advises_no_value(self, monkeypatch):
         # a step that calibrates nowhere ends the halving at dt = 0
         from gridhedge import lattice

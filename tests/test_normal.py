@@ -1,8 +1,10 @@
-"""The shared normal CDF against an arbitrary-precision oracle."""
+"""Phi (``ces._normal_cdf``) and its inverse (``gbm.normal_ppf``) against an
+arbitrary-precision oracle."""
 import mpmath
 import numpy as np
 
-from gridhedge.normal import normal_cdf, normal_ppf
+from gridhedge.ces import _normal_cdf as normal_cdf
+from gridhedge.gbm import normal_ppf
 
 mpmath.mp.dps = 50
 

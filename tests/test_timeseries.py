@@ -76,6 +76,15 @@ def test_malformed_rows_refused(tmp_path, rows, want):
         load_power_csv(write_csv(tmp_path, rows))
 
 
+@pytest.mark.parametrize("blank", ["", "   ", ",", " , ", "\t"],
+                         ids=["empty", "spaces", "comma", "spaced_comma", "tab"])
+def test_blank_rows_skipped(tmp_path, blank):
+    rows = five_min_rows(1, 10, 3, [20.0, 20.5, 21.0])
+    series = load_power_csv(write_csv(tmp_path, [rows[0], blank, rows[1], rows[2], blank]))
+    assert series.values.tolist() == [20.0, 20.5, 21.0]
+    assert series.dt_hours == pytest.approx(5 / 60)
+
+
 def test_bad_header(tmp_path):
     want = "^row 1: header must be 'timestamp,power_kw', got 'time,kw'$"
     with pytest.raises(ValueError, match=want):
