@@ -20,7 +20,7 @@ grid = gh.GridEnsemble(
 state = np.array([20.0, 25.0])
 horizon, steps = 5.0, 5
 
-model = gh.calibrate_step_model(grid, dt=horizon / steps)
+model = gh.calibrate_step_model(grid, horizon, steps)
 print("calibrated one-hour step")
 print("  up factors   :", np.round(model.up, 6))
 print("  down factors :", np.round(model.down, 6))
@@ -50,7 +50,7 @@ single = gh.GridEnsemble(
 )
 want = gh.ces_portfolio_value(20.0, specs[0], 0.0, horizon)
 for n in (5, 25, 200):
-    m = gh.calibrate_step_model(single, horizon / n)
+    m = gh.calibrate_step_model(single, horizon, n)
     v, _ = gh.dynamic_allocation(np.array([20.0]), single.demands, m, n, None, 1.0)
     print(f"  N={n:4d}: V={v:.5f}  (closed form {want:.5f}, "
           f"rel err {abs(v - want) / want:.2%})")

@@ -116,23 +116,21 @@ def _cmd_allocate(args) -> int:
         print(f"total_battery_units = {total_b:.6f}")
         print(f"total_portfolio_kw  = {total_v:.6f}")
     else:
-        dt = t_f / config.rebalance_steps
-        steps_done = t / dt
+        model = _here.calibrate_step_model(grid, t_f, config.rebalance_steps)
+        steps_done = t / model.dt
         snapped = round(steps_done)
         # a time that snaps to the horizon has no step left to allocate
-        if abs(steps_done - snapped) > 1e-9 or snapped == config.rebalance_steps:
+        if abs(steps_done - snapped) > 1e-9 or snapped == model.steps:
             # the grid times either side of t that fall before the horizon,
             # each printed as its shortest exact decimal
-            below = min(math.floor(steps_done), config.rebalance_steps - 1)
-            near = [k * dt for k in (below, below + 1) if k < config.rebalance_steps]
+            below = min(math.floor(steps_done), model.steps - 1)
+            near = [k * model.dt for k in (below, below + 1) if k < model.steps]
             raise TimeOutOfRange(
-                f"time out of range: tes allocation rebalances every {dt:g} h; use --time "
+                f"time out of range: tes allocation rebalances every {model.dt:g} h; use --time "
                 + " or ".join(str(time).removesuffix(".0") for time in near)
             )
-        remaining = config.rebalance_steps - snapped
-        model = _here.calibrate_step_model(grid, dt, horizon=t_f)
         value, alloc = _here.dynamic_allocation(
-            pg, grid.demands, model, remaining, None, grid.battery_unit_kw
+            pg, grid.demands, model, model.steps - snapped, None, grid.battery_unit_kw
         )
         for i, a in enumerate(alloc.a, start=1):
             print(f"a_{i} = {a:.6f}")

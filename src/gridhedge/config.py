@@ -21,6 +21,7 @@ correlation matrix writes its rows separated by semicolons.  Example::
     case_filter     = ge, lt            # optional
 """
 import os
+import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timezone
@@ -88,6 +89,13 @@ class ScenarioConfig:
         horizon = self.horizon_hours
         if not (np.isfinite(horizon) and horizon > 0):
             raise ValueError(f"horizon_hours must be finite and > 0, got {horizon}")
+        # the lattice's time step; a count past the float range divides nothing
+        steps = self.rebalance_steps
+        if not (steps <= sys.float_info.max and horizon / steps > 0):
+            raise ValueError(
+                f"horizon_hours / rebalance_steps ({horizon:g} / {steps}) is no positive "
+                "time step; raise horizon_hours or lower rebalance_steps"
+            )
         # the per-grid policy takes sigma^2 times the time left to the horizon
         with np.errstate(over="ignore"):
             variance = self.grid.sigmas**2 * horizon

@@ -10,14 +10,14 @@ preconditions.
 class GridHedgeError(Exception):
     """Base class for all package-specific errors.
 
-    A refusal that advises a config change names the ``key`` and the
-    ``value`` to set it to; both are None where it advises none.
+    A refusal that advises a config change carries ``advice``, each key it
+    names mapped to the value to set it to (None where it has no value);
+    the mapping is empty where it advises none.
     """
 
-    def __init__(self, message, key=None, value=None):
+    def __init__(self, message, advice=()):
         super().__init__(message)
-        self.key = key
-        self.value = value
+        self.advice = dict(advice)
 
 
 class DegenerateVolatility(GridHedgeError):
@@ -31,32 +31,27 @@ class TimeOutOfRange(GridHedgeError):
 class InfeasibleCalibration(GridHedgeError):
     """A lattice step left a branch probability outside [0, 1] or overflowed exp(h).
 
-    Carries the offending ``branch``, None where the up factor overflows.
-    When no finer time step helps, ``limit`` is that branch's probability as
-    dt -> 0.  Otherwise ``key`` and ``value`` are, in this order,
-    "rebalance_steps" and the fewest steps that calibrate; "sigma" and None
-    when a one-hour step of that sigma overflows; or "horizon_hours" and the
-    horizon halved until the step count calibrates, None if dt reaches 0.
+    ``advice`` is empty when no step count or halving of the horizon helps.
+    Otherwise it maps, in this order, "rebalance_steps" to the fewest steps
+    that calibrate; "sigma" to None when a one-hour step of that sigma
+    overflows; or "horizon_hours" to the horizon halved until the step
+    count calibrates, with "rebalance_steps" to the node budget's most
+    steps when the count given exceeds it.
     """
-
-    def __init__(self, message, branch, limit=None, key=None, value=None):
-        super().__init__(message, key, value)
-        self.branch = branch
-        self.limit = limit
 
 
 class TreeTooLarge(GridHedgeError):
     """A lattice's terminal grid would exceed the node budget.
 
-    ``key`` is "rebalance_steps" and ``value`` the most steps the node
-    budget fits that calibrate.
+    ``advice`` maps "rebalance_steps" to the most steps the node budget
+    fits that calibrate.
     """
 
 
 class InsufficientPaths(GridHedgeError):
     """No simulated path satisfied the requested terminal case filter.
 
-    ``key`` is "max_simulated_paths" and ``value`` the cap advised, or None
+    ``advice`` maps "max_simulated_paths" to the cap advised, or to None
     when no path matched.
     """
 

@@ -66,6 +66,7 @@ class LatticeStepModel:
     """
 
     dt: float
+    steps: int                 # dt is the horizon over this many steps
     log_steps: np.ndarray      # h_i = ln u_i
     branch_probs: np.ndarray   # length 2^n, ordered like signs
     signs: np.ndarray
@@ -108,7 +109,7 @@ def _branch_probs(grid: GridEnsemble, signs, dt: float):
     lattice's factors and its replication would turn it into NaN.
     """
     sigmas = grid.sigmas
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         s = sigmas**2 * dt
         h = np.sqrt(s + (s / 2.0) ** 2)
         pairs = grid.corr.rho * sigmas[:, None] * sigmas * dt / (h[:, None] * h)
@@ -117,17 +118,8 @@ def _branch_probs(grid: GridEnsemble, signs, dt: float):
     return h, probs, ~inside
 
 
-def _too_large(steps, n: int, advice: str, value: int) -> TreeTooLarge:
-    """The node budget's refusal of a steps-step lattice on n grids."""
-    return TreeTooLarge(
-        f"{steps + 1}^{n} = {(steps + 1) ** n} terminal states exceed the node budget "
-        f"{DEFAULT_NODE_BUDGET}; set rebalance_steps to {advice}",
-        key="rebalance_steps", value=value,
-    )
-
-
-def calibrate_step_model(grid: GridEnsemble, dt: float, horizon=None) -> LatticeStepModel:
-    """Solve movement factors and branch probabilities for one time step.
+def calibrate_step_model(grid: GridEnsemble, horizon: float, steps: int) -> LatticeStepModel:
+    """Solve movement factors and branch probabilities for steps steps over horizon.
 
     One closed form serves every number of assets (Boyle, Evnine & Gibbs
     1989): h_i = sqrt(s_i + (s_i/2)^2) with s_i = sigma_i^2*dt, and branch k
@@ -138,20 +130,21 @@ def calibrate_step_model(grid: GridEnsemble, dt: float, horizon=None) -> Lattice
     the probabilities underdetermined, it is the completion with every
     higher-order interaction zero.
 
-    dt is ``horizon`` / rebalance_steps (horizon defaults to dt, one step).
-    A count over the node budget is refused with TreeTooLarge, advising the
-    most rebalance_steps within it that calibrate; where none does, the
-    refusals below speak of the most steps the budget fits.  A step fails
-    when a branch probability leaves [0, 1] or an up factor exp(h)
-    overflows.  The refusal then advises, in this order: nothing, when the
-    correlations admit no lattice at any fine step; the fewest
-    rebalance_steps that calibrate over the horizon; sigma, when a one-hour
-    step of it overflows; else horizon_hours, halved exactly until the step
-    count calibrates (None if dt reaches 0 first).  Both searches try every
-    count the node budget fits, since feasibility need not be monotone in
-    the count.
+    dt is horizon / steps.  This is where the node budget is decided: a
+    count over it is refused with TreeTooLarge, advising the most
+    rebalance_steps within it that calibrate; where none does, the refusals
+    below speak of the most steps the budget fits.  A step fails when a
+    branch probability leaves [0, 1] or an up factor exp(h) overflows.  The
+    refusal then advises, in this order: nothing, when the correlations
+    admit no lattice at any fine step, or when sigma^2 * horizon underflows
+    to 0; the fewest rebalance_steps that calibrate over the horizon; sigma,
+    when a one-hour step of it overflows; else horizon_hours, halved
+    exactly until the step count calibrates (nothing if dt reaches 0 first).
+    Both searches try every count the node budget fits, since feasibility
+    need not be monotone in the count.
     """
-    if dt <= 0:
+    dt = horizon / steps
+    if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     sigmas = grid.sigmas
     if np.any(sigmas == 0):
@@ -159,42 +152,46 @@ def calibrate_step_model(grid: GridEnsemble, dt: float, horizon=None) -> Lattice
     n = grid.n_microgrids
     signs = np.array(list(itertools.product([1.0, -1.0], repeat=n)))
     h, probs, bad = _branch_probs(grid, signs, dt)
-    horizon = dt if horizon is None else horizon
     most = max_lattice_steps(n)
-    count = round(horizon / dt)
-    over = count > most
+    over = steps > most
     if not (over or bad.any()):
         return LatticeStepModel(
-            dt=dt, log_steps=h, branch_probs=np.clip(probs, 0.0, 1.0), signs=signs
+            dt=dt, steps=steps, log_steps=h, branch_probs=np.clip(probs, 0.0, 1.0), signs=signs
         )
     # h > s/2, so exp(h) overflows at every count whose s = sigma^2 * horizon / count
     # exceeds twice the log of the float range; the searches skip those counts,
     # which for one grid can reach the node budget's millions
     first = min(horizon * sigmas.max() ** 2 / (2 * np.log(np.finfo(float).max)), most + 1)
     counts = range(max(1, int(first)), most + 1)
-    calibrating = (steps for steps in (reversed(counts) if over else counts)
-                   if not _branch_probs(grid, signs, horizon / steps)[2].any())
+    calibrating = (count for count in (reversed(counts) if over else counts)
+                   if not _branch_probs(grid, signs, horizon / count)[2].any())
     if over:
-        steps = next(calibrating, None)
-        if steps is not None:
-            raise _too_large(count, n, f"at most {most}, the most a {n}-grid lattice fits"
-                             if steps == most else
-                             f"{steps}, the most up to {most} that calibrate over {horizon:g} h",
-                             steps)
+        fits = next(calibrating, None)
+        if fits is not None:
+            raise TreeTooLarge(
+                f"{steps + 1}^{n} = {(steps + 1) ** n} terminal states exceed the node budget "
+                f"{DEFAULT_NODE_BUDGET}; set rebalance_steps to "
+                + (f"at most {most}, the most a {n}-grid lattice fits" if fits == most else
+                   f"{fits}, the most up to {most} that calibrate over {horizon:g} h"),
+                {"rebalance_steps": fits},
+            )
         # none does: the refusal below names the most steps the budget fits
         dt = horizon / most
         h, probs, bad = _branch_probs(grid, signs, dt)
     with np.errstate(over="ignore"):
         overflows = np.isinf(np.exp(h)).any()
         hourly = np.isinf(np.exp(_branch_probs(grid, signs, 1.0)[0]))
+        # one step over the horizon is the longest: where its sigma^2 * dt
+        # underflows to 0, no count or halving gives the grid a move
+        still = sigmas**2 * horizon == 0
     # an overflowing step has no offending branch
-    k = None if overflows else int(bad.argmax())
+    k = int(bad.argmax())
     refused = (
         f"a time step of {dt:g} h overflows the lattice's up factor exp(h); " if overflows
         else f"branch {k} probability {probs[k]:.6g} outside [0, 1]; "
     )
     if over:
-        refused = f"{count:.6g} rebalance_steps exceed the node budget; at {most}, " + refused
+        refused = f"{steps:.6g} rebalance_steps exceed the node budget; at {most}, " + refused
     # as dt -> 0, m -> 0 and c -> rho; when that limit is negative, or zero
     # and approached from below as -(sum_i e_ki sigma_i)*sqrt(dt)/2^(n+1), no
     # finer time step can restore feasibility
@@ -205,22 +202,27 @@ def calibrate_step_model(grid: GridEnsemble, dt: float, horizon=None) -> Lattice
         raise InfeasibleCalibration(
             refused + f"branch {j}'s probability tends to {limits[j]:.6g} as dt -> 0: these "
             "correlations admit no moment-matched lattice at any fine time step, so refining "
-            "dt cannot help",
-            j, limit=float(limits[j]),
+            "dt cannot help"
         )
-    steps = next(calibrating, None)  # None when the count is over the budget: searched above
-    if steps is not None:
+    if still.any():
+        i = int(still.argmax())
         raise InfeasibleCalibration(
-            refused + f"set rebalance_steps to {steps} (dt = {horizon / steps:g} h), "
+            refused + f"sigma^2 * horizon_hours underflows to 0 for sigma {sigmas[i]:g} of "
+            f"microgrid {i + 1}, so no rebalance_steps calibrates; raise sigma or horizon_hours"
+        )
+    fewest = next(calibrating, None)  # None when the count is over the budget: searched above
+    if fewest is not None:
+        raise InfeasibleCalibration(
+            refused + f"set rebalance_steps to {fewest} (dt = {horizon / fewest:g} h), "
             f"the fewest that calibrate over {horizon:g} h",
-            k, key="rebalance_steps", value=steps,
+            {"rebalance_steps": fewest},
         )
     if hourly.any():
         i = int(hourly.argmax())
         raise InfeasibleCalibration(
             f"sigma {sigmas[i]:g} of microgrid {i + 1} overflows the lattice's up "
             "factor exp(h) at a time step of 1 h or more; lower sigma",
-            None, key="sigma",
+            {"sigma": None},
         )
     # halving is exact in binary, so the step tried here is bit for bit the
     # one that shorter / rebalance_steps gives the caller
@@ -230,12 +232,13 @@ def calibrate_step_model(grid: GridEnsemble, dt: float, horizon=None) -> Lattice
         bad = _branch_probs(grid, signs, dt)[2]
     at = (f"{most} steps calibrate, and rebalance_steps to {most}" if over
           else "this step count calibrates")
-    advice = (f"set horizon_hours to {shorter!r}, the longest halving of it at which {at}"
-              if dt else "no halving of horizon_hours calibrates")
+    advice = {"horizon_hours": shorter} | ({"rebalance_steps": most} if over else {})
     raise InfeasibleCalibration(
         refused + f"no rebalance_steps up to {most}, the most the node budget fits, "
-        f"calibrates over {horizon:g} h; {advice}",
-        k, key="horizon_hours", value=shorter if dt else None,
+        f"calibrates over {horizon:g} h; "
+        + (f"set horizon_hours to {shorter!r}, the longest halving of it at which {at}"
+           if dt else "no halving of horizon_hours calibrates"),
+        advice if dt else {},
     )
 
 
@@ -326,22 +329,15 @@ class RecombiningLattice:
     1 plus the number of grids whose up and down factors differ, is known
     at construction.  Equal roots are valued once.
 
-    A lattice of up to ``max_steps`` steps whose terminal grid exceeds the
-    node budget is refused at construction, before anything is allocated.
+    A root is valued over at most ``model.steps`` steps, the count its
+    calibration checked against the node budget.
     """
 
-    def __init__(self, model: LatticeStepModel, d_c, max_steps: int, p_b: float):
-        n = model.n_assets
-        nodes = (max_steps + 1) ** n
-        if nodes > DEFAULT_NODE_BUDGET:
-            fits = max_lattice_steps(n)
-            raise _too_large(max_steps, n, f"at most {fits}, the most a {n}-grid lattice fits",
-                             fits)
+    def __init__(self, model: LatticeStepModel, d_c, p_b: float):
         if p_b <= 0:
             raise ValueError(f"p_b must be > 0, got {p_b}")
         self.model = model
         self.total_demand = float(np.sum(d_c))
-        self.max_steps = max_steps
         self.p_b = p_b
         up, down = model.up, model.down
         self.centre = (up + down) / 2.0
@@ -435,9 +431,9 @@ class RecombiningLattice:
         One root is valued branch by branch; two or more share the stacked
         child weights, two BLAS products per block of roots.
         """
-        if not 1 <= steps <= self.max_steps:
-            raise ValueError(f"steps must lie in [1, {self.max_steps}], got {steps}")
         model = self.model
+        if not 1 <= steps <= model.steps:
+            raise ValueError(f"steps must lie in [1, {model.steps}], got {steps}")
         n = model.n_assets
         m = pg.shape[0]
         if m == 1:
@@ -514,10 +510,10 @@ class RecombiningLattice:
 def dynamic_allocation(pg_now, d_c, model: LatticeStepModel, remaining_steps: int, prev_a, p_b):
     """End-to-end allocation step for one root: value and extract resources.
 
-    This is ``RecombiningLattice.allocate`` with one root.  ``pg_now``,
-    ``d_c`` and ``prev_a`` (default zero) each hold one entry per microgrid
-    of ``model``.  Returns (portfolio value at the evaluation time,
-    Allocation).
+    This is ``RecombiningLattice.allocate`` with one root, over at most
+    ``model.steps`` remaining steps.  ``pg_now``, ``d_c`` and ``prev_a``
+    (default zero) each hold one entry per microgrid of ``model``.  Returns
+    (portfolio value at the evaluation time, Allocation).
     """
     if isinstance(remaining_steps, bool) or not (
         isinstance(remaining_steps, numbers.Integral) and remaining_steps >= 0
@@ -533,7 +529,7 @@ def dynamic_allocation(pg_now, d_c, model: LatticeStepModel, remaining_steps: in
             )
     if np.any(pg_now <= 0):
         raise ValueError("root generation must be strictly positive")
-    lattice = RecombiningLattice(model, d_c, remaining_steps, p_b)
+    lattice = RecombiningLattice(model, d_c, p_b)
     value, a, b, residual = lattice.allocate(pg_now[None, :], remaining_steps, prev_a[None, :])
     return float(value[0]), Allocation(a=a[0], b=float(b[0]), residual=float(residual[0]))
 

@@ -144,8 +144,7 @@ def _collect_paths(config: ScenarioConfig):
             raise InsufficientPaths(
                 f"case filter {format_case(case)!r} matched only "
                 f"{n_collected}/{config.n_paths} of {examined} simulated paths; {advice}",
-                key="max_simulated_paths",
-                value=cap,
+                {"max_simulated_paths": cap},
             )
         with np.errstate(over="ignore", invalid="ignore"):
             values = simulate_paths(
@@ -288,13 +287,11 @@ def run_case_study(config: ScenarioConfig) -> CaseResult:
         median = np.exp(np.log(config.initial_kw) + drift * config.horizon_hours)
     _check_generation(median, config.n_paths, "the median simulated generation",
                       "mu, horizon_hours or initial_kw")
-    dt = config.horizon_hours / config.rebalance_steps
-    times = dt * np.arange(config.rebalance_steps + 1)
     # dt is constant, so one model and one engine serve every rebalance
     # time; an infeasible or oversized lattice fails before any path is
     # simulated, and so does a run that would overrun the memory budget
-    model = calibrate_step_model(grid, dt, horizon=config.horizon_hours)
-    engine = RecombiningLattice(model, grid.demands, config.rebalance_steps, grid.battery_unit_kw)
+    model = calibrate_step_model(grid, config.horizon_hours, config.rebalance_steps)
+    engine = RecombiningLattice(model, grid.demands, grid.battery_unit_kw)
     need = case_study_bytes(config)
     if need > DEFAULT_MEMORY_BUDGET:
         raise ValueError(
@@ -303,6 +300,7 @@ def run_case_study(config: ScenarioConfig) -> CaseResult:
             f"({config.n_paths}), rebalance_steps ({config.rebalance_steps}) or "
             f"n_resamples ({config.n_resamples})"
         )
+    times = model.dt * np.arange(model.steps + 1)
     samples, pg_mean, pg_std, counts = _kept_path_metrics(config, engine, times)
     metrics, savings = _bootstrap_time_metrics(
         samples, config.n_resamples, derive_seed(config.seed, "bootstrap")

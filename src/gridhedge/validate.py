@@ -82,7 +82,7 @@ def check_lattice_convergence() -> CheckResult:
         demands=np.array([20.0]),
         battery_unit_kw=1.0,
     )
-    model = calibrate_step_model(grid, dt=5.0 / 200)
+    model = calibrate_step_model(grid, 5.0, 200)
     value, _ = dynamic_allocation(np.array([20.0]), grid.demands, model, 200, None, 1.0)
     want = ces.ces_portfolio_value(20.0, spec, 0.0, 5.0)
     rel = abs(value - want) / want
@@ -107,7 +107,7 @@ def check_calibration_residuals() -> CheckResult:
             demands=np.ones(len(grid_sigmas)),
             battery_unit_kw=1.0,
         )
-        model = calibrate_step_model(grid, dt=1.0)
+        model = calibrate_step_model(grid, 1.0, 1)
         worst = max(worst, np.max(np.abs(moment_residuals(model, grid))))
     return CheckResult(
         "calibration_moment_residuals",
@@ -120,11 +120,11 @@ def check_tes_mc_agreement() -> CheckResult:
     """Lattice root value against the transformed-measure Monte Carlo oracle."""
 
     grid = _demo_grid()
-    model = calibrate_step_model(grid, dt=1.0)
+    model = calibrate_step_model(grid, 5.0, 5)
     value5, _ = dynamic_allocation(
         np.array([20.0, 25.0]), grid.demands, model, 5, None, 1.0
     )
-    fine_model = calibrate_step_model(grid, dt=5.0 / 80)
+    fine_model = calibrate_step_model(grid, 5.0, 80)
     value80, _ = dynamic_allocation(
         np.array([20.0, 25.0]), grid.demands, fine_model, 80, None, 1.0
     )

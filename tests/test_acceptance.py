@@ -99,7 +99,7 @@ def test_criterion_2_lattice_convergence():
     start = time.perf_counter()
     tree_values = {}
     for n in (8, 16):
-        model = gh.calibrate_step_model(grid, 5.0 / n)
+        model = gh.calibrate_step_model(grid, 5.0, n)
         tree_values[n], _ = reference_tree.tree_allocation(
             np.array([20.0]), grid.demands, model, n, None, 1.0
         )
@@ -142,7 +142,7 @@ def test_criterion_4_deterministic_initial_savings():
     """
     grid = demo_grid_2()
     start = time.perf_counter()
-    model = gh.calibrate_step_model(grid, 1.0)
+    model = gh.calibrate_step_model(grid, 5.0, 5)
     _, alloc = gh.dynamic_allocation(
         np.array([20.0, 25.0]), grid.demands, model, 5, None, 1.0
     )
@@ -323,7 +323,7 @@ def test_criterion_9_property_suites():
             demands=demands,
             battery_unit_kw=1.0,
         )
-        model = gh.calibrate_step_model(grid, 1.0)
+        model = gh.calibrate_step_model(grid, 3.0, 3)
         leaves = reference_tree.forward_propagate(root, model, 3)
         pooled, _ = reference_tree.backpropagate(leaves, demands)
         separate = sum(
@@ -346,7 +346,7 @@ def test_criterion_9_property_suites():
         sigma = rng.uniform(0.01, 0.1)
         demand = rng.uniform(10.0, 40.0)
         grid = single_grid(sigma=sigma, demand=demand)
-        model = gh.calibrate_step_model(grid, 1.0)
+        model = gh.calibrate_step_model(grid, 4.0, 4)
         leaves = reference_tree.forward_propagate(np.array([demand * rng.uniform(0.9, 1.1)]), model, 4)
         reference_tree.backpropagate(leaves, grid.demands)
         for _, alloc in reference_tree.replicate_internal(leaves, 1.0):

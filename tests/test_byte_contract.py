@@ -2,15 +2,19 @@
 
 Both ``perfbench`` configs at each pinned seed are run in-process through
 ``cli.main`` by ``tools/pin_byte_contract.py``, which also re-pins the file.
-A change that moves an output re-pins it on purpose and says which outputs
-moved and why; the digests only hold on the numpy and BLAS build they were
-pinned on, so another build fails here, naming both, rather than skipping.
+A change that moves an output raises the package version, re-pins it on
+purpose and says which outputs moved and why; the file records the version,
+so a version other than the pinned one fails here, naming both.  The digests
+only hold on the numpy and BLAS build they were pinned on, so another build
+fails here, naming both, rather than skipping.
 """
 import importlib.util
 import json
 from pathlib import Path
 
 import pytest
+
+import gridhedge
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -26,6 +30,13 @@ def test_pinned_on_this_build():
     assert pin.build() == PINNED["build"], (
         f"digests were pinned on {PINNED['build']}, this is {pin.build()}; "
         "re-pin with tools/pin_byte_contract.py only if the outputs are right on this build"
+    )
+
+
+def test_pinned_under_this_version():
+    assert gridhedge.__version__ == PINNED["tool_version"], (
+        f"digests were pinned under gridhedge {PINNED['tool_version']}, this is "
+        f"{gridhedge.__version__}; re-pin with tools/pin_byte_contract.py after a version step"
     )
 
 

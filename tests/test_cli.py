@@ -209,7 +209,7 @@ class TestAllocate:
         )
         assert code == 0, err
         values = parse_kv(out)
-        model = gh.calibrate_step_model(demo_grid, 1.0)
+        model = gh.calibrate_step_model(demo_grid, 5.0, 5)
         _, alloc = gh.dynamic_allocation(
             np.array([20.0, 25.0]), demo_grid.demands, model, 5, None, 1.0
         )
@@ -241,8 +241,8 @@ class TestAllocate:
         with pytest.raises(errors.TreeTooLarge) as refused:
             gh.run_case_study(load_scenario_config(config))
         assert str(refused.value) == err.removeprefix("error: ").rstrip("\n")
-        assert (refused.value.key, refused.value.value) == ("rebalance_steps", 55)
-        config.write_text(base + f"{refused.value.key} = {refused.value.value}\n")
+        assert refused.value.advice == {"rebalance_steps": 55}
+        config.write_text(base + "rebalance_steps = 55\n")
         code, _, err = run_main(capsys, *argv)
         assert code == 0, err
 
@@ -400,8 +400,9 @@ class TestSimulate:
         with pytest.raises(errors.InsufficientPaths) as refused:
             gh.run_case_study(load_scenario_config(config))
         assert str(refused.value) == err.removeprefix("error: ").rstrip("\n")
-        assert refused.value.key == "max_simulated_paths"
-        config.write_text(DEMO_CFG + f"{refused.value.key} = {refused.value.value}\n")
+        ((key, value),) = refused.value.advice.items()
+        assert key == "max_simulated_paths"
+        config.write_text(DEMO_CFG + f"{key} = {value}\n")
         code, _, err = run_main(capsys, *argv)
         assert code == 0, err
 
@@ -413,7 +414,7 @@ class TestSimulate:
         )
         with pytest.raises(errors.InsufficientPaths, match="no max_simulated_paths") as refused:
             gh.run_case_study(load_scenario_config(config))
-        assert (refused.value.key, refused.value.value) == ("max_simulated_paths", None)
+        assert refused.value.advice == {"max_simulated_paths": None}
 
     def test_non_finite_demand_exit_2(self, tmp_path, capsys):
         config = tmp_path / "nan.cfg"
@@ -786,20 +787,20 @@ def test_overflowing_up_factor_advice_works_when_applied(tmp_path, capsys, base,
     assert code == EXIT_CALIBRATION
     loaded = load_scenario_config(config)
     with pytest.raises(errors.InfeasibleCalibration) as refused:
-        dt = loaded.horizon_hours / loaded.rebalance_steps
-        gh.calibrate_step_model(loaded.grid, dt, horizon=loaded.horizon_hours)
+        gh.calibrate_step_model(loaded.grid, loaded.horizon_hours, loaded.rebalance_steps)
     assert err == f"error: {refused.value}\n"
-    assert refused.value.key == key
+    ((advised, value),) = refused.value.advice.items()
+    assert advised == key
     if key == "sigma":
         # sigma has no value to advise: lowered to the base config's value,
         # the advised key alone mends it
-        assert refused.value.value is None and err.endswith("; lower sigma\n")
+        assert value is None and err.endswith("; lower sigma\n")
         applied = next(line for line in base.splitlines() if line.startswith(key))
     else:
         # the advised value, as the message prints it
-        assert refused.value.value is not None
-        assert f"set {key} to {refused.value.value!r}" in err
-        applied = f"{key} = {refused.value.value!r}"
+        assert value is not None
+        assert f"set {key} to {value!r}" in err
+        applied = f"{key} = {value!r}"
     config.write_text(base + lines + applied + "\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")

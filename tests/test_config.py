@@ -172,6 +172,21 @@ def test_cap_below_n_paths_rejected(tmp_path):
         load_scenario_config(write(tmp_path, DEMO + "max_simulated_paths = 9999\n"))
 
 
+@pytest.mark.parametrize("horizon, steps", [("1e-300", str(10**30)), ("5", str(10**400))],
+                         ids=["underflow", "past_float_range"])
+def test_step_that_is_no_positive_float_rejected(tmp_path, horizon, steps):
+    # a 0 h step died in allocate with a ZeroDivisionError, and a count past
+    # the float range with an OverflowError; both keys are named
+    text = DEMO + f"horizon_hours = {horizon}\nrebalance_steps = {steps}\n"
+    with pytest.raises(ValueError, match=(
+        rf"^horizon_hours / rebalance_steps \({horizon} / {steps}\) is no positive time "
+        "step; raise horizon_hours or lower rebalance_steps$"
+    )):
+        load_scenario_config(write(tmp_path, text))
+    # a step that is tiny but positive loads
+    load_scenario_config(write(tmp_path, DEMO + "horizon_hours = 1e-300\n"))
+
+
 @pytest.mark.parametrize("key", ["n_resamples", "max_simulated_paths"])
 def test_counts_below_one_rejected(tmp_path, key):
     # n_resamples = 0 used to reach np.quantile and die with an IndexError

@@ -5,11 +5,11 @@ corruptions (NaN, +-inf, 0, negative values, 1e300, wrong list lengths,
 empty values), and each is run through ``cli.main`` in-process on a small
 run.  Whatever the config, a command must end promptly with a documented
 exit code, report a refusal on one ``error:`` line, warn nothing and leave
-no output directory behind.  A refusal that advises a value for a key must
-give advice that works: with that value applied, ``allocate`` exits 0 and
-warns nothing.  Where a full run would simulate paths or value a lattice at
-the node budget (``simulate``, and the node budget's own refusal), the
-checks that precede that work must pass instead.
+no output directory behind.  A refusal that advises values for keys must
+give advice that works: with every advised value applied, ``allocate``
+exits 0 and warns nothing.  Where a full run would simulate paths or value
+a lattice at the node budget (``simulate``, and the node budget's own
+refusal), the calibration, which precedes that work, must pass instead.
 """
 import os
 import re
@@ -29,7 +29,7 @@ from gridhedge.errors import (
     RankDeficientWarning,
     TreeTooLarge,
 )
-from gridhedge.lattice import RecombiningLattice, calibrate_step_model
+from gridhedge.lattice import calibrate_step_model
 
 EXITS = {0, 2, 3, 4, 5}
 
@@ -209,27 +209,33 @@ def run_drawn(capsys, text, command, allowed=DOCUMENTED_WARNINGS):
     command="tes",
 )
 @example(text=config_text(case_filter="lt,lt", max_simulated_paths="50"), command="simulate")
+# the node budget's refusal names two keys; applied alone, its horizon
+# advice ended in a second refusal
+@example(text=config_text(horizon_hours="1e300", rebalance_steps="4000"), command="tes")
+# a step that underflows to 0 crashed allocate with a ZeroDivisionError
+@example(text=config_text(horizon_hours="1e-300", rebalance_steps=str(10**30)), command="tes")
+# sigma^2 * dt underflowed to 0: a divide-by-zero warning, then advice
+# that no halving of the horizon calibrates, where a longer one does
+@example(text=config_text(sigma="0.03, 1e-12", horizon_hours="1e-300"), command="tes")
 def test_every_config_gets_a_documented_exit(capsys, text, command):
     code, refusal = run_drawn(capsys, text, command)
-    if refusal is None or refusal.key is None:
+    if refusal is None or not refusal.advice:
         return
-    if refusal.value is None:
-        assert NO_VALUE[refusal.key] in str(refusal), (text, str(refusal))
-        return
-    advised = re.sub(rf"^{refusal.key} = .*$", f"{refusal.key} = {refusal.value!r}", text,
-                     flags=re.MULTILINE)
+    advised = text
+    for key, value in refusal.advice.items():
+        if value is None:
+            assert NO_VALUE[key] in str(refusal), (text, str(refusal))
+            return
+        advised = re.sub(rf"^{key} = .*$", f"{key} = {value!r}", advised, flags=re.MULTILINE)
     if command == "simulate" or isinstance(refusal, TreeTooLarge):
-        # the checks that come before any path is drawn or any lattice is
-        # valued: simulate exits 3 only where the first refuses, and a run
-        # at the node budget the second advises takes seconds
+        # the check that comes before any path is drawn or any lattice is
+        # valued: simulate exits 3 only where it refuses, and a run at the
+        # node budget that it advises takes seconds
         with tempfile.TemporaryDirectory(prefix="config_space_") as tmp:
             config = Path(tmp) / "advised.cfg"
             config.write_text(advised)
             loaded = load_scenario_config(config)
-        grid, steps = loaded.grid, loaded.rebalance_steps
-        model = calibrate_step_model(grid, loaded.horizon_hours / steps,
-                                     horizon=loaded.horizon_hours)
-        RecombiningLattice(model, grid.demands, steps, grid.battery_unit_kw)
+        calibrate_step_model(loaded.grid, loaded.horizon_hours, loaded.rebalance_steps)
     else:
         code, again = run_drawn(capsys, advised, command, allowed=())
         assert code == 0, (advised, str(again))

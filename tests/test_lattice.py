@@ -100,7 +100,7 @@ class TestCalibration:
         h_solved = brentq(lambda h: h**2 - (s / 2.0) ** 2 - s, 1e-6, 1.0, xtol=1e-16)
         p_solved = (1.0 - s / (2.0 * h_solved)) / 2.0
 
-        model = gh.calibrate_step_model(make_grid([sigma]), dt)
+        model = gh.calibrate_step_model(make_grid([sigma]), dt, 1)
         h = float(model.log_steps[0])
         p_up = float(model.branch_probs[0])
         assert h == pytest.approx(h_solved, abs=1e-14)
@@ -113,16 +113,16 @@ class TestCalibration:
 
     def test_probabilities_sum_to_one(self):
         for sigmas, rho in [([0.03], 0.0), ([0.03, 0.04], 0.6), ([0.02, 0.05, 0.08], -0.3)]:
-            model = gh.calibrate_step_model(make_grid(sigmas, rho), 1.0)
+            model = gh.calibrate_step_model(make_grid(sigmas, rho), 1.0, 1)
             assert model.branch_probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_u_times_d_is_one(self):
-        model = gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 1.0)
+        model = gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 1.0, 1)
         assert np.allclose(model.up * model.down, 1.0, atol=1e-12)
         assert np.all(model.up > 1.0) and np.all(model.down < 1.0)
 
     def test_two_asset_residuals(self):
-        model = gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 1.0)
+        model = gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 1.0, 1)
         res = residual_oracle(model, [0.03, 0.04], 0.6, 1.0)
         assert np.max(np.abs(res)) < 1e-10
 
@@ -130,7 +130,7 @@ class TestCalibration:
         for s1 in (0.01, 0.05, 0.1):
             for s2 in (0.01, 0.1):
                 for rho in (-0.9, -0.4, 0.0, 0.4, 0.9):
-                    model = gh.calibrate_step_model(make_grid([s1, s2], rho), 1.0)
+                    model = gh.calibrate_step_model(make_grid([s1, s2], rho), 1.0, 1)
                     res = residual_oracle(model, [s1, s2], rho, 1.0)
                     assert np.max(np.abs(res)) < 1e-10
                     assert np.all(model.branch_probs >= 0)
@@ -143,12 +143,12 @@ class TestCalibration:
         # an absolute 1e-12 leaves residuals of order 1e-13
         for s1 in (0.005, 0.01, 0.05, 0.1):
             grid = make_grid([s1])
-            model = gh.calibrate_step_model(grid, dt)
+            model = gh.calibrate_step_model(grid, dt, 1)
             assert np.max(np.abs(gh.moment_residuals(model, grid))) < 1e-15
             for s2 in (0.01, 0.1):
                 for rho in (-0.9, -0.3, 0.0, 0.3, 0.9):
                     grid = make_grid([s1, s2], rho)
-                    model = gh.calibrate_step_model(grid, dt)
+                    model = gh.calibrate_step_model(grid, dt, 1)
                     assert np.max(np.abs(gh.moment_residuals(model, grid))) < 1e-15
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -169,7 +169,7 @@ class TestCalibration:
                 demands=np.full(n, 20.0),
                 battery_unit_kw=1.0,
             )
-            model = gh.calibrate_step_model(grid, rng.choice([0.01, 0.1, 1.0]))
+            model = gh.calibrate_step_model(grid, rng.choice([0.01, 0.1, 1.0]), 1)
             got = gh.moment_residuals(model, grid)
             want = loop_moment_residuals(model, grid)
             assert got.shape == want.shape == (2 * n + n * (n - 1) // 2 + 1,)
@@ -177,27 +177,27 @@ class TestCalibration:
 
     def test_infeasible_raises_with_suggestion(self):
         with pytest.raises(InfeasibleCalibration, match="; set rebalance_steps to 5 "):
-            gh.calibrate_step_model(make_grid([0.1, 0.01], 0.98), 1.0)
+            gh.calibrate_step_model(make_grid([0.1, 0.01], 0.98), 1.0, 1)
         # shrinking dt restores feasibility
-        model = gh.calibrate_step_model(make_grid([0.1, 0.01], 0.98), 0.01)
+        model = gh.calibrate_step_model(make_grid([0.1, 0.01], 0.98), 0.01, 1)
         assert np.all(model.branch_probs >= 0)
 
     @pytest.mark.parametrize("steps", [5, 10])
     def test_suggestion_is_the_fewest_steps_that_calibrate(self, steps):
         grid = make_grid([0.3, 0.04], -0.9)
         with pytest.raises(InfeasibleCalibration) as info:
-            gh.calibrate_step_model(grid, 5.0 / steps, horizon=5.0)
+            gh.calibrate_step_model(grid, 5.0, steps)
         assert str(info.value).startswith("branch 0 probability ")
         assert str(info.value).endswith(
             "outside [0, 1]; set rebalance_steps to 14 (dt = 0.357143 h), "
             "the fewest that calibrate over 5 h"
         )
-        assert (info.value.key, info.value.value) == ("rebalance_steps", 14)
+        assert info.value.advice == {"rebalance_steps": 14}
         # every count below the suggestion is refused, so it is the fewest
         for fewer in range(1, 14):
             with pytest.raises(InfeasibleCalibration):
-                gh.calibrate_step_model(grid, 5.0 / fewer)
-        model = gh.calibrate_step_model(grid, 5.0 / 14)
+                gh.calibrate_step_model(grid, 5.0, fewer)
+        model = gh.calibrate_step_model(grid, 5.0, 14)
         assert np.all((model.branch_probs >= 0) & (model.branch_probs <= 1))
 
     def test_suggestion_is_not_assumed_monotone(self, monkeypatch):
@@ -213,23 +213,22 @@ class TestCalibration:
 
         monkeypatch.setattr(lattice, "_branch_probs", patchy)
         with pytest.raises(InfeasibleCalibration, match="rebalance_steps to 7 ") as info:
-            gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 3.0 / 8, horizon=3.0)
-        assert info.value.value == 7
+            gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 3.0, 8)
+        assert info.value.advice == {"rebalance_steps": 7}
 
-    def assert_advised_horizon_calibrates(self, grid, error, dt, horizon):
+    def assert_advised_horizon_calibrates(self, grid, error, steps, horizon):
         # the advised horizon is horizon / 2^j, and the caller's step count
         # calibrates over it
-        assert error.key == "horizon_hours"
-        assert math.frexp(error.value / horizon)[0] == 0.5 and error.value < horizon
+        (shorter,) = error.advice.values()
+        assert error.advice.keys() == {"horizon_hours"}
+        assert math.frexp(shorter / horizon)[0] == 0.5 and shorter < horizon
         assert str(error).endswith(
-            f"; set horizon_hours to {error.value!r}, the longest halving of it at which "
+            f"; set horizon_hours to {shorter!r}, the longest halving of it at which "
             "this step count calibrates"
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            model = gh.calibrate_step_model(
-                grid, error.value / round(horizon / dt), horizon=error.value
-            )
+            model = gh.calibrate_step_model(grid, shorter, steps)
         assert np.all((model.branch_probs >= 0) & (model.branch_probs <= 1))
         assert np.all(np.isfinite(model.up))
 
@@ -238,11 +237,11 @@ class TestCalibration:
         # than 5 h / 3161 reaches it, so the horizon is halved to one
         grid = make_grid([0.3, 0.04], -0.99999)
         with pytest.raises(InfeasibleCalibration) as info:
-            gh.calibrate_step_model(grid, 1.0, horizon=5.0)
+            gh.calibrate_step_model(grid, 5.0, 5)
         assert "; no rebalance_steps up to 3161, the most the node budget fits, " \
             "calibrates over 5 h; " in str(info.value)
-        assert info.value.value == 5.0 / 2**29
-        self.assert_advised_horizon_calibrates(grid, info.value, 1.0, 5.0)
+        assert info.value.advice == {"horizon_hours": 5.0 / 2**29}
+        self.assert_advised_horizon_calibrates(grid, info.value, 5, 5.0)
 
     @pytest.mark.parametrize("dt, horizon", [(2e199, 1e200), (2e307, 1e308)])
     def test_overflowing_log_step_names_the_horizon(self, dt, horizon):
@@ -252,10 +251,9 @@ class TestCalibration:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InfeasibleCalibration) as info:
-                gh.calibrate_step_model(grid, dt, horizon=horizon)
+                gh.calibrate_step_model(grid, horizon, round(horizon / dt))
         assert str(info.value).startswith(f"a time step of {dt:g} h overflows ")
-        assert info.value.branch is None
-        self.assert_advised_horizon_calibrates(grid, info.value, dt, horizon)
+        self.assert_advised_horizon_calibrates(grid, info.value, round(horizon / dt), horizon)
 
     def test_step_count_advice_skips_overflowing_counts(self):
         # one step over 1e158 h overflows the log step; advising
@@ -263,8 +261,8 @@ class TestCalibration:
         # and no count the budget fits calibrates, so the horizon is halved
         grid = make_grid([0.03, 0.04], 0.6)
         with pytest.raises(InfeasibleCalibration) as info:
-            gh.calibrate_step_model(grid, 1e155, horizon=1e158)
-        self.assert_advised_horizon_calibrates(grid, info.value, 1e155, 1e158)
+            gh.calibrate_step_model(grid, 1e158, 1000)
+        self.assert_advised_horizon_calibrates(grid, info.value, 1000, 1e158)
 
     @pytest.mark.parametrize("dt", [1.0, 1e-150 / 3000])
     def test_overflowing_up_factor_names_sigma(self, dt):
@@ -273,27 +271,28 @@ class TestCalibration:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InfeasibleCalibration, match="lower sigma$") as info:
-                gh.calibrate_step_model(make_grid([0.03, 1e150], 0.6), dt)
+                gh.calibrate_step_model(make_grid([0.03, 1e150], 0.6), dt, 1)
         error = info.value
         assert str(error).startswith("sigma 1e+150 of microgrid 2 ")
-        assert (error.branch, error.key, error.value) == (None, "sigma", None)
+        assert error.advice == {"sigma": None}
 
     def test_overflowing_up_factor_names_the_horizon(self):
         # one grid keeps its probabilities in [0, 1] at any step, and h is
         # finite at 2e7 h, yet exp(h) overflows; 23 steps of 8.7e5 h do not
         grid = make_grid([0.04])
         with pytest.raises(InfeasibleCalibration) as info:
-            gh.calibrate_step_model(grid, 2e7)
+            gh.calibrate_step_model(grid, 2e7, 1)
         error = info.value
-        assert (error.branch, error.key, error.value) == (None, "rebalance_steps", 23)
-        model = gh.calibrate_step_model(grid, 2e7 / 23, horizon=2e7)
+        assert str(error).startswith("a time step of 2e+07 h overflows ")
+        assert error.advice == {"rebalance_steps": 23}
+        model = gh.calibrate_step_model(grid, 2e7, 23)
         assert np.all(np.isfinite(model.up))
         # over a horizon that no count the budget fits divides finely enough,
         # and where a one-hour step calibrates, the refusal names the horizon
         with pytest.raises(InfeasibleCalibration) as info:
-            gh.calibrate_step_model(grid, 1e13, horizon=5e13)
-        assert info.value.branch is None
-        self.assert_advised_horizon_calibrates(grid, info.value, 1e13, 5e13)
+            gh.calibrate_step_model(grid, 5e13, 5)
+        assert str(info.value).startswith("a time step of 1e+13 h overflows ")
+        self.assert_advised_horizon_calibrates(grid, info.value, 5, 5e13)
 
     @pytest.mark.parametrize("sigmas, fits", [
         ([0.04], 9_999_999), ([0.03, 0.04], 3161), ([0.03, 0.04, 0.05], 214),
@@ -303,13 +302,13 @@ class TestCalibration:
         # lattice's own wording and advice
         grid = make_grid(sigmas, 0.3)
         with pytest.raises(TreeTooLarge) as refused:
-            gh.calibrate_step_model(grid, 5.0 / (fits + 1), horizon=5.0)
+            gh.calibrate_step_model(grid, 5.0, fits + 1)
         assert str(refused.value).endswith(
             f"; set rebalance_steps to at most {fits}, the most a {len(sigmas)}-grid lattice fits"
         )
         assert str(refused.value).startswith(f"{fits + 2}^{len(sigmas)} = ")
-        assert (refused.value.key, refused.value.value) == ("rebalance_steps", fits)
-        gh.calibrate_step_model(grid, 5.0 / fits, horizon=5.0)
+        assert refused.value.advice == {"rebalance_steps": fits}
+        assert gh.calibrate_step_model(grid, 5.0, fits).steps == fits
 
     def test_count_over_the_budget_advises_the_most_that_calibrate(self, monkeypatch):
         # a calibration that fails at every count except 7 and 9: the count
@@ -324,35 +323,38 @@ class TestCalibration:
 
         monkeypatch.setattr(lattice, "_branch_probs", patchy)
         with pytest.raises(TreeTooLarge) as refused:
-            gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 3.0 / 4000, horizon=3.0)
+            gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 3.0, 4000)
         assert str(refused.value) == (
             "4001^2 = 16008001 terminal states exceed the node budget 10000000; set "
             "rebalance_steps to 9, the most up to 3161 that calibrate over 3 h"
         )
-        assert refused.value.value == 9
+        assert refused.value.advice == {"rebalance_steps": 9}
 
     def test_count_over_the_budget_that_no_count_mends_names_both_keys(self):
         # no count up to 3161 calibrates over 5 h: the horizon is halved until
         # 3161 steps do, and the count must come down to them as well
         grid = make_grid([0.3, 0.04], -0.99999)
         with pytest.raises(InfeasibleCalibration) as info:
-            gh.calibrate_step_model(grid, 5.0 / 4000, horizon=5.0)
+            gh.calibrate_step_model(grid, 5.0, 4000)
         error = info.value
+        shorter = error.advice["horizon_hours"]
         assert str(error).startswith("4000 rebalance_steps exceed the node budget; at 3161, ")
         assert str(error).endswith(
-            f"; set horizon_hours to {error.value!r}, the longest halving of it at which "
+            f"; set horizon_hours to {shorter!r}, the longest halving of it at which "
             "3161 steps calibrate, and rebalance_steps to 3161"
         )
+        # the refusal carries both keys it names
+        assert error.advice == {"horizon_hours": shorter, "rebalance_steps": 3161}
         # a halving of 5 h at which 3161 steps calibrate, and the longest one
-        assert error.key == "horizon_hours" and math.frexp(error.value / 5.0)[0] == 0.5
-        gh.calibrate_step_model(grid, error.value / 3161, horizon=error.value)
+        assert math.frexp(shorter / 5.0)[0] == 0.5
+        gh.calibrate_step_model(grid, shorter, 3161)
         with pytest.raises(InfeasibleCalibration):
-            gh.calibrate_step_model(grid, 2 * error.value / 3161, horizon=2 * error.value)
+            gh.calibrate_step_model(grid, 2 * shorter, 3161)
 
     @pytest.mark.parametrize("dt", [0.0, -1.0])
     def test_step_must_be_positive(self, dt):
         with pytest.raises(ValueError, match=f"^dt must be > 0, got {dt}$"):
-            gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), dt)
+            gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), dt, 1)
 
     def test_halving_that_reaches_dt_0_advises_no_value(self, monkeypatch):
         # a step that calibrates nowhere ends the halving at dt = 0
@@ -366,9 +368,22 @@ class TestCalibration:
 
         monkeypatch.setattr(lattice, "_branch_probs", nowhere)
         with pytest.raises(InfeasibleCalibration) as info:
-            gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 1.0, horizon=5.0)
-        assert (info.value.key, info.value.value) == ("horizon_hours", None)
+            gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 5.0, 5)
+        assert info.value.advice == {}
         assert str(info.value).endswith("; no halving of horizon_hours calibrates")
+
+    def test_underflowing_variance_advises_nothing(self):
+        # sigma^2 * dt is 0 for the second grid at every count and halving,
+        # so the refusal advises no value, and warns nothing on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InfeasibleCalibration) as info:
+                gh.calibrate_step_model(make_grid([0.03, 1e-12], 0.6), 1e-300, 5)
+        assert str(info.value).endswith(
+            "; sigma^2 * horizon_hours underflows to 0 for sigma 1e-12 of microgrid 2, so no "
+            "rebalance_steps calibrates; raise sigma or horizon_hours"
+        )
+        assert info.value.advice == {}
 
     def test_infeasible_as_dt_vanishes_says_so(self):
         # three equal anti-correlations: branch 0 tends to
@@ -376,10 +391,10 @@ class TestCalibration:
         grid = make_grid([0.03, 0.03, 0.03], -0.45)
         for dt in (1.0, 1e-6):
             with pytest.raises(InfeasibleCalibration, match="no moment-matched lattice") as info:
-                gh.calibrate_step_model(grid, dt)
+                gh.calibrate_step_model(grid, dt, 1)
             assert "smaller" not in str(info.value)
-            assert info.value.branch == 0
-            assert info.value.limit == pytest.approx(-0.04375, abs=1e-15)
+            assert "; branch 0's probability tends to -0.04375 as dt -> 0: " in str(info.value)
+            assert info.value.advice == {}
 
     @pytest.mark.parametrize("dt", [1.0, 1e-8, 1e4])
     @pytest.mark.parametrize(
@@ -389,9 +404,10 @@ class TestCalibration:
         # a branch whose limit is exactly 0 sits at -(sum_i e_i sigma_i) sqrt(dt) / 8,
         # so a smaller step never helps and the advice must not suggest one
         with pytest.raises(InfeasibleCalibration, match="no moment-matched lattice") as info:
-            gh.calibrate_step_model(make_grid(sigmas, rho), dt)
+            gh.calibrate_step_model(make_grid(sigmas, rho), dt, 1)
         assert "smaller" not in str(info.value)
-        assert info.value.limit == 0
+        assert re.search(r"; branch \d+'s probability tends to 0 as dt -> 0: ", str(info.value))
+        assert info.value.advice == {}
         # the probability printed is one that failed, even where the branch
         # with the hopeless limit is inside [0, 1] at this step (10^4 h, rho 1)
         printed = re.match(r"branch \d+ probability (\S+) outside \[0, 1\]; ", str(info.value))
@@ -399,7 +415,7 @@ class TestCalibration:
 
     def test_equal_volatilities_perfectly_correlated_calibrate(self):
         for dt in (1.0, 1e-2, 1e-8):
-            model = gh.calibrate_step_model(make_grid([0.03, 0.03], 1.0), dt)
+            model = gh.calibrate_step_model(make_grid([0.03, 0.03], 1.0), dt, 1)
             assert np.all(model.branch_probs >= 0)
 
     def test_zero_volatility_rejected(self):
@@ -412,12 +428,12 @@ class TestCalibration:
             battery_unit_kw=1.0,
         )
         with pytest.raises(DegenerateVolatility):
-            gh.calibrate_step_model(grid, 1.0)
+            gh.calibrate_step_model(grid, 1.0, 1)
 
     def test_three_assets_pairwise_completion(self):
         sigmas = [0.02, 0.05, 0.08]
         rho = -0.3
-        model = gh.calibrate_step_model(make_grid(sigmas, rho), 1.0)
+        model = gh.calibrate_step_model(make_grid(sigmas, rho), 1.0, 1)
         corr = gh.CorrelationMatrix.pairwise(rho, 3)
         n = 3
         probs = model.branch_probs
@@ -434,25 +450,25 @@ class TestCalibration:
 
 class TestForwardPropagation:
     def test_zero_steps_single_root(self):
-        model = gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 1.0)
+        model = gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 1.0, 1)
         leaves = reference_tree.forward_propagate(np.array([20.0, 25.0]), model, 0)
         assert len(leaves) == 1
         assert leaves[0].path_prob == 1.0
         assert leaves[0].node_id == 0
 
     def test_two_steps_sixteen_leaves(self):
-        model = gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 1.0)
+        model = gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 1.0, 1)
         leaves = reference_tree.forward_propagate(np.array([20.0, 25.0]), model, 2)
         assert len(leaves) == 16
 
     def test_probability_conservation(self):
-        model = gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 1.0)
+        model = gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 1.0, 1)
         leaves = reference_tree.forward_propagate(np.array([20.0, 25.0]), model, 5)
         total = sum(leaf.path_prob for leaf in leaves)
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_ids_unique_and_scheme(self):
-        model = gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 1.0)
+        model = gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 1.0, 1)
         leaves = reference_tree.forward_propagate(np.array([20.0, 25.0]), model, 3)
         ids = set()
         for leaf in leaves:
@@ -466,7 +482,7 @@ class TestForwardPropagation:
         assert len(ids) == 1 + 4 + 16 + 64
 
     def test_child_states_follow_branch_matrix(self):
-        model = gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 1.0)
+        model = gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 1.0, 1)
         leaves = reference_tree.forward_propagate(np.array([20.0, 25.0]), model, 1)
         root = leaves[0].parent
         for k, child in enumerate(root.children):
@@ -475,13 +491,13 @@ class TestForwardPropagation:
             assert child.path_prob == pytest.approx(model.branch_probs[k])
 
     def test_node_budget(self):
-        model = gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 1.0)
+        model = gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 1.0, 1)
         with pytest.raises(TreeTooLarge):
             reference_tree.forward_propagate(np.array([20.0, 25.0]), model, 20, max_nodes=10_000)
 
     def test_recombination_consistency(self):
         # equal per-asset up-counts imply equal states (u*d = 1)
-        model = gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 1.0)
+        model = gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 1.0, 1)
         leaves = reference_tree.forward_propagate(np.array([20.0, 25.0]), model, 4)
         buckets = {}
         for leaf in leaves:
@@ -515,7 +531,7 @@ class TestTerminalPayoff:
 class TestBackpropagation:
     def make_tree(self, n_steps=3, demands=(20.0, 25.0)):
         model = gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6,
-                                                  demands=np.array(demands)), 1.0)
+                                                  demands=np.array(demands)), 1.0, 1)
         leaves = reference_tree.forward_propagate(np.array([20.0, 25.0]), model, n_steps)
         return model, leaves
 
@@ -619,7 +635,7 @@ class TestEngines:
         n = len(sigmas)
         demands = np.array([20.0, 25.0, 15.0][:n])
         grid = make_grid(sigmas, rho, demands=demands)
-        model = gh.calibrate_step_model(grid, 1.0)
+        model = gh.calibrate_step_model(grid, 6.0, 6)
         root = np.array([20.0, 25.0, 15.0][:n])
         prev_a = np.array([-0.4, -0.5, -0.3][:n])
         value_t, alloc_t = reference_tree.tree_allocation(
@@ -639,7 +655,7 @@ class TestEngines:
             "tree": reference_tree.tree_allocation,
             "recombining": gh.dynamic_allocation,
         }[engine]
-        model = gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 1.0)
+        model = gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 2.0, 2)
         demands = np.array([20.0, 25.0])
         with pytest.raises(ValueError, match="strictly positive"):
             allocate(np.array([0.0, 25.0]), demands, model, 2, None, 1.0)
@@ -656,25 +672,29 @@ class TestEngines:
         ids=["d_c", "prev_a", "pg_now"],
     )
     def test_inputs_must_match_the_lattice(self, pg_now, d_c, prev_a, steps):
-        model = gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 1.0)
+        model = gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 2.0, 2)
         want = r"^(pg_now|d_c|prev_a) has shape \(\d,\); the lattice has 2 microgrids$"
         with pytest.raises(ValueError, match=want):
             gh.dynamic_allocation(pg_now, d_c, model, steps, prev_a, 1.0)
 
     @pytest.mark.parametrize("steps", [-1, 2.5])
     def test_remaining_steps_must_be_a_count(self, steps):
-        model = gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 1.0)
+        model = gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 3.0, 3)
         demands = np.array([20.0, 25.0])
         with pytest.raises(ValueError, match="remaining_steps must be an integer >= 0"):
             gh.dynamic_allocation(demands, demands, model, steps, None, 1.0)
 
     def test_recombining_grid_budget_checked_before_allocation(self):
+        # the calibration refuses 250 steps on three grids, and a model of
+        # the most steps that fit refuses to value more; neither allocates
         grid = make_grid([0.03, 0.04, 0.05], 0.3, demands=np.array([20.0, 25.0, 15.0]))
-        model = gh.calibrate_step_model(grid, 5.0 / 250)
         root = np.array([20.0, 25.0, 15.0])
         tracemalloc.start()
         try:
-            with pytest.raises(TreeTooLarge, match="251\\^3"):
+            with pytest.raises(TreeTooLarge, match="^251\\^3 = "):
+                gh.calibrate_step_model(grid, 5.0, 250)
+            model = gh.calibrate_step_model(grid, 5.0, 214)
+            with pytest.raises(ValueError, match=r"^steps must lie in \[1, 214\], got 250$"):
                 gh.dynamic_allocation(root, grid.demands, model, 250, None, 1.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -685,21 +705,21 @@ class TestEngines:
         ([0.03, 0.04], 3161), ([0.03, 0.04, 0.05], 214), ([0.03, 0.04, 0.05, 0.06], 55),
     ])
     def test_refusal_names_the_most_steps_that_fit(self, sigmas, fits):
-        # construction allocates no lattice, so the advice is cheap to check
-        model = gh.calibrate_step_model(make_grid(sigmas, 0.3), 0.01)
-        demands = [20.0] * len(sigmas)
+        # the calibration decides the budget and allocates no lattice, so
+        # the advice is cheap to check; each count takes a 0.01 h step
+        grid = make_grid(sigmas, 0.3)
         with pytest.raises(TreeTooLarge, match="terminal states exceed the node budget") as refused:
-            RecombiningLattice(model, demands, 2 * fits, 1.0)
+            gh.calibrate_step_model(grid, 0.02 * fits, 2 * fits)
         advice = re.search(r"set rebalance_steps to at most (\d+),", str(refused.value))
         assert int(advice[1]) == fits
-        RecombiningLattice(model, demands, fits, 1.0)
+        gh.calibrate_step_model(grid, 0.01 * fits, fits)
         with pytest.raises(TreeTooLarge):
-            RecombiningLattice(model, demands, fits + 1, 1.0)
+            gh.calibrate_step_model(grid, 0.01 * (fits + 1), fits + 1)
 
     @pytest.mark.parametrize("steps", [0, 5])
     def test_first_level_steps_outside_the_lattice_refused(self, steps):
-        model = gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 1.0)
-        lattice = RecombiningLattice(model, [20.0, 25.0], 4, 1.0)
+        model = gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 4.0, 4)
+        lattice = RecombiningLattice(model, [20.0, 25.0], 1.0)
         with pytest.raises(ValueError, match=rf"^steps must lie in \[1, 4\], got {steps}$"):
             lattice.first_level(np.array([[20.0, 25.0]]), steps)
 
@@ -710,7 +730,7 @@ class TestEngines:
 
     def test_single_asset_replication_exact_everywhere(self):
         grid = make_grid([0.03], demands=np.array([20.0]))
-        model = gh.calibrate_step_model(grid, 1.0)
+        model = gh.calibrate_step_model(grid, 6.0, 6)
         leaves = reference_tree.forward_propagate(np.array([20.0]), model, 6)
         reference_tree.backpropagate(leaves, np.array([20.0]))
         for node, alloc in reference_tree.replicate_internal(leaves, 1.0):
@@ -723,7 +743,7 @@ class TestEngines:
         # per-step level drift of a log-martingale tree, vanishing with dt
         def max_identity_defect(dt, n_steps):
             grid = make_grid([0.03], demands=np.array([20.0]))
-            model = gh.calibrate_step_model(grid, dt)
+            model = gh.calibrate_step_model(grid, dt * n_steps, n_steps)
             leaves = reference_tree.forward_propagate(np.array([20.0]), model, n_steps)
             reference_tree.backpropagate(leaves, np.array([20.0]))
             worst = 0.0
@@ -744,7 +764,7 @@ class TestEngines:
         # single asset, 200 steps: within 1% of the closed-form valuation
         spec = gh.MicrogridSpec(demand=20.0, gbm=gh.GbmParams(0.006, 0.03))
         grid = make_grid([0.03], demands=np.array([20.0]))
-        model = gh.calibrate_step_model(grid, 5.0 / 200)
+        model = gh.calibrate_step_model(grid, 5.0, 200)
         value, _ = gh.dynamic_allocation(
             np.array([20.0]), np.array([20.0]), model, 200, None, 1.0
         )
@@ -766,6 +786,7 @@ class TestClosedFormReplication:
             model = gh.calibrate_step_model(
                 make_grid(sigmas, data.draw(st.floats(-0.1, 0.5))),
                 data.draw(st.floats(0.01, 10.0)),
+                1,
             )
         except InfeasibleCalibration:
             assume(False)
@@ -776,7 +797,7 @@ class TestClosedFormReplication:
         child_values = rng.uniform(0.0, 10.0, size=(len(roots), 1 << n))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RankDeficientWarning)
-            engine = RecombiningLattice(model, np.full(n, 20.0), 1, p_b)
+            engine = RecombiningLattice(model, np.full(n, 20.0), p_b)
         engine.first_level = lambda pg, steps: (child_values @ model.branch_probs, child_values)
         value, a, b, residual = engine.allocate(roots, 1, np.zeros_like(roots))
         for got in (value, a, b, residual):
@@ -807,9 +828,9 @@ class TestClosedFormReplication:
         ([1e-17, 0.03, 1e-17], "rank 2 < 4", "microgrids 1, 3 are"),
     ])
     def test_rank_warning_names_the_flat_grids(self, sigmas, rank, named):
-        model = gh.calibrate_step_model(make_grid(sigmas, 0.3), 1.0)
+        model = gh.calibrate_step_model(make_grid(sigmas, 0.3), 2.0, 2)
         with pytest.warns(RankDeficientWarning) as caught:
-            RecombiningLattice(model, np.full(len(sigmas), 20.0), 2, 1.0)
+            RecombiningLattice(model, np.full(len(sigmas), 20.0), 1.0)
         message = str(caught[0].message)
         assert rank in message and named in message
         assert "raise sigma or the time step" in message
@@ -820,8 +841,8 @@ class TestReachWeights:
 
     @pytest.mark.parametrize("level", [2_000, 20_000])
     def test_one_asset_reach_is_binomial(self, level):
-        model = gh.calibrate_step_model(make_grid([0.03]), 5.0 / level)
-        weights = RecombiningLattice(model, [20.0], level + 1, 1.0)._child_weights(level + 1)
+        model = gh.calibrate_step_model(make_grid([0.03]), 5.0, level)
+        weights = RecombiningLattice(model, [20.0], 1.0)._child_weights(level + 1)
         # row 1 is the down branch, which leaves W_level unshifted
         want = binom.pmf(np.arange(level + 1), level, model.branch_probs[0])
         assert np.max(np.abs(weights[1, :-1] - want)) <= 1e-14
@@ -831,8 +852,8 @@ class TestReachWeights:
         [([0.03], 0.0, 20_000), ([0.03, 0.04], 0.6, 300), ([0.03, 0.04, 0.05], 0.3, 60)],
     )
     def test_every_row_has_unit_mass(self, sigmas, rho, steps):
-        model = gh.calibrate_step_model(make_grid(sigmas, rho), 5.0 / steps)
-        weights = RecombiningLattice(model, [20.0] * len(sigmas), steps, 1.0)._child_weights(steps)
+        model = gh.calibrate_step_model(make_grid(sigmas, rho), 5.0, steps)
+        weights = RecombiningLattice(model, [20.0] * len(sigmas), 1.0)._child_weights(steps)
         # the mass is the one-step total, which rounds to within 2^n ulps of
         # 1, raised to the power steps - 1
         tol = (steps - 1) * model.n_branches * np.finfo(float).eps
@@ -846,21 +867,21 @@ class TestReachWeights:
         # the shifted-add loop the FFT power replaced: W_l is one scaled copy
         # of W_{l-1} per branch, shifted by that branch's up-counts
         n = len(sigmas)
-        model = gh.calibrate_step_model(make_grid(sigmas, rho), 5.0 / steps)
+        model = gh.calibrate_step_model(make_grid(sigmas, rho), 5.0, steps)
         reach = np.ones((1,) * n)
         for level in range(1, steps):
             grown = np.zeros((level + 1,) * n)
             for e, p in zip(model.signs, model.branch_probs):
                 grown[tuple(slice(1, None) if u > 0 else slice(0, -1) for u in e)] += p * reach
             reach = grown
-        weights = RecombiningLattice(model, [20.0] * n, steps, 1.0)._child_weights(steps)
+        weights = RecombiningLattice(model, [20.0] * n, 1.0)._child_weights(steps)
         # the last branch moves every asset down, which leaves W unshifted
         got = weights[-1].reshape((steps + 1,) * n)[(slice(0, -1),) * n]
         assert np.max(np.abs(got - reach)) <= 1e-15
 
     def test_deep_one_asset_root_value_is_the_binomial_sum(self):
         steps, demand = 20_000, 20.0
-        model = gh.calibrate_step_model(make_grid([0.03]), 5.0 / steps)
+        model = gh.calibrate_step_model(make_grid([0.03]), 5.0, steps)
         value, _ = gh.dynamic_allocation([demand], [demand], model, steps, None, 1.0)
         j = np.arange(steps + 1)
         headroom = np.maximum(demand - demand * np.exp(model.log_steps[0] * (2 * j - steps)), 0.0)
@@ -879,7 +900,7 @@ class TestDominance:
             demands = rng.uniform(10.0, 40.0, size=2)
             root = demands * rng.uniform(0.8, 1.25, size=2)
             grid = make_grid(sigmas, rho, demands=demands)
-            model = gh.calibrate_step_model(grid, 1.0)
+            model = gh.calibrate_step_model(grid, 3.0, 3)
             leaves = reference_tree.forward_propagate(root, model, 3)
             pooled, _ = reference_tree.backpropagate(leaves, demands)
             separate = sum(
@@ -897,7 +918,7 @@ class TestDominance:
             demands = rng.uniform(10.0, 40.0, size=2)
             root = demands * rng.uniform(0.9, 1.1, size=2)
             grid = make_grid(sigmas, rho, demands=demands)
-            model = gh.calibrate_step_model(grid, 0.5)
+            model = gh.calibrate_step_model(grid, 4.0, 8)
             value, _ = gh.dynamic_allocation(root, demands, grid and model, 8, None, 1.0)
             ces_sum = sum(
                 gh.ces_portfolio_value(
@@ -935,9 +956,9 @@ class TestMonteCarloOracle:
 
     def test_two_asset_lattice_agrees_within_margin(self, demo_grid):
         root = np.array([20.0, 25.0])
-        model5 = gh.calibrate_step_model(demo_grid, 1.0)
+        model5 = gh.calibrate_step_model(demo_grid, 5.0, 5)
         value5, _ = gh.dynamic_allocation(root, demo_grid.demands, model5, 5, None, 1.0)
-        model80 = gh.calibrate_step_model(demo_grid, 5.0 / 80)
+        model80 = gh.calibrate_step_model(demo_grid, 5.0, 80)
         value80, _ = gh.dynamic_allocation(root, demo_grid.demands, model80, 80, None, 1.0)
         estimate, se = gh.tes_value_mc(demo_grid, root, 0.0, 5.0, 1_000_000, 44)
         margin = 3 * se + abs(value5 - value80) + 0.01 * estimate

@@ -331,12 +331,12 @@ class TestBatchEngines:
         sigmas = data.draw(float_vector(0.01, 0.08, n))
         grid = make_fleet(sigmas, data.draw(st.floats(-0.2, 0.6)), demands)
         try:
-            model = gh.calibrate_step_model(grid, data.draw(st.floats(0.1, 1.0)))
+            model = gh.calibrate_step_model(grid, data.draw(st.floats(0.1, 1.0)) * steps, steps)
         except InfeasibleCalibration:
             assume(False)
         pg = demands * np.array(data.draw(float_vector(0.7, 1.4, 2 * n))).reshape(2, n)
         p_b = data.draw(st.floats(0.5, 2.0))
-        value, a, b, residual = RecombiningLattice(model, demands, steps, p_b).allocate(
+        value, a, b, residual = RecombiningLattice(model, demands, p_b).allocate(
             pg, steps, np.zeros((2, n))
         )
         tol = 1e-12 * demands.sum()  # every compared quantity is in kW
@@ -353,11 +353,11 @@ class TestBatchEngines:
         three_grids = make_fleet([0.03, 0.04, 0.05], 0.3, [20.0, 25.0, 15.0])
         for grid in (demo_grid, three_grids):
             n = grid.n_microgrids
-            model = gh.calibrate_step_model(grid, 0.5)
+            model = gh.calibrate_step_model(grid, 5.0, 10)
             rng = np.random.default_rng(5)
             pg = grid.demands * rng.uniform(0.7, 1.4, size=(37, n))
             prev_a = rng.uniform(-1.0, 0.0, size=(37, n))
-            engine = RecombiningLattice(model, grid.demands, 10, 1.0)
+            engine = RecombiningLattice(model, grid.demands, 1.0)
             runs = []
             # one root per block, a ragged last block, all roots in one block
             for block in (1, 2**12, 2**40):
@@ -374,9 +374,9 @@ class TestBatchEngines:
     def test_identical_roots_get_identical_bytes(self, demo_grid):
         # valued one by one, 5 000 roots at 5 steps fill three blocks; a
         # root's place in a block must not move the last bit of its result
-        model = gh.calibrate_step_model(demo_grid, 1.0)
+        model = gh.calibrate_step_model(demo_grid, 5.0, 5)
         pg = np.tile(demo_grid.demands, (5_000, 1))
-        value, a, b, _ = RecombiningLattice(model, demo_grid.demands, 5, 1.0).allocate(
+        value, a, b, _ = RecombiningLattice(model, demo_grid.demands, 1.0).allocate(
             pg, 5, np.zeros_like(pg)
         )
         assert len(np.unique(value)) == len(np.unique(b)) == 1
@@ -388,8 +388,8 @@ class TestBatchEngines:
         # the traced peak is the child weights, the outputs and at most two
         # headroom blocks, however many roots are valued
         grid = make_fleet([0.03, 0.04, 0.05], 0.3, [20.0, 25.0, 15.0])
-        model = gh.calibrate_step_model(grid, 0.25)
-        engine = RecombiningLattice(model, grid.demands, 20, 1.0)
+        model = gh.calibrate_step_model(grid, 5.0, 20)
+        engine = RecombiningLattice(model, grid.demands, 1.0)
         pg = grid.demands * np.random.default_rng(3).uniform(0.7, 1.4, size=(m, 3))
         tracemalloc.start()
         try:
@@ -411,8 +411,8 @@ class TestBatchEngines:
         # less than the 2^n + n state-sized arrays of the stacked path
         n = len(sigmas)
         grid = make_fleet(sigmas, 0.3, [20.0, 25.0, 15.0][:n])
-        model = gh.calibrate_step_model(grid, 5.0 / steps)
-        engine = RecombiningLattice(model, grid.demands, steps, 1.0)
+        model = gh.calibrate_step_model(grid, 5.0, steps)
+        engine = RecombiningLattice(model, grid.demands, 1.0)
         pg = grid.demands[None, :] * 1.1
         engine.first_level(pg, steps)  # numpy caches its FFT plan on first use
         tracemalloc.start()
@@ -438,13 +438,13 @@ class TestBatchEngines:
         sigmas = data.draw(float_vector(0.01, 0.08, n))
         grid = make_fleet(sigmas, data.draw(st.floats(-0.2, 0.6)), demands)
         try:
-            model = gh.calibrate_step_model(grid, data.draw(st.floats(0.05, 1.0)))
+            model = gh.calibrate_step_model(grid, data.draw(st.floats(0.05, 1.0)) * steps, steps)
         except InfeasibleCalibration:
             assume(False)
         root, other = demands * np.array(data.draw(float_vector(0.7, 1.4, 2 * n))).reshape(2, n)
         assume(np.any(root != other))
         p_b = data.draw(st.floats(0.5, 2.0))
-        engine = RecombiningLattice(model, demands, steps, p_b)
+        engine = RecombiningLattice(model, demands, p_b)
         alone = engine.allocate(root[None, :], steps, np.zeros((1, n)))
         beside = engine.allocate(np.stack([root, other]), steps, np.zeros((2, n)))
         # value, a * pg, b * p_b and the residual are all in kW
@@ -462,8 +462,8 @@ class TestBatchEngines:
         n = data.draw(st.integers(1, 3))
         steps = data.draw(st.integers(1, 4))
         grid = make_fleet([0.03, 0.04, 0.05][:n], 0.3, [20.0, 25.0, 15.0][:n])
-        model = gh.calibrate_step_model(grid, 0.5)
-        engine = RecombiningLattice(model, grid.demands, steps, 1.0)
+        model = gh.calibrate_step_model(grid, 0.5 * steps, steps)
+        engine = RecombiningLattice(model, grid.demands, 1.0)
         m = data.draw(st.integers(1, 40))
         factors = data.draw(
             st.lists(st.sampled_from([0.8, 0.95, 1.0, 1.2]), min_size=m * n, max_size=m * n)
@@ -538,10 +538,10 @@ class TestBatchEngines:
         # sigma so small that u == d in floating point: every child state
         # equals the root, so the design has rank 1
         grid = make_fleet([1e-17, 1e-17])
-        model = gh.calibrate_step_model(grid, 1.0)
+        model = gh.calibrate_step_model(grid, 3.0, 3)
         assert np.all(model.up == model.down)
         with pytest.warns(RankDeficientWarning, match="rank 1 < 3"):
-            RecombiningLattice(model, grid.demands, 3, 1.0)
+            RecombiningLattice(model, grid.demands, 1.0)
 
     def test_oversized_lattice_refused_before_any_allocation(self):
         # 251^3 terminal states exceed the node budget; neither paths nor

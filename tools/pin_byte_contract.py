@@ -15,10 +15,15 @@ working directory is replaced by ``<work>`` in stdout and manifest, so the
 digests do not depend on when or where they were taken.
 
 The file also records the numpy version and the BLAS build the digests were
-taken with: the lattice's BLAS products may round a last printed digit
-differently on another build.  ``tests/test_byte_contract.py`` regenerates
-the digests and fails on any difference.  Re-pin only when a change is meant
-to move these bytes, and say in CHANGES.md which outputs moved and why.
+taken with, since the lattice's BLAS products may round a last printed digit
+differently on another build, and the ``tool_version`` (``gridhedge.__version__``)
+they were pinned under.  ``tests/test_byte_contract.py`` regenerates the
+digests and fails on any difference, and on a version other than the pinned
+one.  Moving these bytes is a versioned act: on the build the file records,
+the script refuses to re-pin digests that moved under the version it
+records, lists the outputs that moved and exits 1.  Raise the version in
+``pyproject.toml`` and ``gridhedge.__version__`` first, and say in CHANGES.md
+which outputs moved and why.
 """
 import contextlib
 import hashlib
@@ -95,10 +100,21 @@ def digests(seed: int, workdir: Path) -> dict:
 
 
 def main() -> int:
-    pinned = {"build": build(), "digests": {}}
+    from gridhedge import __version__
+
+    pinned = {"build": build(), "digests": {}, "tool_version": __version__}
     with tempfile.TemporaryDirectory(prefix="byte_contract_") as tmp:
         for seed in SEEDS:
             pinned["digests"].update(digests(seed, Path(tmp) / str(seed)))
+    old = json.loads(CONTRACT.read_text()) if CONTRACT.exists() else {}
+    was, now = old.get("digests", {}), pinned["digests"]
+    changed = sorted(name for name in was.keys() | now.keys() if was.get(name) != now.get(name))
+    same = all(old.get(key) == pinned[key] for key in ("build", "tool_version"))
+    if changed and same:
+        print(f"refused: under the pinned version {__version__} on the pinned build, these "
+              f"outputs moved: {', '.join(changed)}; raise the version and say in CHANGES.md "
+              "which outputs moved and why", file=sys.stderr)
+        return 1
     CONTRACT.write_text(json.dumps(pinned, indent=1, sort_keys=True) + "\n")
     print(f"wrote {CONTRACT} ({len(pinned['digests'])} digests)")
     return 0
