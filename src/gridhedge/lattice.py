@@ -143,6 +143,8 @@ def calibrate_step_model(grid: GridEnsemble, horizon: float, steps: int) -> Latt
     Both searches try every count the node budget fits, since feasibility
     need not be monotone in the count.
     """
+    if isinstance(steps, bool) or not (isinstance(steps, numbers.Integral) and steps >= 1):
+        raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
     dt = horizon / steps
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")

@@ -356,6 +356,13 @@ class TestCalibration:
         with pytest.raises(ValueError, match=f"^dt must be > 0, got {dt}$"):
             gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), dt, 1)
 
+    @pytest.mark.parametrize("steps", [0, 2.5, True])
+    def test_step_count_must_be_a_positive_integer(self, steps):
+        # a model's count bounds every valuation on it; 0 divided by zero,
+        # and 2.5 made a model of 2.5 steps
+        with pytest.raises(ValueError, match=rf"^steps must be an integer >= 1, got {steps!r}$"):
+            gh.calibrate_step_model(make_grid([0.03, 0.04], 0.6), 5.0, steps)
+
     def test_halving_that_reaches_dt_0_advises_no_value(self, monkeypatch):
         # a step that calibrates nowhere ends the halving at dt = 0
         from gridhedge import lattice
