@@ -359,3 +359,39 @@ def test_missing_out_directory_exits_2_before_any_export(monkeypatch, tmp_path, 
                           "--out", str(tmp_path / "missing" / "BENCH.json")])
     assert exc.value.code == 2
     assert f"directory {tmp_path / 'missing'} does not exist" in capsys.readouterr().err
+
+
+def gain_sets(tree):
+    """Every compare() entry in a report whose own set of pairs reads gain.
+
+    A claim rerun on a second set has set_verdicts, one per set, and its
+    second set's entry under second_set.
+    """
+    if not isinstance(tree, dict):
+        return
+    if isinstance(tree.get("base"), dict) and "runs" in tree["base"]:
+        entries = [tree, tree.get("second_set")]
+        for verdict, entry in zip(tree.get("set_verdicts", [tree.get("verdict")]), entries):
+            if verdict == "gain":
+                yield entry
+        return
+    for value in tree.values():
+        yield from gain_sets(value)
+
+
+def test_an_interval_rule_for_gains_changes_no_committed_verdict():
+    # ROADMAP item 8's candidate rule: a gain also needs the sign-test
+    # interval of its paired differences to exclude 0.  It would change no
+    # committed verdict: at 10 pairs the interval is [d_(2), d_(9)], and the
+    # 9 wins a gain needs already put d_(9) on the change's side of 0.
+    gains, changed = 0, []
+    for path in sorted(ROOT.glob("BENCH_*.json")):
+        for entry in gain_sets(json.loads(path.read_text())):
+            gains += 1
+            diffs = [c - b for b, c in zip(entry["base"]["runs"], entry["change"]["runs"])]
+            interval, _ = bench_pairs.sign_interval(diffs)
+            sign = 1.0 if entry["better"] == "lower" else -1.0
+            if interval is None or max(sign * end for end in interval) >= 0:
+                changed.append(path.name)
+    assert gains >= 43  # in BENCH_18 to BENCH_32 and BENCH_24_block_only
+    assert changed == []

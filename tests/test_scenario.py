@@ -605,12 +605,12 @@ class TestMemoryBudget:
 
     def test_bootstrap_counts_beside_the_split_alone(self, demo_grid):
         # the count phase is the peak, and the metric arrays are freed before
-        # it: the split of their columns, the resampled means, one uint16
-        # count block, its float slice and its product with the split, and
-        # the draw's four arrays.  Holding the metric arrays (1.3 MB) through
-        # the draws would overrun it: that traced 11.9 MB against this
-        # 10.9 MB bound, and so would a float64 count block, at 11.6 MB; the
-        # release traces 9.2 MB.
+        # it: the split of their columns, the resampled means, two uint16
+        # count blocks, the float tile of a product and the product with the
+        # split, and beside them the worker's four draw arrays.  Holding the
+        # metric arrays (1.3 MB) through the draws would overrun it: that
+        # traced 12.3 MB against this 11.5 MB bound, and so would float64
+        # count blocks, at 16.0 MB; the release traces 9.7 MB.
         config = make_config(
             demo_grid, case_filter=None, n_paths=2_000, rebalance_steps=40, n_resamples=500
         )
@@ -619,12 +619,12 @@ class TestMemoryBudget:
         split = 2 * 8 * m * k
         resampled = 8 * 500 * k
         block = min(stats.RESAMPLE_BLOCK_ELEMENTS // m, 500)
-        count_block = np.min_scalar_type(m).itemsize * block * m
-        # the float slice, the product's two part sums, and a slice's
-        # product or two temporaries of their means
-        product = 8 * stats._DRAW_ELEMENTS + 4 * 8 * block * k
+        count_blocks = 2 * np.min_scalar_type(m).itemsize * block * m
+        # the float tile of the 4 * 40 varying columns, the product's two
+        # part sums, and a tile's product or two temporaries of their means
+        product = 8 * (stats._TILE_MULADDS // (2 * 4 * 40)) + 4 * 8 * block * k
         draw_arrays = 4 * 8 * stats._DRAW_ELEMENTS
-        assert peak <= split + resampled + count_block + product + draw_arrays
+        assert peak <= split + resampled + count_blocks + product + draw_arrays
 
     def test_bootstrap_takes_the_sample_and_leaves_its_shape(self):
         # the entries keep their names and path count for run_case_study and

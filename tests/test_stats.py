@@ -1,5 +1,7 @@
 """KS two-sample test and percentile bootstrap."""
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -157,6 +159,27 @@ def test_percentile_ends_are_numpy_quantiles(n, tail, k):
         assert ci.mean == 1.5
 
 
+def run_threads(calls, timeout=60):
+    """Each call on a thread of its own, all at once, each joined within
+    timeout; what each returned or raised, in order."""
+    out = [None] * len(calls)
+
+    def run(i):
+        try:
+            out[i] = calls[i]()
+        except BaseException as error:
+            out[i] = error
+
+    # daemons, so that a call that hangs fails its test and not the exit
+    threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(len(calls))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout)
+        assert not thread.is_alive()
+    return out
+
+
 class TestResampledMeans:
     # m = 257 is odd, so consecutive draws share a 64-bit word
     @pytest.mark.parametrize("m", [1, 2, 257, 1_000])
@@ -223,8 +246,10 @@ class TestResampledMeans:
     @pytest.mark.parametrize("all_zero", [False, True], ids=["drawn", "all_zero"])
     @pytest.mark.parametrize("m", [2, 255, 256, 257])
     def test_matches_a_float_count_product(self, monkeypatch, m, all_zero):
-        # the narrow count block and its float slices give the bytes of one
-        # float64 bincount block times the split
+        # the narrow count blocks and their float tiles give the bytes of one
+        # float64 bincount block times the split, whether 1-row or 7-row
+        # blocks pass between the worker and the caller or one whole block
+        # does (a loop, not a parameter, so that the test keeps its ids)
         x = philox(23).exponential(size=(m, 4)) * np.array([1.0, 1e-3, 1e4, 7.0])
         idx = np.random.Generator(np.random.SFC64(9)).integers(0, m, size=(150, m))
         if all_zero:
@@ -233,20 +258,75 @@ class TestResampledMeans:
         counts = np.stack([np.bincount(row, minlength=m) for row in idx]).astype(float)
         sums = counts @ stats._exact_parts(x.T, m)
         want = (sums[:, :4] + sums[:, 4:]) / m
-        assert stats.resampled_means(x, 150, 9)[1].tobytes() == want.tobytes()
+        for block_rows in (1, 7, 150):
+            monkeypatch.setattr(stats, "RESAMPLE_BLOCK_ELEMENTS", block_rows * m)
+            assert stats.resampled_means(x, 150, 9)[1].tobytes() == want.tobytes(), block_rows
 
-    def test_working_memory_is_one_count_block(self):
-        # The count phase peaks at 6.27 MiB traced with every column varying
-        # (a float64 count block would trace 9.25 MiB, over this bound), and
-        # at 5.51 MiB with 5 constant columns of 24: the split of the varying
-        # columns (2 * 8 bytes per entry), one 1 MiB uint16 count block, the
-        # outputs and the draw's index buffer, raw words, low halves and
-        # bincount.  A constant column is neither split nor counted.
-        # _exact_parts before it peaks at 3.74 MiB.  Its bound takes four
-        # 8-byte arrays of _DRAW_ELEMENTS for the draw, 2 MiB against the
-        # 1.4 MiB drawn here; that 0.6 MiB is the slack, which also covers
-        # the copy a rejected candidate makes and the 0.5 MiB float slice of
-        # the product, which is taken after the draw's temporaries are freed.
+    @pytest.mark.parametrize("failing", ["draw", "product"])
+    def test_a_failure_propagates_and_no_thread_outlives_the_call(self, monkeypatch, failing):
+        # blocks of 7 rows, one draw each: the worker's draw fails on block
+        # 4, or the caller's product on block 2, while the other side has a
+        # block in flight; the error keeps its type and the worker is joined
+        class DrawFailed(Exception):
+            pass
+
+        class ProductFailed(Exception):
+            pass
+
+        x = philox(13).exponential(size=(257, 3))
+        monkeypatch.setattr(stats, "RESAMPLE_BLOCK_ELEMENTS", 7 * x.shape[0])
+        draw, count_means = stats._RowIndices.draw, stats._count_means
+        blocks = []
+
+        def failing_draw(self, n):
+            blocks.append(n)
+            if len(blocks) == 5:
+                raise DrawFailed
+            return draw(self, n)
+
+        def failing_product(counts, parts, m):
+            if counts.shape == (7, m):
+                blocks.append(counts)
+                if len(blocks) == 3:
+                    raise ProductFailed
+            return count_means(counts, parts, m)
+
+        if failing == "draw":
+            monkeypatch.setattr(stats._RowIndices, "draw", failing_draw)
+        else:
+            monkeypatch.setattr(stats, "_count_means", failing_product)
+        threads = threading.active_count()
+        [error] = run_threads([lambda: stats.resampled_means(x, 150, 6)])
+        assert type(error) is (DrawFailed if failing == "draw" else ProductFailed)
+        assert threading.active_count() == threads
+
+    def test_blocks_in_flight_keep_their_bytes_under_thread_switches(self, monkeypatch):
+        # three calls at once, each a worker and a caller passing 1-row
+        # blocks, with a thread switch every microsecond: a block drawn over
+        # while it is multiplied would change the bytes
+        x = philox(13).exponential(size=(257, 3)) * np.array([1.0, 1e-3, 1e4])
+        want = stats.resampled_means(x, 150, 6)[1].tobytes()
+        monkeypatch.setattr(stats, "RESAMPLE_BLOCK_ELEMENTS", x.shape[0])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = run_threads([lambda: stats.resampled_means(x, 150, 6)[1].tobytes()] * 3)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want] * 3
+
+    def test_working_memory_is_two_count_blocks(self):
+        # The count phase peaks at 7.41 MiB traced with every column varying
+        # (float64 count blocks would trace 13.35 MiB, over this bound), and
+        # at 6.65 MiB with 5 constant columns of 24: the split of the
+        # varying columns (2 * 8 bytes per entry), two 1 MiB uint16 count
+        # blocks, the outputs, and the draw's index buffer, raw words, low
+        # halves and bincount on the worker beside the float tile of a
+        # product on the caller.  A constant column is neither split nor
+        # counted.  _exact_parts before it peaks at 3.74 MiB.  The bound
+        # takes four 8-byte arrays of _DRAW_ELEMENTS for the draw, 2 MiB
+        # against the 1.4 MiB drawn here; that 0.6 MiB is the slack, which
+        # also covers the copy a rejected candidate makes.
         for constant in (0, 5):
             x = philox(3).standard_normal((10_000, 24))
             x[:, :constant] = np.arange(constant) + 0.5
@@ -259,7 +339,8 @@ class TestResampledMeans:
             split = 2 * 8 * x.shape[0] * (x.shape[1] - constant)
             outputs = 8 * (1_000 + 1) * 24
             draw_arrays = 4 * 8 * stats._DRAW_ELEMENTS
-            assert peak < split + 2**20 + outputs + draw_arrays, constant
+            tile = 8 * (stats._TILE_MULADDS // (2 * (x.shape[1] - constant)))
+            assert peak < split + 2 * 2**20 + outputs + draw_arrays + tile, constant
 
     def test_column_blocks_are_read_as_one_sample(self):
         # a list of column blocks gives the bytes of their joined array,
